@@ -11,7 +11,6 @@ from .align import (
     AlignedVerification,
     AlignmentResult,
     ObservedCodeMatrix,
-    align,
     align_to_matrix,
     alignment_accuracy,
     apply_alignment,
@@ -20,7 +19,6 @@ from .align import (
     verify_with_alignment,
 )
 from .attacks import (
-    AttackReport,
     PermutationSpec,
     attack_ftp,
     attack_npp,
@@ -113,7 +111,6 @@ from .triggers import (
     make_variant_ensemble,
     save_trigger_set,
     separation_stats,
-    synthesize_trigger,
     synthesize_trigger_set,
 )
 from .watermark import (

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .attacks import PermutationSpec, inverse_permutation, permute_neurons
-from .coding import Codebook, codebook_digest, nearest_centroid
+from .coding import CentroidSet, Codebook, codebook_digest, nearest_centroid
 from .network import Network
 from .serialize import IntegrityError
 from .triggers import TriggerSet, dead_neurons, layer_outputs
@@ -53,19 +53,38 @@ class AlignmentResult:
         return int(self.perm_estimate.size)
 
 
-def read_codes(net: Network, triggers: TriggerSet) -> ObservedCodeMatrix:
-    """Quantize the suspect layer's outputs on the owner's triggers."""
-    if net.input_dim != triggers.inputs.shape[1]:
+def read_codes(
+    net: Network, layer_name: str, inputs: np.ndarray, centroid_set: CentroidSet
+) -> ObservedCodeMatrix:
+    """Quantize the suspect layer's outputs on the owner's probe inputs."""
+    if net.input_dim != inputs.shape[1]:
         raise TamperError(
-            f"suspect expects {net.input_dim}-dim inputs, triggers are "
-            f"{triggers.inputs.shape[1]}-dim"
+            f"suspect expects {net.input_dim}-dim inputs, probes are {inputs.shape[1]}-dim"
         )
     try:
-        raw = layer_outputs(net, triggers.layer_name, triggers.inputs)
+        raw = layer_outputs(net, layer_name, inputs)
     except KeyError as exc:
-        raise TamperError(f"suspect model has no layer {triggers.layer_name!r}") from exc
-    codes = nearest_centroid(raw, triggers.centroid_set)
-    return ObservedCodeMatrix(codes=codes, raw_outputs=raw, layer_name=triggers.layer_name)
+        raise TamperError(f"suspect model has no layer {layer_name!r}") from exc
+    codes = nearest_centroid(raw, centroid_set)
+    return ObservedCodeMatrix(codes=codes, raw_outputs=raw, layer_name=layer_name)
+
+
+def _distance_matrix(obs: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """cost[p, i] = decode distance between the neuron at position p and word i,
+    the sum over t of |obs[p, t] - ref[i, t]| for integer codes.
+
+    Uses |a - b| = sum over thresholds s in (lo, hi] of |[a >= s] - [b >= s]|,
+    so each threshold costs two float64 matrix products of 0/1 indicators
+    instead of an (N, N, T) temporary; the counts are exact integers.
+    """
+    lo = int(min(obs.min(initial=0), ref.min(initial=0)))
+    hi = int(max(obs.max(initial=0), ref.max(initial=0)))
+    cost = np.zeros((obs.shape[0], ref.shape[0]))
+    for s in range(lo + 1, hi + 1):
+        a = (obs >= s).astype(np.float64)
+        b = (ref >= s).astype(np.float64)
+        cost += a @ (1.0 - b).T + (1.0 - a) @ b.T
+    return cost.astype(np.int64)
 
 
 def align_to_matrix(
@@ -74,15 +93,21 @@ def align_to_matrix(
     raw_outputs: np.ndarray | None = None,
     layer_name: str = "",
 ) -> AlignmentResult:
-    """Minimum-total-distance bijection between observed and reference rows."""
+    """Minimum-total-distance bijection between observed and reference rows;
+    a row-count or length mismatch is reported as tampering."""
     obs = np.asarray(observed_codes, dtype=np.int64)
     ref = np.asarray(reference_codes, dtype=np.int64)
-    if obs.shape != ref.shape or obs.ndim != 2:
+    if obs.ndim != 2 or ref.ndim != 2:
+        raise TamperError(f"code matrices must be 2-D, got {obs.shape} and {ref.shape}")
+    if obs.shape[0] != ref.shape[0]:
         raise TamperError(
-            f"observed code matrix {obs.shape} does not match reference {ref.shape}"
+            f"suspect layer has {obs.shape[0]} neurons, reference has {ref.shape[0]} words"
         )
-    # cost[p, i] = decode distance between the neuron at position p and word i
-    cost = np.abs(obs[:, None, :] - ref[None, :, :]).sum(axis=2)
+    if obs.shape[1] != ref.shape[1]:
+        raise TamperError(
+            f"observed codes have length {obs.shape[1]}, reference words {ref.shape[1]}"
+        )
+    cost = _distance_matrix(obs, ref)
     _, assign = linear_sum_assignment(cost)
     greedy = cost.argmin(axis=1)
     hits = np.bincount(greedy, minlength=cost.shape[0])
@@ -97,39 +122,23 @@ def align_to_matrix(
     )
 
 
-def align(observed: ObservedCodeMatrix, cb: Codebook) -> AlignmentResult:
-    if observed.codes.shape[0] != cb.n:
-        raise TamperError(
-            f"suspect layer has {observed.codes.shape[0]} neurons, codebook has {cb.n} words"
-        )
-    if observed.codes.shape[1] != cb.t:
-        raise TamperError(
-            f"observed codes have length {observed.codes.shape[1]}, codebook words {cb.t}"
-        )
-    return align_to_matrix(
-        observed.codes, cb.codewords, observed.raw_outputs, observed.layer_name
-    )
-
-
 def apply_alignment(net: Network, result: AlignmentResult) -> Network:
     """Send the neuron at position p back to its estimated original index."""
     spec = PermutationSpec(result.layer_name, inverse_permutation(result.perm_estimate))
     return permute_neurons(net, spec)
 
 
-def alignment_accuracy(
-    result: AlignmentResult, true_perm: np.ndarray, include_dead: bool = False
-) -> float:
+def alignment_accuracy(result: AlignmentResult, true_perm: np.ndarray) -> float:
     """Fraction of neurons mapped to their true position.
 
-    Dead neurons carry no code, so by default they are left out of the
-    denominator; their count is visible on the result itself.
+    Dead neurons carry no code, so they are left out of the denominator;
+    their count is visible on the result itself.
     """
     truth = np.asarray(true_perm, dtype=np.int64)
     if truth.shape != result.perm_estimate.shape:
         raise ValueError("true permutation has the wrong length")
     correct = result.perm_estimate == truth
-    if not include_dead and result.dead:
+    if result.dead:
         live = ~np.isin(truth, np.asarray(result.dead))
         if not live.any():
             return float("nan")
@@ -192,8 +201,10 @@ def verify_with_alignment(
         raise IntegrityError("trigger set was built for a different codebook")
     basis = normalize_layer(net, triggers.layer_name) if normalize else net
     try:
-        observed = read_codes(basis, triggers)
-        result = align(observed, cb)
+        observed = read_codes(basis, triggers.layer_name, triggers.inputs, triggers.centroid_set)
+        result = align_to_matrix(
+            observed.codes, cb.codewords, observed.raw_outputs, observed.layer_name
+        )
     except TamperError as exc:
         return AlignedVerification(ov=None, alignment=None, tamper_cause=str(exc))
     aligned = apply_alignment(net, result)

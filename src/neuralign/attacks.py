@@ -11,7 +11,7 @@ Permutations are destination arrays: perm[i] is the new position of neuron i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .network import Dataset, Network, finetune_variant, forward, prune_variant
 class PermutationSpec:
     layer_name: str
     perm: np.ndarray  # (N,) destination indices, a bijection on 0..N-1
-    seed: int = 0
 
     def __post_init__(self):
         p = np.asarray(self.perm, dtype=np.int64)
@@ -33,14 +32,6 @@ class PermutationSpec:
     @property
     def n(self) -> int:
         return int(self.perm.size)
-
-
-@dataclass(frozen=True)
-class AttackReport:
-    kind: str  # "np" | "ftp" | "npp" | "rescale"
-    seed: int
-    params: dict = field(default_factory=dict)
-    functional_drift: float = float("nan")
 
 
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
@@ -58,7 +49,7 @@ def random_permutation(n: int, seed: int, layer_name: str = "") -> PermutationSp
     while True:
         p = rng.permutation(n)
         if n == 1 or not np.array_equal(p, np.arange(n)):
-            return PermutationSpec(layer_name, p, seed)
+            return PermutationSpec(layer_name, p)
 
 
 def permute_neurons(net: Network, spec: PermutationSpec) -> Network:
@@ -96,9 +87,9 @@ def attack_ftp(
     return permute_neurons(tuned, spec)
 
 
-def attack_npp(net: Network, fraction: float, spec: PermutationSpec, seed: int = 0) -> Network:
+def attack_npp(net: Network, fraction: float, spec: PermutationSpec) -> Network:
     """Zero out the lowest-magnitude neurons of the layer, then permute."""
-    pruned = prune_variant(net, spec.layer_name, fraction, seed=seed)
+    pruned = prune_variant(net, spec.layer_name, fraction)
     return permute_neurons(pruned, spec)
 
 
@@ -110,7 +101,7 @@ def random_scales(n: int, seed: int, low: float = 0.5, high: float = 2.0) -> np.
     return np.exp(rng.uniform(np.log(low), np.log(high), size=n))
 
 
-def attack_rescale(net: Network, layer_name: str, scales: np.ndarray, seed: int = 0) -> Network:
+def attack_rescale(net: Network, layer_name: str, scales: np.ndarray) -> Network:
     """Scale each relu neuron by s > 0 and divide the successor column by s.
 
     Positive homogeneity of relu makes the composition exact up to float

@@ -58,15 +58,14 @@ def _load_cfg(args) -> ExperimentConfig:
     return validate_config(cfg)
 
 
-def _stage_args(sub, normalize: bool = True):
+def _stage_args(sub):
     sub.add_argument("--config", help="experiment config JSON", default=None)
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub.add_argument("--out", default="run", help="run directory (default: run)")
-    if normalize:
-        sub.add_argument(
-            "--normalize", action="store_true",
-            help="put the watermarked layer in canonical scale before coding",
-        )
+    sub.add_argument(
+        "--normalize", action="store_true",
+        help="put the watermarked layer in canonical scale before coding",
+    )
 
 
 def cmd_train(args) -> int:
@@ -100,17 +99,18 @@ def cmd_encode(args) -> int:
 
 def cmd_forge(args) -> int:
     cfg = _load_cfg(args)
-    mode = args.mode or cfg.triggers.mode
-    summary = stage_forge(cfg, args.out, mode)
-    sep = summary["separation"]
-    print(
-        "forged {mode}: {c}/{t} triggers converged, intra {i:.6f} "
-        "(bound {b:.6f}), dead neurons {d}, residual symbol errors {e}".format(
-            mode=mode, c=summary["converged"], t=summary["t"],
-            i=sep["mean_intra"], b=summary["separation_bound"],
-            d=len(sep["dead_neurons"]), e=summary["residual_symbol_errors"],
+    modes = [args.mode] if args.mode else list(TRIGGER_MODES)
+    for mode in modes:
+        summary = stage_forge(cfg, args.out, mode)
+        sep = summary["separation"]
+        print(
+            "forged {mode}: {c}/{t} triggers converged, intra {i:.6f} "
+            "(bound {b:.6f}), dead neurons {d}, residual symbol errors {e}".format(
+                mode=mode, c=summary["converged"], t=summary["t"],
+                i=sep["mean_intra"], b=summary["separation_bound"],
+                d=len(sep["dead_neurons"]), e=summary["residual_symbol_errors"],
+            )
         )
-    )
     return EXIT_OK
 
 
@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("forge", help="synthesize trigger inputs")
     _stage_args(sub)
-    sub.add_argument("--mode", choices=list(TRIGGER_MODES), default=None)
+    sub.add_argument("--mode", choices=list(TRIGGER_MODES), default=None,
+                     help="one scheme (default: every scheme, t1 then t2)")
     sub.set_defaults(func=cmd_forge)
 
     sub = subs.add_parser("attack", help="generate attacked suspect models")

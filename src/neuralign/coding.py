@@ -161,12 +161,10 @@ def min_pairwise_distance(codewords: np.ndarray) -> int:
     return best
 
 
-def generate_codebook(
-    n: int, t: int, k: int, d_min: int, seed: int, max_attempts: int | None = None
-) -> Codebook:
+def generate_codebook(n: int, t: int, k: int, d_min: int, seed: int) -> Codebook:
     """Draw codewords uniformly at random, rejecting any too close to a kept one.
 
-    Raises CapacityError when the attempt budget runs out before N words are
+    Raises CapacityError when 400 * N attempts run out before N words are
     found, which is the practical signal that d_min is too ambitious for
     (N, T, K); the remedy is a longer T or a smaller d_min.
     """
@@ -185,7 +183,7 @@ def generate_codebook(
         )
     if k**t < n:
         raise CapacityError(f"only {k**t} distinct words of length {t} exist, need {n}")
-    budget = max_attempts if max_attempts is not None else 400 * n
+    budget = 400 * n
     rng = np.random.default_rng(seed)
     kept = np.empty((n, t), dtype=np.uint8)
     count = 0

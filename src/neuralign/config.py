@@ -46,7 +46,6 @@ class CodingSpec:
 
 @dataclass
 class TriggerSpec:
-    mode: str = "t1"
     j: int = 6
     steps: int = 2000
     lr: float = 0.05
@@ -131,9 +130,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(c.t >= 1, "coding.t", "need at least one trigger position")
     _require(1 <= c.k_corrupted <= c.k - 1, "coding.k_corrupted",
              "corrupted alternatives per position lie in [1, k-1]")
-    _require(t.mode in ("t1", "t2"), "triggers.mode", "mode is 't1' or 't2'")
-    _require(t.j >= 0 and t.j % 2 == 0, "triggers.j", "variant count must be even")
-    _require(t.mode == "t1" or t.j >= 2, "triggers.j", "ensemble mode needs variants")
+    _require(t.j >= 2 and t.j % 2 == 0, "triggers.j",
+             "the T2 ensemble needs an even variant count of at least 2")
     _require(t.steps >= 0 and t.lr > 0, "triggers.steps", "need steps >= 0 and lr > 0")
     _require(t.restarts >= 1, "triggers.restarts", "need at least one restart")
     _require(t.box_low < t.box_high, "triggers.box_low", "clamp box must be non-empty")

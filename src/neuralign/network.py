@@ -8,7 +8,7 @@ run in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,7 +77,6 @@ class Network:
     """An ordered stack of dense layers. Treated as immutable once built."""
 
     layers: list[DenseLayer]
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.layers:
@@ -110,7 +109,7 @@ class Network:
         return self.layers[self.layer_index(name)]
 
     def clone(self) -> "Network":
-        return Network([l.clone() for l in self.layers], dict(self.metadata))
+        return Network([l.clone() for l in self.layers])
 
 
 @dataclass
@@ -151,28 +150,8 @@ class TrainConfig:
     lr: float
     batch_size: int = 32
     seed: int = 0
-    l2: float = 0.0
     # optional regularizer: net -> (loss, {layer_name: weight gradient})
     extra_loss: Optional[Callable[[Network], tuple[float, dict[str, np.ndarray]]]] = None
-
-
-@dataclass
-class TriggerObjective:
-    """Quadratic pull of one layer's outputs toward per-neuron targets.
-
-    targets[n] is where neuron n of the named layer should land; the loss is
-    the squared deviation summed over neurons and, for an ensemble, over
-    networks scaled by ensemble_weights.
-    """
-
-    layer_name: str
-    targets: np.ndarray  # (N,)
-    ensemble_weights: Optional[Sequence[float]] = None
-
-    def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.targets.ndim != 1:
-            raise ShapeError("targets must be a vector")
 
 
 def init_network(
@@ -195,7 +174,7 @@ def init_network(
         b = np.zeros(d_out, dtype=np.float32)
         act = output_activation if i == len(widths) - 1 else hidden_activation
         layers.append(DenseLayer(f"dense{i}", w, b, act))
-    return Network(layers, metadata={"seed": str(seed)})
+    return Network(layers)
 
 
 def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
@@ -282,7 +261,6 @@ def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
     rng = np.random.default_rng(hp.seed)
     n = len(data)
     batch_size = min(hp.batch_size, n)
-    epoch_losses = []
     for epoch in range(hp.epochs):
         order = rng.permutation(n)
         losses = []
@@ -293,10 +271,6 @@ def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
             raise TrainingDivergenceError(epoch)
-        epoch_losses.append(mean_loss)
-    out.metadata["optimizer"] = "sgd"
-    out.metadata["first_epoch_loss"] = repr(epoch_losses[0])
-    out.metadata["final_epoch_loss"] = repr(epoch_losses[-1])
     return out
 
 
@@ -314,8 +288,6 @@ def _sgd_step(net: Network, x: np.ndarray, y: np.ndarray, hp: TrainConfig) -> fl
         layer = net.layers[i]
         w64 = layer.weights.astype(np.float64)
         dw = delta.T @ acts[i]
-        if hp.l2:
-            dw += hp.l2 * w64
         if layer.name in extra_grads:
             dw += np.asarray(extra_grads[layer.name], dtype=np.float64)
         db = delta.sum(axis=0)
@@ -326,28 +298,18 @@ def _sgd_step(net: Network, x: np.ndarray, y: np.ndarray, hp: TrainConfig) -> fl
     return float(loss)
 
 
-def input_gradient(
-    nets: Sequence[Network], x: np.ndarray, objective: TriggerObjective
-) -> np.ndarray:
-    """Gradient of the summed ensemble objective with respect to the input.
-
-    All network parameters are left untouched; the gradient flows to the
-    input only.
-    """
-    grad, _ = gradient_for_objective(nets, x, objective)
-    return grad
-
-
 def input_gradient_batch(
     nets: Sequence[Network],
     x: np.ndarray,
     targets: np.ndarray,
     layer_name: str,
-    ensemble_weights: Optional[Sequence[float]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched input gradient and per-row loss for a per-row target matrix.
+    """Input gradient and per-row loss of the squared deviation of the named
+    layer's outputs from a per-row target matrix, summed over the networks.
 
     targets is (batch, N); row b drives the named layer's outputs on x[b].
+    Network parameters are left untouched; the gradient flows to the input
+    only.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -357,13 +319,10 @@ def input_gradient_batch(
         raise ShapeError("ensemble networks disagree on input_dim")
     if x.shape[1] != nets[0].input_dim:
         raise ShapeError(f"input width {x.shape[1]} != network input_dim {nets[0].input_dim}")
-    weights = np.ones(len(nets)) if ensemble_weights is None else np.asarray(ensemble_weights, dtype=np.float64)
-    if weights.shape != (len(nets),):
-        raise ShapeError("ensemble_weights length must match ensemble size")
 
     total_grad = np.zeros_like(x)
     total_loss = np.zeros(x.shape[0])
-    for net, w_net in zip(nets, weights):
+    for net in nets:
         li = net.layer_index(layer_name)
         sub = net.layers[: li + 1]
         if sub[-1].out_dim != targets.shape[1]:
@@ -372,23 +331,14 @@ def input_gradient_batch(
             )
         posts = _forward_layers(sub, x)
         resid = posts[-1] - targets
-        total_loss += w_net * (resid**2).sum(axis=1)
-        delta = 2.0 * w_net * resid * _activation_grad_mask(posts[-1], sub[-1].activation)
+        total_loss += (resid**2).sum(axis=1)
+        delta = 2.0 * resid * _activation_grad_mask(posts[-1], sub[-1].activation)
         for i in range(li, 0, -1):
             delta = (delta @ sub[i].weights.astype(np.float64)) * _activation_grad_mask(
                 posts[i - 1], sub[i - 1].activation
             )
         total_grad += delta @ sub[0].weights.astype(np.float64)
     return total_grad, total_loss
-
-
-def gradient_for_objective(nets: Sequence[Network], x: np.ndarray, objective: TriggerObjective):
-    """Like input_gradient but also returns the scalar objective value."""
-    grads, losses = input_gradient_batch(
-        nets, np.asarray(x, dtype=np.float64)[None, :], objective.targets[None, :],
-        objective.layer_name, objective.ensemble_weights,
-    )
-    return grads[0], float(losses[0])
 
 
 def finetune_variant(
@@ -398,12 +348,11 @@ def finetune_variant(
     return train(net, data, TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed))
 
 
-def prune_variant(net: Network, layer_name: str, fraction: float, seed: int = 0) -> Network:
+def prune_variant(net: Network, layer_name: str, fraction: float) -> Network:
     """Zero the incoming rows and biases of the lowest-|w| neurons in one layer.
 
     Ranks neurons by the L1 norm of their incoming weight row and zeroes the
-    floor(fraction * N) smallest. The seed is recorded for provenance only;
-    magnitude ranking is deterministic.
+    floor(fraction * N) smallest; the ranking is deterministic.
     """
     if not (0.0 <= fraction < 1.0):
         raise ValueError("fraction must be in [0, 1)")
@@ -416,7 +365,6 @@ def prune_variant(net: Network, layer_name: str, fraction: float, seed: int = 0)
     doomed = np.argsort(norms, kind="stable")[:count]
     layer.weights[doomed, :] = 0.0
     layer.biases[doomed] = 0.0
-    out.metadata["pruned"] = f"{layer_name}:{fraction}:{count}"
     return out
 
 

@@ -58,7 +58,6 @@ from .triggers import (
     MODE_ENSEMBLE,
     MODE_SINGLE,
     OptConfig,
-    TriggerSet,
     layer_outputs,
     load_trigger_set,
     loss_budget,
@@ -321,6 +320,8 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     """Synthesize the trigger set for one scheme (single model or ensemble)."""
     if mode not in TRIGGER_MODES:
         raise ValueError(f"unknown trigger mode {mode!r}")
+    if mode == MODE_ENSEMBLE and cfg.triggers.j < 2:
+        raise ValueError("the T2 scheme needs at least 2 variants (triggers.j >= 2)")
     out = Path(out)
     with _StageTimer(out, f"forge_{mode}"):
         model = load_model(out / MODEL_FILE)
@@ -345,8 +346,8 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         )
         ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
         save_trigger_set(ts, out / trigger_file(mode))
-        stats = separation_stats(basis, ts)
-        observed = read_codes(basis, ts)
+        stats = separation_stats(basis, layer, ts.inputs, cs)
+        observed = read_codes(basis, layer, ts.inputs, cs)
         symbol_errors = int(np.sum(observed.codes != cb.codewords))
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))
         bound = cs.min_gap / 10.0
@@ -383,7 +384,7 @@ def _forge_suspect(cfg, kind, model, layer, spec, attacker_data, trial_seed):
             lr=a.lr, batch_size=cfg.model.batch_size,
         )
     if kind == "npp":
-        return attack_npp(model, a.fraction, spec, seed=derive_seed(trial_seed, "prune"))
+        return attack_npp(model, a.fraction, spec)
     if kind == "rescale":
         scales = random_scales(
             spec.n, derive_seed(trial_seed, "scales"), a.scale_low, a.scale_high
@@ -619,25 +620,16 @@ def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: Centroi
     layer = cfg.model.watermarked_layer
     basis = normalize_layer(model, layer) if cfg.normalize else model
     _, held = make_experiment_data(cfg)
+    # stored like trigger inputs, so normal probes read out as T1 and T2 do
     probes = held.inputs[: cb.t].astype(np.float32)
-    ts = TriggerSet(
-        inputs=probes,
-        centroid_set=cs,
-        codebook_ref=codebook_digest(cb),
-        mode=MODE_SINGLE,
-        variant_count=0,
-        layer_name=layer,
-        final_losses=np.zeros(len(probes), dtype=np.float32),
-        converged=np.zeros(len(probes), dtype=bool),
-    )
-    stats = separation_stats(basis, ts)
-    reference = read_codes(basis, ts)
+    stats = separation_stats(basis, layer, probes, cs)
+    reference = read_codes(basis, layer, probes, cs)
     accs = []
     n = model.layer(layer).out_dim
     for s in range(shuffles):
         spec = random_permutation(n, derive_seed(cfg.seed, "baseline", s), layer)
         shuffled = permute_neurons(basis, spec)
-        observed = read_codes(shuffled, ts)
+        observed = read_codes(shuffled, layer, probes, cs)
         result = align_to_matrix(
             observed.codes, reference.codes, observed.raw_outputs, layer
         )

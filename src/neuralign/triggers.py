@@ -12,7 +12,7 @@ input so a late bad step cannot lose a good solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .network import (
     Dataset,
     Network,
     ShapeError,
-    TriggerObjective,
     finetune_variant,
     forward,
     input_gradient_batch,
@@ -89,7 +88,7 @@ def make_variant_ensemble(
         provenance.append(f"finetune:epochs={i}:lr={finetune_lr}:seed={seed + i}")
     for i in range(1, half + 1):
         frac = prune_step * i
-        nets.append(prune_variant(net, layer_name, frac, seed=seed + half + i))
+        nets.append(prune_variant(net, layer_name, frac))
         provenance.append(f"prune:layer={layer_name}:fraction={frac:.4f}")
     return VariantEnsemble(nets, provenance)
 
@@ -102,8 +101,6 @@ class OptConfig:
     box_low: float = -4.0
     box_high: float = 4.0
     restarts: int = 8  # independent seeded starts per trigger; best one wins
-    init_low: float | None = None  # init box defaults to the clamp box
-    init_high: float | None = None
 
     def __post_init__(self):
         if self.steps < 0 or self.lr <= 0:
@@ -112,12 +109,6 @@ class OptConfig:
             raise ValueError("need at least one start")
         if not self.box_low < self.box_high:
             raise ValueError("clamp box must be non-empty")
-
-    @property
-    def init_box(self) -> tuple:
-        lo = self.box_low if self.init_low is None else self.init_low
-        hi = self.box_high if self.init_high is None else self.init_high
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -162,29 +153,13 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
     return network_count * n * (gap / 4.0) ** 2
 
 
-def synthesize_trigger(
-    nets: list, objective: TriggerObjective, opt: OptConfig
-) -> tuple[np.ndarray, float]:
-    """Plain projected gradient descent on one input; returns best (x, loss)."""
-    if not nets:
-        raise ValueError("need at least one network")
-    targets = np.asarray(objective.targets, dtype=np.float64)
-    best_x, best_loss = _descend(
-        nets, np.tile(targets, (opt.restarts, 1)), objective.layer_name, opt,
-        weights=objective.ensemble_weights,
-    )
-    pick = int(best_loss.argmin())
-    return best_x[pick], float(best_loss[pick])
-
-
-def _descend(nets, targets, layer_name, opt: OptConfig, weights=None):
+def _descend(nets, targets, layer_name, opt: OptConfig):
     """Batched projected descent; returns per-row best (inputs, losses)."""
     rng = np.random.default_rng(opt.seed)
-    init_lo, init_hi = opt.init_box
-    x = rng.uniform(init_lo, init_hi, size=(targets.shape[0], nets[0].input_dim))
+    x = rng.uniform(opt.box_low, opt.box_high, size=(targets.shape[0], nets[0].input_dim))
     best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf)
     for step in range(opt.steps + 1):
-        grads, losses = input_gradient_batch(nets, x, targets, layer_name, weights)
+        grads, losses = input_gradient_batch(nets, x, targets, layer_name)
         if not np.all(np.isfinite(losses)):
             bad = int(np.flatnonzero(~np.isfinite(losses))[0])
             raise OptimizationError(f"non-finite loss for row {bad} at step {step}", step)
@@ -267,14 +242,16 @@ def cluster_quality(values: np.ndarray, cs: CentroidSet) -> ClusterStats:
     return ClusterStats(inter=float(np.mean(diffs)), intra=intra, occupied=int(labels.size))
 
 
-def separation_stats(net: Network, triggers: "TriggerSet") -> dict:
-    """Mean inter/intra statistics across triggers, dead neurons excluded."""
-    outs = layer_outputs(net, triggers.layer_name, triggers.inputs)
+def separation_stats(
+    net: Network, layer_name: str, inputs: np.ndarray, centroid_set: CentroidSet
+) -> dict:
+    """Mean inter/intra statistics across probe inputs, dead neurons excluded."""
+    outs = layer_outputs(net, layer_name, inputs)
     dead = dead_neurons(outs)
     live = np.setdiff1d(np.arange(outs.shape[0]), dead)
     inters, intras = [], []
     for t in range(outs.shape[1]):
-        stats = cluster_quality(outs[live, t], triggers.centroid_set)
+        stats = cluster_quality(outs[live, t], centroid_set)
         intras.append(stats.intra)
         if stats.inter is not None:
             inters.append(stats.inter)

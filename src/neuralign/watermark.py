@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, TrainConfig, accuracy, train
+from .network import Network, TrainConfig, train
 from .serialize import (
     MAGIC_RECORD,
     PayloadReader,
@@ -124,8 +124,7 @@ def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig = EmbedCo
 
     Runs up to max_rounds training passes, stopping at the first with zero
     bit-error rate; later rounds keep growing the projection margins only if
-    the first pass leaves residual errors. Accuracy before and after lands in
-    the returned network's metadata.
+    the first pass leaves residual errors.
     """
     layer = net.layer(record.layer_name)
     if layer.weights.size != record.key.shape[1]:
@@ -148,7 +147,6 @@ def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig = EmbedCo
         grad = (key64.T @ dz).reshape(shape)
         return hp.strength * loss, {record.layer_name: hp.strength * grad}
 
-    acc_before = accuracy(net, data)
     current = net
     for round_idx in range(hp.max_rounds):
         current = train(
@@ -170,8 +168,6 @@ def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig = EmbedCo
             f"bit-error rate still {final:.3f} after {hp.max_rounds} rounds; "
             f"raise strength or epochs"
         )
-    current.metadata["accuracy_before_embed"] = f"{acc_before:.6f}"
-    current.metadata["accuracy_after_embed"] = f"{accuracy(current, data):.6f}"
     return current
 
 

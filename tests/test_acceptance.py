@@ -15,7 +15,7 @@ import pytest
 from neuralign.attacks import attack_rescale, permute_neurons, random_permutation, random_scales
 from neuralign.coding import decode_codeword, load_codebook
 from neuralign.config import ExperimentConfig
-from neuralign.network import TriggerObjective, forward, init_network, input_gradient, input_gradient_batch
+from neuralign.network import forward, init_network, input_gradient_batch
 from neuralign.pipeline import CODEBOOK_FILE, MODEL_FILE, capacity_grid, run_all
 from neuralign.serialize import load_model
 
@@ -143,17 +143,18 @@ def test_criterion_7_gradient_correctness(capfd):
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
         net = init_network(6, [10, 7, 3], seed=seed)
-        objective = TriggerObjective("dense1", rng.normal(size=7))
+        targets = rng.normal(size=7)
         x = rng.normal(size=6)
-        analytic = input_gradient([net], x, objective)
+        grads, _ = input_gradient_batch([net], x[None, :], targets[None, :], "dense1")
+        analytic = grads[0]
         numeric = np.zeros_like(x)
         h = 1e-6
         for i in range(x.size):
             up, down = x.copy(), x.copy()
             up[i] += h
             down[i] -= h
-            _, lu = input_gradient_batch([net], up[None, :], objective.targets[None, :], "dense1")
-            _, ld = input_gradient_batch([net], down[None, :], objective.targets[None, :], "dense1")
+            _, lu = input_gradient_batch([net], up[None, :], targets[None, :], "dense1")
+            _, ld = input_gradient_batch([net], down[None, :], targets[None, :], "dense1")
             numeric[i] = (lu[0] - ld[0]) / (2 * h)
         scale = max(float(np.abs(numeric).max()), 1e-12)
         worst = max(worst, float(np.abs(analytic - numeric).max()) / scale)

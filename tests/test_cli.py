@@ -42,6 +42,22 @@ def test_full_stage_chain(cfg_file, tmp_path, capsys):
     assert report["attacks"][0]["trials"] == 2  # --trials overrode the config
 
 
+def test_forge_without_mode_forges_every_scheme(tiny_config_factory, tmp_path, capsys):
+    cfg = tiny_config_factory()
+    cfg.triggers.steps = 5
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    out = tmp_path / "run"
+    base = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["train", *base]) == EXIT_OK
+    assert main(["encode", *base]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["forge", *base]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["forged t1", "forged t2"]
+    assert (out / trigger_file("t1")).exists() and (out / trigger_file("t2")).exists()
+
+
 def test_config_echo_fallback(cfg_file, tmp_path, capsys):
     """Later stages pick the config back up from the run directory."""
     out = tmp_path / "run"

@@ -40,7 +40,7 @@ def test_round_trip_through_dict():
 
 def test_round_trip_through_file(tmp_path):
     cfg = ExperimentConfig(seed=3)
-    cfg.triggers.mode = "t2"
+    cfg.triggers.j = 2
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     assert load_config(path) == cfg
@@ -58,6 +58,8 @@ def test_unknown_key_rejected_with_path():
         config_from_dict({"coding": {"tt": 40}})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_dict({"bogus": 1})
+    with pytest.raises(ConfigError, match=r"triggers\.mode: unknown key"):
+        config_from_dict({"triggers": {"mode": "t1"}})  # both schemes always run
 
 
 def test_attacks_list_built_per_item():
@@ -92,7 +94,6 @@ def test_invalid_json_file(tmp_path):
         (lambda c: setattr(c.coding, "k", 1), "coding.k"),
         (lambda c: setattr(c.coding, "k_corrupted", 0), "coding.k_corrupted"),
         (lambda c: setattr(c.coding, "k_corrupted", 2), "coding.k_corrupted"),
-        (lambda c: setattr(c.triggers, "mode", "t3"), "triggers.mode"),
         (lambda c: setattr(c.triggers, "j", 3), "triggers.j"),
         (lambda c: setattr(c.triggers, "restarts", 0), "triggers.restarts"),
         (lambda c: setattr(c.triggers, "box_low", 9.0), "triggers.box_low"),
@@ -110,7 +111,8 @@ def test_validation_reports_dotted_path(mutate, path_fragment):
 
 
 def test_ensemble_mode_requires_variants():
-    cfg = ExperimentConfig(triggers=TriggerSpec(mode="t2", j=0))
+    """run_all always forges T2, so a config without variants is refused."""
+    cfg = ExperimentConfig(triggers=TriggerSpec(j=0))
     with pytest.raises(ConfigError, match=r"triggers\.j"):
         validate_config(cfg)
 

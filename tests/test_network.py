@@ -10,14 +10,12 @@ from neuralign.network import (
     ShapeError,
     TrainConfig,
     TrainingDivergenceError,
-    TriggerObjective,
     UnknownLayerError,
     accuracy,
     cross_entropy,
     finetune_variant,
     forward,
     init_network,
-    input_gradient,
     input_gradient_batch,
     networks_equal,
     prune_variant,
@@ -171,20 +169,14 @@ def test_layers_reject_non_finite_parameters():
                    np.zeros(1, dtype=np.float32), "relu")
 
 
-def central_difference(nets, x, objective, h=1e-6):
+def central_difference(nets, x, targets, layer_name, h=1e-6):
     grad = np.zeros_like(x)
     for i in range(x.size):
         up, down = x.copy(), x.copy()
         up[i] += h
         down[i] -= h
-        _, lu = input_gradient_batch(
-            nets, up[None, :], objective.targets[None, :], objective.layer_name,
-            objective.ensemble_weights,
-        )
-        _, ld = input_gradient_batch(
-            nets, down[None, :], objective.targets[None, :], objective.layer_name,
-            objective.ensemble_weights,
-        )
+        _, lu = input_gradient_batch(nets, up[None, :], targets[None, :], layer_name)
+        _, ld = input_gradient_batch(nets, down[None, :], targets[None, :], layer_name)
         grad[i] = (lu[0] - ld[0]) / (2 * h)
     return grad
 
@@ -193,33 +185,21 @@ def central_difference(nets, x, objective, h=1e-6):
 def test_input_gradient_matches_central_differences(seed):
     rng = np.random.default_rng(seed)
     net = init_network(5, [9, 6, 3], seed=seed)
-    objective = TriggerObjective("dense1", rng.normal(size=6))
+    targets = rng.normal(size=6)
     x = rng.normal(size=5)
-    analytic = input_gradient([net], x, objective)
-    numeric = central_difference([net], x, objective)
-    np.testing.assert_allclose(analytic, numeric, rtol=1e-3, atol=1e-6)
+    analytic, _ = input_gradient_batch([net], x[None, :], targets[None, :], "dense1")
+    numeric = central_difference([net], x, targets, "dense1")
+    np.testing.assert_allclose(analytic[0], numeric, rtol=1e-3, atol=1e-6)
 
 
 def test_ensemble_gradient_matches_central_differences():
     rng = np.random.default_rng(7)
     nets = [init_network(4, [8, 5, 2], seed=s) for s in (10, 11, 12)]
-    objective = TriggerObjective("dense1", rng.normal(size=5),
-                                 ensemble_weights=[1.0, 0.5, 2.0])
+    targets = rng.normal(size=5)
     x = rng.normal(size=4)
-    analytic = input_gradient(nets, x, objective)
-    numeric = central_difference(nets, x, objective)
-    np.testing.assert_allclose(analytic, numeric, rtol=1e-3, atol=1e-6)
-
-
-def test_zero_weighted_network_contributes_nothing():
-    rng = np.random.default_rng(3)
-    nets = [init_network(4, [6, 3, 2], seed=s) for s in (1, 2)]
-    targets = rng.normal(size=(5, 3))
-    x = rng.normal(size=(5, 4))
-    g_both, l_both = input_gradient_batch(nets, x, targets, "dense1", [1.0, 0.0])
-    g_one, l_one = input_gradient_batch(nets[:1], x, targets, "dense1")
-    np.testing.assert_allclose(g_both, g_one, atol=1e-12)
-    np.testing.assert_allclose(l_both, l_one, atol=1e-12)
+    analytic, _ = input_gradient_batch(nets, x[None, :], targets[None, :], "dense1")
+    numeric = central_difference(nets, x, targets, "dense1")
+    np.testing.assert_allclose(analytic[0], numeric, rtol=1e-3, atol=1e-6)
 
 
 def test_batched_gradient_equals_rowwise_calls():

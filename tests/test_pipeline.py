@@ -1,14 +1,17 @@
 """End-to-end pipeline: stage isolation, determinism, report shape."""
 
 import csv
+import dataclasses
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from neuralign import pipeline
 from neuralign.pipeline import (
     CODEBOOK_FILE,
     ENCODE_SUMMARY,
@@ -27,6 +30,8 @@ from neuralign.pipeline import (
     run_all,
     stage_align,
     stage_encode,
+    stage_forge,
+    trigger_file,
     validate_report,
     write_json,
 )
@@ -263,3 +268,42 @@ def test_write_json_stable_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()  # key order cannot leak into bytes
     with pytest.raises(ValueError):
         write_json(tmp_path / "nan.json", {"x": float("nan")})  # callers sanitize first
+
+
+def test_t2_forge_without_variants_is_refused(tiny_run, tmp_path):
+    """With no variants a T2 forge would write a second single-model set, and
+    the T2-vs-T1 ordering would compare T1 with itself."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    before = sorted(p.name for p in copy.iterdir())
+    before_t2 = (copy / trigger_file("t2")).read_bytes()
+    cfg = dataclasses.replace(cfg, triggers=dataclasses.replace(cfg.triggers, j=0, steps=1))
+    with pytest.raises(ValueError, match="variants"):
+        stage_forge(cfg, copy, "t2")
+    assert sorted(p.name for p in copy.iterdir()) == before
+    assert (copy / trigger_file("t2")).read_bytes() == before_t2
+
+
+def test_run_all_looks_up_benchmark_hooks_in_pipeline(tiny_config_factory, tmp_path, monkeypatch):
+    """The benchmark's desk workload wraps these three names in the pipeline
+    module's namespace to capture verdicts and ensembles; run_all must call
+    them through it."""
+    calls = Counter()
+    for name in ("stage_align", "verify_with_alignment", "make_variant_ensemble"):
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    cfg = tiny_config_factory()
+    cfg.triggers.steps = 5
+    run_all(cfg, tmp_path / "run", trials=1)
+    kinds, modes = len(cfg.attacks), len(pipeline.TRIGGER_MODES)
+    assert calls == {
+        "stage_align": kinds * modes,
+        "verify_with_alignment": kinds * modes,
+        "make_variant_ensemble": modes,
+    }

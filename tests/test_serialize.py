@@ -28,7 +28,6 @@ def net():
 
 
 def test_model_round_trip(tmp_path, net):
-    net.metadata["note"] = "fixture"
     path = tmp_path / "m.naf"
     save_model(net, path)
     back = load_model(path)

@@ -10,7 +10,6 @@ from neuralign.network import (
     Network,
     ShapeError,
     TrainConfig,
-    TriggerObjective,
     init_network,
     train,
 )
@@ -27,7 +26,6 @@ from neuralign.triggers import (
     loss_budget,
     make_variant_ensemble,
     separation_stats,
-    synthesize_trigger,
     synthesize_trigger_set,
 )
 
@@ -94,37 +92,42 @@ def test_opt_config_validation():
         OptConfig(restarts=0)
     with pytest.raises(ValueError):
         OptConfig(box_low=1.0, box_high=1.0)
-    assert OptConfig(box_low=-2.0, box_high=2.0).init_box == (-2.0, 2.0)
-    assert OptConfig(init_low=0.0, init_high=1.0).init_box == (0.0, 1.0)
 
 
-def test_descent_improves_over_initialization(trained):
-    net, _ = trained
-    rng = np.random.default_rng(2)
-    objective = TriggerObjective("dense1", rng.normal(size=10))
+@pytest.fixture(scope="module")
+def single(trained):
+    """The marked model alone, with a fold frame and a 10-word codebook."""
+    net, data = trained
+    cs = compute_centroids(layer_outputs(net, "dense1", data.inputs), 2)
+    cb = default_codebook(10, 8, 2, 1, seed=2)
+    return make_variant_ensemble(net, data, "dense1", j=0, seed=2), cs, cb
+
+
+def test_descent_improves_over_initialization(single):
+    ens, cs, cb = single
     frozen = OptConfig(steps=0, lr=0.05, seed=2, restarts=1)
     moved = OptConfig(steps=150, lr=0.05, seed=2, restarts=1)
-    _, loss0 = synthesize_trigger([net], objective, frozen)
-    _, loss1 = synthesize_trigger([net], objective, moved)
-    assert loss1 < loss0
+    loss0 = synthesize_trigger_set(ens, "dense1", cs, cb, frozen).final_losses
+    loss1 = synthesize_trigger_set(ens, "dense1", cs, cb, moved).final_losses
+    assert loss1.sum() < loss0.sum()
+    assert (loss1 <= loss0).all()  # each row keeps its best input
 
 
-def test_synthesis_is_seed_deterministic(trained):
-    net, _ = trained
-    objective = TriggerObjective("dense1", np.zeros(10))
+def test_synthesis_is_seed_deterministic(single):
+    ens, cs, cb = single
     opt = OptConfig(steps=50, lr=0.05, seed=3, restarts=2)
-    x1, l1 = synthesize_trigger([net], objective, opt)
-    x2, l2 = synthesize_trigger([net], objective, opt)
-    np.testing.assert_array_equal(x1, x2)
-    assert l1 == l2
+    first = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
+    second = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
+    np.testing.assert_array_equal(first.inputs, second.inputs)
+    np.testing.assert_array_equal(first.final_losses, second.final_losses)
 
 
-def test_descent_stays_in_clamp_box(trained):
-    net, _ = trained
-    objective = TriggerObjective("dense1", np.full(10, 50.0))  # unreachable pull
+def test_descent_stays_in_clamp_box(single):
+    ens, _, cb = single
+    unreachable = CentroidSet(np.array([50.0, 51.0]), np.array([50.5]))
     opt = OptConfig(steps=100, lr=1.0, seed=1, box_low=-1.5, box_high=1.5, restarts=1)
-    x, _ = synthesize_trigger([net], objective, opt)
-    assert (x >= -1.5).all() and (x <= 1.5).all()
+    ts = synthesize_trigger_set(ens, "dense1", unreachable, cb, opt)
+    assert (ts.inputs >= -1.5).all() and (ts.inputs <= 1.5).all()
 
 
 def test_overflowing_loss_raises_with_step():
@@ -136,11 +139,12 @@ def test_overflowing_loss_raises_with_step():
             f"dense{i}", np.full((b, a), 1e38, dtype=np.float32),
             np.zeros(b, dtype=np.float32), "relu",
         ))
-    net = Network(layers)
-    objective = TriggerObjective("dense3", np.zeros(8))
-    opt = OptConfig(steps=5, lr=0.01, seed=0, restarts=1, init_low=1.0, init_high=2.0)
+    ens = VariantEnsemble([Network(layers)], ["original"])
+    cs = CentroidSet(np.array([0.0, 1.0]), np.array([0.5]))
+    cb = default_codebook(8, 8, 2, 1, seed=0)
+    opt = OptConfig(steps=5, lr=0.01, seed=0, restarts=1, box_low=1.0, box_high=2.0)
     with np.errstate(all="ignore"), pytest.raises(OptimizationError) as info:
-        synthesize_trigger([net], objective, opt)
+        synthesize_trigger_set(ens, "dense3", cs, cb, opt)
     assert info.value.step == 0
 
 
@@ -261,6 +265,6 @@ def test_separation_stats_exclude_dead(trained, forged):
     hollow = net.clone()
     hollow.layer("dense1").weights[4, :] = 0.0
     hollow.layer("dense1").biases[4] = 0.0
-    stats = separation_stats(hollow, ts)
+    stats = separation_stats(hollow, ts.layer_name, ts.inputs, ts.centroid_set)
     assert stats["dead_neurons"] == [4]
     assert np.isfinite(stats["mean_intra"])
