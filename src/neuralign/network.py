@@ -4,6 +4,10 @@ Construction, deterministic SGD training, forward passes with per-layer
 activation capture, gradients with respect to the input, and magnitude-based
 neuron pruning. Parameters are stored as float32; all products and reductions
 run in float64.
+
+Input gradients run through `InputGradientKernel`, which a descent builds once:
+it casts the weights to float64 once per descent instead of once per step, and
+fills buffers it allocated once instead of fresh temporaries on every step.
 """
 
 from __future__ import annotations
@@ -198,8 +202,8 @@ def _forward_layers(layers: Sequence[DenseLayer], batch: np.ndarray) -> list[np.
     return outputs
 
 
-def forward(net: Network, batch: np.ndarray) -> ActivationTrace:
-    """Run a batch through the network, capturing every layer's output."""
+def _as_batch(net: Network, batch: np.ndarray) -> np.ndarray:
+    """The batch as float64, checked to be 2-D with the network's input width."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2:
         raise ShapeError("batch must be 2-D (rows are samples)")
@@ -208,7 +212,12 @@ def forward(net: Network, batch: np.ndarray) -> ActivationTrace:
             f"batch has {batch.shape[1]} columns but layer {net.layers[0].name} "
             f"expects {net.input_dim}"
         )
-    return ActivationTrace(_forward_layers(net.layers, batch))
+    return batch
+
+
+def forward(net: Network, batch: np.ndarray) -> ActivationTrace:
+    """Run a batch through the network, capturing every layer's output."""
+    return ActivationTrace(_forward_layers(net.layers, _as_batch(net, batch)))
 
 
 def _activation_grad_mask(post: np.ndarray, activation: str) -> np.ndarray:
@@ -298,6 +307,140 @@ def _sgd_step(net: Network, x: np.ndarray, y: np.ndarray, hp: TrainConfig) -> fl
     return float(loss)
 
 
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal float32 arrays bit for bit, so +0.0 and -0.0 count as different."""
+    return np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _shared_prefix(first: Sequence[DenseLayer], layers: Sequence[DenseLayer]) -> int:
+    """How many leading layers equal the first network's in activation and bits."""
+    count = 0
+    for a, b in zip(first, layers):
+        if not (
+            a.activation == b.activation
+            and _bitwise_equal(a.weights, b.weights)
+            and _bitwise_equal(a.biases, b.biases)
+        ):
+            break
+        count += 1
+    return count
+
+
+class _Workspace:
+    """Work buffers for one member's step, sized by its layer widths."""
+
+    def __init__(self, rows: int, input_dim: int, widths: tuple):
+        self.posts = [np.empty((rows, w)) for w in widths]
+        self.masks = [np.empty((rows, w), dtype=bool) for w in widths]
+        self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
+        self.resid = np.empty((rows, widths[-1]))  # becomes the named layer's delta
+        self.squares = np.empty((rows, widths[-1]))
+        self.loss_term = np.empty(rows)
+        self.grad_term = np.empty((rows, input_dim))
+
+
+class _Member:
+    """One network's float64 parameters up to the named layer, and the
+    buffers its activations and ReLU masks are read from."""
+
+    def __init__(self, layers: Sequence[DenseLayer], space: _Workspace, first=None):
+        self.layers, self.space = layers, space
+        self.shared = 0 if first is None else _shared_prefix(first.layers, layers)
+        self.relu = [layer.activation == "relu" for layer in layers]
+        self.weights, self.biases, self.posts, self.masks = [], [], [], []
+        for i, layer in enumerate(layers):
+            if i < self.shared:  # bit-equal to the first network's layer: reuse its copies
+                owner, w, b = first, first.weights[i], None
+            else:
+                owner, w, b = self, layer.weights.astype(np.float64), layer.biases.astype(np.float64)
+            self.weights.append(w)
+            self.biases.append(b)
+            self.posts.append(owner.space.posts[i])
+            self.masks.append(owner.space.masks[i])
+
+
+class InputGradientKernel:
+    """Input gradient and per-row loss of the summed squared deviation of the
+    named layer's outputs from fixed per-row targets, over an ensemble.
+
+    Built once per descent: it casts each network's parameters up to the named
+    layer to float64 once, allocates its work buffers once and fills them in
+    place on every call. The first network keeps its own buffers; the other
+    members share one second set per layer shape. A member whose leading
+    layers equal the first network's (same activation, bit-equal weights and
+    biases) reads the first network's activations and masks for those layers
+    instead of recomputing them. The operations and their order are those of
+    the plain allocating loop, so results are bit-identical to it.
+
+    Calling it returns (grad, loss) arrays of shapes (rows, input_dim) and
+    (rows,), which the next call overwrites. Network parameters are left
+    untouched.
+    """
+
+    def __init__(self, nets: Sequence[Network], targets: np.ndarray, layer_name: str):
+        if not nets:
+            raise ValueError("need at least one network")
+        if len({net.input_dim for net in nets}) != 1:
+            raise ShapeError("ensemble networks disagree on input_dim")
+        targets = np.asarray(targets, dtype=np.float64)
+        if targets.ndim != 2:
+            raise ShapeError("targets must be 2-D (one target row per input row)")
+        rows, input_dim = targets.shape[0], nets[0].input_dim
+        self.targets = targets
+        self.members: list[_Member] = []
+        spaces: dict[tuple, _Workspace] = {}  # shared by every member after the first
+        for net in nets:
+            layers = net.layers[: net.layer_index(layer_name) + 1]
+            if layers[-1].out_dim != targets.shape[1]:
+                raise ShapeError(
+                    f"layer {layer_name} width {layers[-1].out_dim} != targets width "
+                    f"{targets.shape[1]}"
+                )
+            for layer in layers:
+                if layer.activation not in ("relu", "identity"):
+                    raise ValueError(
+                        f"no elementwise derivative for activation {layer.activation!r}"
+                    )
+            widths = tuple(layer.out_dim for layer in layers)
+            if not self.members:
+                self.members.append(_Member(layers, _Workspace(rows, input_dim, widths)))
+                continue
+            if widths not in spaces:
+                spaces[widths] = _Workspace(rows, input_dim, widths)
+            self.members.append(_Member(layers, spaces[widths], self.members[0]))
+        self.grad = np.empty((rows, input_dim))
+        self.loss = np.empty(rows)
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.grad.shape:
+            raise ShapeError(
+                f"input shape {x.shape} != (target rows, input_dim) {self.grad.shape}"
+            )
+        self.grad.fill(0.0)
+        self.loss.fill(0.0)
+        for m in self.members:
+            s = m.space
+            a = x if m.shared == 0 else m.posts[m.shared - 1]
+            for i in range(m.shared, len(m.layers)):
+                # _forward_layers' order (a @ w.T, + b, max), which bit-identity relies on
+                a = np.matmul(a, m.weights[i].T, out=m.posts[i])
+                np.add(a, m.biases[i], out=a)
+                if m.relu[i]:
+                    np.maximum(a, 0.0, out=a)
+                    np.greater(a, 0.0, out=m.masks[i])
+            d = np.subtract(a, self.targets, out=s.resid)
+            self.loss += np.sum(np.square(d, out=s.squares), axis=1, out=s.loss_term)
+            np.multiply(d, 2.0, out=d)
+            for i in range(len(m.layers) - 1, -1, -1):
+                if m.relu[i]:
+                    np.multiply(d, m.masks[i], out=d)
+                if i > 0:
+                    d = np.matmul(d, m.weights[i], out=s.deltas[i - 1])
+            self.grad += np.matmul(d, m.weights[0], out=s.grad_term)
+        return self.grad, self.loss
+
+
 def input_gradient_batch(
     nets: Sequence[Network],
     x: np.ndarray,
@@ -308,37 +451,10 @@ def input_gradient_batch(
     layer's outputs from a per-row target matrix, summed over the networks.
 
     targets is (batch, N); row b drives the named layer's outputs on x[b].
-    Network parameters are left untouched; the gradient flows to the input
-    only.
+    Builds an InputGradientKernel for this one call; a descent that takes
+    many steps builds one kernel and calls it instead.
     """
-    x = np.asarray(x, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if not nets:
-        raise ValueError("need at least one network")
-    if len({net.input_dim for net in nets}) != 1:
-        raise ShapeError("ensemble networks disagree on input_dim")
-    if x.shape[1] != nets[0].input_dim:
-        raise ShapeError(f"input width {x.shape[1]} != network input_dim {nets[0].input_dim}")
-
-    total_grad = np.zeros_like(x)
-    total_loss = np.zeros(x.shape[0])
-    for net in nets:
-        li = net.layer_index(layer_name)
-        sub = net.layers[: li + 1]
-        if sub[-1].out_dim != targets.shape[1]:
-            raise ShapeError(
-                f"layer {layer_name} width {sub[-1].out_dim} != targets width {targets.shape[1]}"
-            )
-        posts = _forward_layers(sub, x)
-        resid = posts[-1] - targets
-        total_loss += (resid**2).sum(axis=1)
-        delta = 2.0 * resid * _activation_grad_mask(posts[-1], sub[-1].activation)
-        for i in range(li, 0, -1):
-            delta = (delta @ sub[i].weights.astype(np.float64)) * _activation_grad_mask(
-                posts[i - 1], sub[i - 1].activation
-            )
-        total_grad += delta @ sub[0].weights.astype(np.float64)
-    return total_grad, total_loss
+    return InputGradientKernel(nets, targets, layer_name)(x)
 
 
 def finetune_variant(

@@ -19,11 +19,12 @@ import numpy as np
 from .coding import CentroidSet, Codebook, codebook_digest
 from .network import (
     Dataset,
+    InputGradientKernel,
     Network,
     ShapeError,
+    _as_batch,
+    _forward_layers,
     finetune_variant,
-    forward,
-    input_gradient_batch,
     prune_variant,
 )
 from .serialize import (
@@ -155,11 +156,13 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
 
 def _descend(nets, targets, layer_name, opt: OptConfig):
     """Batched projected descent; returns per-row best (inputs, losses)."""
+    kernel = InputGradientKernel(nets, targets, layer_name)
     rng = np.random.default_rng(opt.seed)
     x = rng.uniform(opt.box_low, opt.box_high, size=(targets.shape[0], nets[0].input_dim))
     best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf)
+    step_x = np.empty_like(x)
     for step in range(opt.steps + 1):
-        grads, losses = input_gradient_batch(nets, x, targets, layer_name)
+        grads, losses = kernel(x)
         if not np.all(np.isfinite(losses)):
             bad = int(np.flatnonzero(~np.isfinite(losses))[0])
             raise OptimizationError(f"non-finite loss for row {bad} at step {step}", step)
@@ -168,7 +171,9 @@ def _descend(nets, targets, layer_name, opt: OptConfig):
         best_x[improved] = x[improved]
         if step == opt.steps:
             break
-        x = np.clip(x - opt.lr * grads, opt.box_low, opt.box_high)
+        # x <- clip(x - lr * g), in place
+        np.subtract(x, np.multiply(grads, opt.lr, out=step_x), out=x)
+        np.clip(x, opt.box_low, opt.box_high, out=x)
     return best_x, best_loss
 
 
@@ -206,10 +211,10 @@ def synthesize_trigger_set(
 
 
 def layer_outputs(net: Network, layer_name: str, inputs: np.ndarray) -> np.ndarray:
-    """(N, T) matrix of the layer's activations, one column per input."""
+    """(N, T) matrix of the layer's activations, one column per input; the
+    layers after the named one are not run."""
     idx = net.layer_index(layer_name)
-    outs = forward(net, np.asarray(inputs, dtype=np.float64)).outputs[idx]
-    return outs.T
+    return _forward_layers(net.layers[: idx + 1], _as_batch(net, inputs))[-1].T
 
 
 def dead_neurons(outputs: np.ndarray, tol: float = 1e-12) -> list:

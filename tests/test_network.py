@@ -6,6 +6,7 @@ import pytest
 from neuralign.network import (
     Dataset,
     DenseLayer,
+    InputGradientKernel,
     Network,
     ShapeError,
     TrainConfig,
@@ -222,6 +223,66 @@ def test_gradient_shape_errors():
         input_gradient_batch([net], np.zeros((2, 4)), np.zeros((2, 5)), "dense0")
     with pytest.raises(ValueError):
         input_gradient_batch([], np.zeros((2, 4)), np.zeros((2, 6)), "dense0")
+    # one target row is not broadcast over five input rows
+    with pytest.raises(ShapeError):
+        input_gradient_batch([net], np.zeros((5, 4)), np.zeros((1, 6)), "dense0")
+    with pytest.raises(ShapeError):
+        input_gradient_batch([net], np.zeros(4), np.zeros((1, 6)), "dense0")
+    with pytest.raises(ShapeError):
+        input_gradient_batch([net], np.zeros((1, 4)), np.zeros(6), "dense0")
+    with pytest.raises(ShapeError):
+        input_gradient_batch([net], np.zeros((1, 1, 4)), np.zeros((1, 6)), "dense0")
+    kernel = InputGradientKernel([net], np.zeros((3, 6)), "dense0")
+    with pytest.raises(ShapeError):
+        kernel(np.zeros((2, 4)))
+
+
+def allocating_gradient(nets, x, targets, layer_name):
+    """The gradient as a plain loop that allocates every temporary and casts
+    the weights on every call: the reference the kernel must match bit for bit."""
+    total_grad = np.zeros_like(x)
+    total_loss = np.zeros(x.shape[0])
+    for net in nets:
+        li = net.layer_index(layer_name)
+        sub = net.layers[: li + 1]
+        a, posts = x, []
+        for layer in sub:
+            z = a @ layer.weights.astype(np.float64).T + layer.biases.astype(np.float64)
+            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            posts.append(a)
+        masks = [(p > 0.0).astype(np.float64) if l.activation == "relu" else np.ones_like(p)
+                 for p, l in zip(posts, sub)]
+        resid = posts[-1] - targets
+        total_loss += (resid**2).sum(axis=1)
+        delta = 2.0 * resid * masks[li]
+        for i in range(li, 0, -1):
+            delta = (delta @ sub[i].weights.astype(np.float64)) * masks[i - 1]
+        total_grad += delta @ sub[0].weights.astype(np.float64)
+    return total_grad, total_loss
+
+
+def test_kernel_is_bit_identical_to_allocating_loop():
+    data = make_blobs(120, 6, 3, seed=5)
+    net = train(init_network(6, [12, 8, 3], seed=5), data, TrainConfig(epochs=3, lr=0.1, seed=5))
+    tuned = finetune_variant(net, data, epochs=1, seed=6)
+    pruned = prune_variant(net, "dense1", 0.25)  # dense0 bit-equal: shared
+    head = net.layers[0]
+    linear = Network([DenseLayer("dense0", head.weights, head.biases, "identity"),
+                      *net.clone().layers[1:]])  # same weights, other activation
+    shifted = net.clone()
+    shifted.layers[0].biases[0] += 0.125  # dense0 differs only in one bias
+    nets = [net, tuned, pruned, linear, shifted]
+    rng = np.random.default_rng(5)
+    targets = rng.uniform(0.0, 2.0, size=(9, 8))
+    kernel = InputGradientKernel(nets, targets, "dense1")
+    assert [m.shared for m in kernel.members] == [0, 0, 1, 0, 0]
+    for _ in range(2):  # a second call must not read state left by the first
+        x = rng.uniform(-3.0, 3.0, size=(9, 6))
+        grad, loss = kernel(x)
+        ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
+        assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
+    grad, loss = input_gradient_batch(nets, x, targets, "dense1")
+    assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
 
 
 def test_finetune_variant_leaves_original():

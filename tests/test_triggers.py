@@ -5,12 +5,15 @@ import pytest
 
 from neuralign.coding import CentroidSet, compute_centroids, codebook_digest, default_codebook
 from neuralign.data import make_blobs
+from neuralign import triggers
 from neuralign.network import (
     DenseLayer,
     Network,
     ShapeError,
     TrainConfig,
+    UnknownLayerError,
     init_network,
+    input_gradient_batch,
     train,
 )
 from neuralign.triggers import (
@@ -120,6 +123,41 @@ def test_synthesis_is_seed_deterministic(single):
     second = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
     np.testing.assert_array_equal(first.inputs, second.inputs)
     np.testing.assert_array_equal(first.final_losses, second.final_losses)
+
+
+def test_descent_builds_its_kernel_once(trained, monkeypatch):
+    net, data = trained
+    ens = make_variant_ensemble(net, data, "dense1", j=2, seed=7)
+    cs = compute_centroids(layer_outputs(net, "dense1", data.inputs), 2)
+    cb = default_codebook(10, 8, 2, 1, seed=2)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return kernel_class(*args, **kwargs)
+
+    kernel_class = triggers.InputGradientKernel
+    monkeypatch.setattr(triggers, "InputGradientKernel", counted)
+    synthesize_trigger_set(ens, "dense1", cs, cb, OptConfig(steps=50, seed=1, restarts=2))
+    assert len(built) == 1
+
+
+def test_descent_equals_allocating_updates(trained):
+    """In-place steps give the inputs and losses of x <- clip(x - lr * g)
+    computed with fresh arrays and one gradient call per step."""
+    net, data = trained
+    nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
+    targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 10))
+    opt = OptConfig(steps=30, lr=0.05, seed=4)
+    best_x, best_loss = triggers._descend(nets, targets, "dense1", opt)
+    x = np.random.default_rng(opt.seed).uniform(opt.box_low, opt.box_high, size=(6, 16))
+    ref_x, ref_loss = x.copy(), np.full(6, np.inf)
+    for _ in range(opt.steps + 1):
+        grad, loss = input_gradient_batch(nets, x, targets, "dense1")
+        better = loss < ref_loss
+        ref_loss[better], ref_x[better] = loss[better], x[better]
+        x = np.clip(x - opt.lr * grad, opt.box_low, opt.box_high)
+    assert np.array_equal(best_x, ref_x) and np.array_equal(best_loss, ref_loss)
 
 
 def test_descent_stays_in_clamp_box(single):
@@ -234,7 +272,13 @@ def test_layer_outputs_shape_and_values(trained):
     assert out.shape == (10, 7)
     from neuralign.network import forward
 
-    np.testing.assert_allclose(out.T, forward(net, x).outputs[1])
+    np.testing.assert_array_equal(out.T, forward(net, x).outputs[1])
+    with pytest.raises(ShapeError):
+        layer_outputs(net, "dense1", x[0])
+    with pytest.raises(ShapeError):
+        layer_outputs(net, "dense1", x[:, :5])
+    with pytest.raises(UnknownLayerError):
+        layer_outputs(net, "dense7", x)
 
 
 def test_dead_neuron_detection():
