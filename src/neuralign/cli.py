@@ -105,10 +105,12 @@ def cmd_forge(args) -> int:
         sep = summary["separation"]
         print(
             "forged {mode}: {c}/{t} triggers converged, intra {i:.6f} "
-            "(bound {b:.6f}), dead neurons {d}, residual symbol errors {e}".format(
+            "(bound {b:.6f}), dead neurons {d}, residual symbol errors {e}, "
+            "neurons past the decode radius {r}".format(
                 mode=mode, c=summary["converged"], t=summary["t"],
                 i=sep["mean_intra"], b=summary["separation_bound"],
                 d=len(sep["dead_neurons"]), e=summary["residual_symbol_errors"],
+                r=summary["neurons_past_radius"],
             )
         )
     return EXIT_OK

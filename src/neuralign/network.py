@@ -6,8 +6,11 @@ neuron pruning. Parameters are stored as float32; all products and reductions
 run in float64.
 
 Input gradients run through `InputGradientKernel`, which a descent builds once:
-it casts the weights to float64 once per descent instead of once per step, and
-fills buffers it allocated once instead of fresh temporaries on every step.
+it casts the weights to float64 once per descent instead of once per step,
+fills buffers it allocated once instead of fresh temporaries on every step, and
+folds copies of the first network whose only change is zeroed neurons in the
+named layer (the pruned T2 variants) into the first network's pass as
+per-neuron weights, so each distinct network costs one pass.
 """
 
 from __future__ import annotations
@@ -312,18 +315,33 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
-def _shared_prefix(first: Sequence[DenseLayer], layers: Sequence[DenseLayer]) -> int:
-    """How many leading layers equal the first network's in activation and bits."""
-    count = 0
-    for a, b in zip(first, layers):
+def _kept_neurons(
+    first: Sequence[DenseLayer], layers: Sequence[DenseLayer]
+) -> Optional[np.ndarray]:
+    """The named (last) layer's neurons a network keeps, when it is the first
+    network with some of them zeroed; None when it is not.
+
+    Every earlier layer must equal the first's in activation and bits. Each row
+    of the named layer must equal the first's row, weights and bias, or be
+    +0.0 throughout, so that the neuron's output is exactly 0.
+    """
+    if len(first) != len(layers):
+        return None
+    for a, b in zip(first[:-1], layers[:-1]):
         if not (
             a.activation == b.activation
             and _bitwise_equal(a.weights, b.weights)
             and _bitwise_equal(a.biases, b.biases)
         ):
-            break
-        count += 1
-    return count
+            return None
+    a, b = first[-1], layers[-1]
+    if a.activation != b.activation or a.weights.shape != b.weights.shape:
+        return None
+    wa, wb = a.weights.view(np.uint32), b.weights.view(np.uint32)
+    ba, bb = a.biases.view(np.uint32), b.biases.view(np.uint32)
+    kept = (wa == wb).all(axis=1) & (ba == bb)
+    zeroed = ~wb.any(axis=1) & (bb == 0)
+    return kept if (kept | zeroed).all() else None
 
 
 class _Workspace:
@@ -340,23 +358,26 @@ class _Workspace:
 
 
 class _Member:
-    """One network's float64 parameters up to the named layer, and the
-    buffers its activations and ReLU masks are read from."""
+    """One network's float64 parameters up to the named layer, its work
+    buffers, and the copies of it with zeroed neurons folded into it."""
 
-    def __init__(self, layers: Sequence[DenseLayer], space: _Workspace, first=None):
+    def __init__(self, layers: Sequence[DenseLayer], space: _Workspace):
         self.layers, self.space = layers, space
-        self.shared = 0 if first is None else _shared_prefix(first.layers, layers)
         self.relu = [layer.activation == "relu" for layer in layers]
-        self.weights, self.biases, self.posts, self.masks = [], [], [], []
-        for i, layer in enumerate(layers):
-            if i < self.shared:  # bit-equal to the first network's layer: reuse its copies
-                owner, w, b = first, first.weights[i], None
-            else:
-                owner, w, b = self, layer.weights.astype(np.float64), layer.biases.astype(np.float64)
-            self.weights.append(w)
-            self.biases.append(b)
-            self.posts.append(owner.space.posts[i])
-            self.masks.append(owner.space.masks[i])
+        self.weights = [layer.weights.astype(np.float64) for layer in layers]
+        self.biases = [layer.biases.astype(np.float64) for layer in layers]
+        self.count = 1  # networks this member stands for
+        self.keep = np.ones(layers[-1].out_dim)  # of those, how many keep each neuron
+        self.scale = 2.0  # d(loss)/d(resid) factor; per neuron once folded
+        self.loss_const = None  # per-row loss of the zeroed neurons
+
+    def fold(self, kept: np.ndarray, targets: np.ndarray) -> None:
+        """Add a copy that keeps only the `kept` neurons. A zeroed neuron reads
+        0, so its loss is its target squared and it passes no gradient."""
+        self.count += 1
+        self.keep += kept
+        self.scale = 2.0 * self.keep
+        self.loss_const = np.square(targets) @ (self.count - self.keep)
 
 
 class InputGradientKernel:
@@ -366,11 +387,17 @@ class InputGradientKernel:
     Built once per descent: it casts each network's parameters up to the named
     layer to float64 once, allocates its work buffers once and fills them in
     place on every call. The first network keeps its own buffers; the other
-    members share one second set per layer shape. A member whose leading
-    layers equal the first network's (same activation, bit-equal weights and
-    biases) reads the first network's activations and masks for those layers
-    instead of recomputing them. The operations and their order are those of
-    the plain allocating loop, so results are bit-identical to it.
+    members share one second set per layer shape.
+
+    A network that is the first one with some named-layer neurons zeroed (every
+    earlier layer bit-equal; each named-layer row bit-equal or +0.0 in weights
+    and bias, as `prune_variant` leaves it) is folded into the first network's
+    member instead of getting its own: by linearity it adds its kept neurons'
+    residuals to the first's delta and its zeroed neurons' squared targets to
+    the loss, so the member weighs each neuron by how many folded networks keep
+    it. Every other network is a member of its own, computed in the order of
+    the plain allocating loop; with nothing folded (a single network) results
+    are bit-identical to it.
 
     Calling it returns (grad, loss) arrays of shapes (rows, input_dim) and
     (rows,), which the next call overwrites. Network parameters are left
@@ -405,9 +432,13 @@ class InputGradientKernel:
             if not self.members:
                 self.members.append(_Member(layers, _Workspace(rows, input_dim, widths)))
                 continue
+            kept = _kept_neurons(self.members[0].layers, layers)
+            if kept is not None:
+                self.members[0].fold(kept, targets)
+                continue
             if widths not in spaces:
                 spaces[widths] = _Workspace(rows, input_dim, widths)
-            self.members.append(_Member(layers, spaces[widths], self.members[0]))
+            self.members.append(_Member(layers, spaces[widths]))
         self.grad = np.empty((rows, input_dim))
         self.loss = np.empty(rows)
 
@@ -421,20 +452,26 @@ class InputGradientKernel:
         self.loss.fill(0.0)
         for m in self.members:
             s = m.space
-            a = x if m.shared == 0 else m.posts[m.shared - 1]
-            for i in range(m.shared, len(m.layers)):
+            a = x
+            for i in range(len(m.layers)):
                 # _forward_layers' order (a @ w.T, + b, max), which bit-identity relies on
-                a = np.matmul(a, m.weights[i].T, out=m.posts[i])
+                a = np.matmul(a, m.weights[i].T, out=s.posts[i])
                 np.add(a, m.biases[i], out=a)
                 if m.relu[i]:
                     np.maximum(a, 0.0, out=a)
-                    np.greater(a, 0.0, out=m.masks[i])
+                    np.greater(a, 0.0, out=s.masks[i])
             d = np.subtract(a, self.targets, out=s.resid)
-            self.loss += np.sum(np.square(d, out=s.squares), axis=1, out=s.loss_term)
-            np.multiply(d, 2.0, out=d)
+            squares = np.square(d, out=s.squares)
+            if m.loss_const is None:
+                self.loss += np.sum(squares, axis=1, out=s.loss_term)
+            else:
+                np.multiply(squares, m.keep, out=squares)
+                term = np.sum(squares, axis=1, out=s.loss_term)
+                self.loss += np.add(term, m.loss_const, out=term)
+            np.multiply(d, m.scale, out=d)
             for i in range(len(m.layers) - 1, -1, -1):
                 if m.relu[i]:
-                    np.multiply(d, m.masks[i], out=d)
+                    np.multiply(d, s.masks[i], out=d)
                 if i > 0:
                     d = np.matmul(d, m.weights[i], out=s.deltas[i - 1])
             self.grad += np.matmul(d, m.weights[0], out=s.grad_term)

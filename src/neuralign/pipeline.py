@@ -348,7 +348,8 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         save_trigger_set(ts, out / trigger_file(mode))
         stats = separation_stats(basis, layer, ts.inputs, cs)
         observed = read_codes(basis, layer, ts.inputs, cs)
-        symbol_errors = int(np.sum(observed.codes != cb.codewords))
+        neuron_errors = np.sum(observed.codes != cb.codewords, axis=1)
+        radius = (cb.d_min - 1) // 2
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))
         bound = cs.min_gap / 10.0
         summary = {
@@ -367,7 +368,11 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
             },
             "separation_bound": bound,
             "passes_separation": bool(stats["mean_intra"] <= bound),
-            "residual_symbol_errors": symbol_errors,
+            "residual_symbol_errors": int(neuron_errors.sum()),
+            # the owner's own model read through the triggers: a neuron past
+            # the radius is recovered only if the assignment happens to fix it
+            "residual_errors_per_neuron": neuron_errors.tolist(),
+            "neurons_past_radius": int(np.sum(neuron_errors > radius)),
         }
         write_json(out / forge_summary_file(mode), summary)
     return summary
@@ -477,6 +482,7 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
         record = load_record(out / RECORD_FILE)
         cb = load_codebook(out / CODEBOOK_FILE)
         ts = load_trigger_set(out / trigger_file(mode))
+        radius = (cb.d_min - 1) // 2
         attack = read_json(out / attack_summary_file(kind))
         records = []
         for rec in attack["records"]:
@@ -499,15 +505,19 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
                 )
                 entry["collisions_resolved"] = av.alignment.collisions_resolved
                 entry["dead"] = len(av.alignment.dead)
+                # decode margin: how far the worst neuron is inside the radius
+                entry["margin"] = radius - int(av.alignment.per_neuron_distance.max())
             else:
                 entry["neuron_accuracy"] = None
                 entry["collisions_resolved"] = None
                 entry["dead"] = None
+                entry["margin"] = None
             records.append(entry)
         accepts = [1.0 if r["accepted"] else 0.0 for r in records]
         plain_accepts = [1.0 if r["no_align_accepted"] else 0.0 for r in records]
         accs = [r["neuron_accuracy"] for r in records if r["neuron_accuracy"] is not None]
         bers = [r["ber"] for r in records if r["ber"] is not None]
+        margins = [r["margin"] for r in records if r["margin"] is not None]
         ci = bootstrap_rate_ci(accepts, seed=derive_seed(cfg.seed, "ci", kind, mode))
         summary = {
             "kind": kind,
@@ -520,6 +530,7 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
             "mean_neuron_accuracy": _jsonable(np.mean(accs)) if accs else None,
             "min_neuron_accuracy": _jsonable(np.min(accs)) if accs else None,
             "mean_ber": float(np.mean(bers)) if bers else None,
+            "min_margin": min(margins) if margins else None,
             "records": records,
         }
         write_json(out / align_summary_file(kind, mode), summary)

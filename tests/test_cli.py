@@ -29,7 +29,8 @@ def test_full_stage_chain(cfg_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "N\\T" in text and "codebook:" in text and "fold gap" in text
     assert main(["forge", *base, "--mode", "t1"]) == EXIT_OK
-    assert "forged t1:" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "forged t1:" in text and "neurons past the decode radius" in text
     assert main(["attack", *base, "--kind", "np", "--trials", "2"]) == EXIT_OK
     assert "attacked np: 2 trials" in capsys.readouterr().out
     assert main(["align", *base, "--kind", "np", "--mode", "t1"]) == EXIT_OK

@@ -89,8 +89,12 @@ def test_invalid_json_file(tmp_path):
         (lambda c: setattr(c.data, "classes", 1), "data.classes"),
         (lambda c: setattr(c.data, "holdout", 99999), "data.holdout"),
         (lambda c: setattr(c.model, "widths", []), "model.widths"),
+        pytest.param(lambda c: setattr(c.model, "widths", [16]), "model.widths",
+                     id="no-hidden-layer"),
         (lambda c: setattr(c.model, "watermarked_layer", "conv1"), "model.watermarked_layer"),
         (lambda c: setattr(c.model, "watermarked_layer", "dense9"), "model.watermarked_layer"),
+        # the softmax output layer has no successor
+        (lambda c: setattr(c.model, "watermarked_layer", "dense2"), "model.watermarked_layer"),
         (lambda c: setattr(c.coding, "k", 1), "coding.k"),
         (lambda c: setattr(c.coding, "k_corrupted", 0), "coding.k_corrupted"),
         (lambda c: setattr(c.coding, "k_corrupted", 2), "coding.k_corrupted"),

@@ -239,7 +239,8 @@ def test_gradient_shape_errors():
 
 def allocating_gradient(nets, x, targets, layer_name):
     """The gradient as a plain loop that allocates every temporary and casts
-    the weights on every call: the reference the kernel must match bit for bit."""
+    the weights on every call: the reference the kernel must match bit for bit
+    when nothing folds, and to float64 rounding when pruned copies fold."""
     total_grad = np.zeros_like(x)
     total_loss = np.zeros(x.shape[0])
     for net in nets:
@@ -261,27 +262,98 @@ def allocating_gradient(nets, x, targets, layer_name):
     return total_grad, total_loss
 
 
-def test_kernel_is_bit_identical_to_allocating_loop():
+def kernel_ensemble():
     data = make_blobs(120, 6, 3, seed=5)
     net = train(init_network(6, [12, 8, 3], seed=5), data, TrainConfig(epochs=3, lr=0.1, seed=5))
+    targets = np.random.default_rng(5).uniform(0.0, 2.0, size=(9, 8))
+    return net, data, targets
+
+
+def test_kernel_is_bit_identical_to_allocating_loop():
+    net, data, targets = kernel_ensemble()
     tuned = finetune_variant(net, data, epochs=1, seed=6)
-    pruned = prune_variant(net, "dense1", 0.25)  # dense0 bit-equal: shared
     head = net.layers[0]
     linear = Network([DenseLayer("dense0", head.weights, head.biases, "identity"),
                       *net.clone().layers[1:]])  # same weights, other activation
     shifted = net.clone()
     shifted.layers[0].biases[0] += 0.125  # dense0 differs only in one bias
-    nets = [net, tuned, pruned, linear, shifted]
-    rng = np.random.default_rng(5)
-    targets = rng.uniform(0.0, 2.0, size=(9, 8))
+    nets = [net, tuned, linear, shifted]
     kernel = InputGradientKernel(nets, targets, "dense1")
-    assert [m.shared for m in kernel.members] == [0, 0, 1, 0, 0]
+    assert len(kernel.members) == 4  # nothing folds
+    rng = np.random.default_rng(6)
     for _ in range(2):  # a second call must not read state left by the first
         x = rng.uniform(-3.0, 3.0, size=(9, 6))
         grad, loss = kernel(x)
         ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
         assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
     grad, loss = input_gradient_batch(nets, x, targets, "dense1")
+    assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+def test_kernel_folds_pruned_copies_into_the_first_network(activation):
+    net, data, targets = kernel_ensemble()
+    net.layers[1].activation = activation  # the named layer
+    tuned = finetune_variant(net, data, epochs=1, seed=6)
+    pruned = prune_variant(net, "dense1", 0.25)  # zeroes 2 of 8 neurons
+    pruned_more = prune_variant(net, "dense1", 0.5)
+    twin = prune_variant(net, "dense1", 0.0)  # a plain copy: keeps every neuron
+    nets = [net, pruned, tuned, twin, pruned_more]
+    kernel = InputGradientKernel(nets, targets, "dense1")
+    assert len(kernel.members) == 2
+    first = kernel.members[0]
+    assert first.count == 4
+    # net and its twin keep every neuron: weight 2 before the pruned copies
+    zeroed = [~p.layers[1].weights.any(axis=1) for p in (pruned, pruned_more)]
+    np.testing.assert_array_equal(first.keep, 4 - zeroed[0] - zeroed[1])
+    rng = np.random.default_rng(6)
+    for _ in range(2):  # a second call must not read state left by the first
+        x = rng.uniform(-3.0, 3.0, size=(9, 6))
+        grad, loss = kernel(x)
+        # folding sums the same terms in another order: equal to float64 rounding
+        ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+
+
+def zero_bias_set(net, zero, kept):
+    net.layers[1].biases[zero] = 0.5
+
+
+def negate_zero_row(net, zero, kept):
+    net.layers[1].weights[zero] = -0.0
+
+
+def shift_kept_weight(net, zero, kept):
+    net.layers[1].weights[kept, 0] += 0.25
+
+
+def shift_kept_bias(net, zero, kept):
+    net.layers[1].biases[kept] += 0.25
+
+
+def shift_dense0(net, zero, kept):
+    net.layers[0].weights[0, 0] += 0.25
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [zero_bias_set, negate_zero_row, shift_kept_weight, shift_kept_bias, shift_dense0],
+)
+def test_kernel_does_not_fold_other_networks(spoil):
+    """A zeroed row with a nonzero bias or -0.0 weights, a changed weight or
+    bias in a kept row, or a changed earlier layer: the copy is a member of
+    its own."""
+    net, _, targets = kernel_ensemble()
+    copy = prune_variant(net, "dense1", 0.25)
+    live = copy.layers[1].weights.any(axis=1)
+    spoil(copy, int(np.flatnonzero(~live)[0]), int(np.flatnonzero(live)[0]))
+    nets = [net, copy]
+    kernel = InputGradientKernel(nets, targets, "dense1")
+    assert len(kernel.members) == 2 and kernel.members[0].count == 1
+    x = np.random.default_rng(6).uniform(-3.0, 3.0, size=(9, 6))
+    grad, loss = kernel(x)
+    ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
     assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
 
 

@@ -11,19 +11,25 @@ import jsonschema
 import numpy as np
 import pytest
 
-from neuralign import pipeline
+from neuralign import pipeline, triggers
+from neuralign.align import read_codes, verify_with_alignment
+from neuralign.coding import load_codebook
+from neuralign.network import DenseLayer, Network
 from neuralign.pipeline import (
     CODEBOOK_FILE,
     ENCODE_SUMMARY,
     GRID_N,
     GRID_T,
     MODEL_FILE,
+    RECORD_FILE,
     REPORT_FILE,
+    TRIGGER_MODES,
     align_summary_file,
     bootstrap_ordering,
     bootstrap_rate_ci,
     capacity_grid,
     derive_seed,
+    forge_summary_file,
     format_capacity_grid,
     load_centroids,
     read_json,
@@ -31,11 +37,14 @@ from neuralign.pipeline import (
     stage_align,
     stage_encode,
     stage_forge,
+    suspect_file,
     trigger_file,
     validate_report,
     write_json,
 )
-from neuralign.serialize import file_sha256
+from neuralign.serialize import file_sha256, load_model, save_model
+from neuralign.triggers import load_trigger_set
+from neuralign.watermark import load_record
 
 PUBLISHED_GRID = {
     64: [4, 12, 21, 29, 38, 47, 56, 65],
@@ -307,3 +316,74 @@ def test_run_all_looks_up_benchmark_hooks_in_pipeline(tiny_config_factory, tmp_p
         "verify_with_alignment": kinds * modes,
         "make_variant_ensemble": modes,
     }
+
+
+def test_t2_forge_folds_every_pruned_variant(tiny_run, tmp_path, monkeypatch):
+    """The pruned variants fold into the model's member of the gradient
+    kernel, so a T2 forge with j variants runs 1 + j/2 members, not 1 + j. A
+    change to prune_variant or to the ensemble order that stops the fold
+    fails here."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    j = 6
+    cfg = dataclasses.replace(cfg, triggers=dataclasses.replace(cfg.triggers, j=j, steps=1))
+    kernels = []
+
+    class Recorded(triggers.InputGradientKernel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            kernels.append(self)
+
+    monkeypatch.setattr(triggers, "InputGradientKernel", Recorded)
+    stage_forge(cfg, copy, "t2")
+    assert [len(k.members) for k in kernels] == [1 + j // 2]
+    assert kernels[0].members[0].count == 1 + j // 2
+
+
+# --------------------------------------------------------- observability
+
+def test_forge_summary_counts_neurons_past_radius(tiny_run):
+    cfg, out, _ = tiny_run
+    cb = load_codebook(out / CODEBOOK_FILE)
+    model = load_model(out / MODEL_FILE)
+    radius = (cb.d_min - 1) // 2
+    for mode in TRIGGER_MODES:
+        summary = read_json(out / forge_summary_file(mode))
+        ts = load_trigger_set(out / trigger_file(mode))
+        observed = read_codes(model, cfg.model.watermarked_layer, ts.inputs, load_centroids(out))
+        errors = (observed.codes != cb.codewords).sum(axis=1)
+        assert summary["residual_errors_per_neuron"] == errors.tolist()
+        assert sum(summary["residual_errors_per_neuron"]) == summary["residual_symbol_errors"]
+        assert summary["neurons_past_radius"] == int((errors > radius).sum())
+
+
+def test_align_records_carry_decode_margin(tiny_run, tmp_path):
+    """margin = radius - worst per-neuron decode distance; null where the
+    alignment was refused, and min_margin skips those records."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    # one suspect loses an input column: its codes cannot be read, so the
+    # alignment is refused while the plain weight readout still works
+    path = suspect_file(copy, "np", 0)
+    suspect = load_model(path)
+    head = suspect.layers[0]
+    cut = DenseLayer(head.name, head.weights[:, :-1], head.biases, head.activation)
+    save_model(Network([cut, *suspect.layers[1:]]), path)
+    summary = stage_align(cfg, copy, "np", "t1")
+
+    cb = load_codebook(copy / CODEBOOK_FILE)
+    ts = load_trigger_set(copy / trigger_file("t1"))
+    record = load_record(copy / RECORD_FILE)
+    radius = (cb.d_min - 1) // 2
+    margins = []
+    for rec in summary["records"]:
+        av = verify_with_alignment(load_model(suspect_file(copy, "np", rec["trial"])), ts, cb, record)
+        if av.alignment is None:
+            assert rec["trial"] == 0 and rec["margin"] is None
+            continue
+        assert rec["margin"] == radius - int(av.alignment.per_neuron_distance.max())
+        margins.append(rec["margin"])
+    assert len(margins) == len(summary["records"]) - 1
+    assert summary["min_margin"] == min(margins)
