@@ -368,15 +368,15 @@ class _Member:
         self.biases = [layer.biases.astype(np.float64) for layer in layers]
         self.count = 1  # networks this member stands for
         self.keep = np.ones(layers[-1].out_dim)  # of those, how many keep each neuron
-        self.scale = 2.0  # d(loss)/d(resid) factor; per neuron once folded
-        self.loss_const = None  # per-row loss of the zeroed neurons
+        self.twice_keep = 2.0 * self.keep  # d(loss)/d(resid) per neuron
+        self.loss_const = np.zeros(space.loss_term.shape)  # per-row loss of zeroed neurons
 
     def fold(self, kept: np.ndarray, targets: np.ndarray) -> None:
         """Add a copy that keeps only the `kept` neurons. A zeroed neuron reads
         0, so its loss is its target squared and it passes no gradient."""
         self.count += 1
         self.keep += kept
-        self.scale = 2.0 * self.keep
+        self.twice_keep = 2.0 * self.keep
         self.loss_const = np.square(targets) @ (self.count - self.keep)
 
 
@@ -395,9 +395,11 @@ class InputGradientKernel:
     member instead of getting its own: by linearity it adds its kept neurons'
     residuals to the first's delta and its zeroed neurons' squared targets to
     the loss, so the member weighs each neuron by how many folded networks keep
-    it. Every other network is a member of its own, computed in the order of
-    the plain allocating loop; with nothing folded (a single network) results
-    are bit-identical to it.
+    it. Every other network is a member of its own. A member with nothing
+    folded weighs its neurons by 1 and adds a zero loss constant, which is
+    exact (squares·1, a non-negative sum + 0.0 and resid·2.0 change no bit),
+    so a single network's results are bit-identical to the plain allocating
+    loop's.
 
     Calling it returns (grad, loss) arrays of shapes (rows, input_dim) and
     (rows,), which the next call overwrites. Network parameters are left
@@ -462,13 +464,10 @@ class InputGradientKernel:
                     np.greater(a, 0.0, out=s.masks[i])
             d = np.subtract(a, self.targets, out=s.resid)
             squares = np.square(d, out=s.squares)
-            if m.loss_const is None:
-                self.loss += np.sum(squares, axis=1, out=s.loss_term)
-            else:
-                np.multiply(squares, m.keep, out=squares)
-                term = np.sum(squares, axis=1, out=s.loss_term)
-                self.loss += np.add(term, m.loss_const, out=term)
-            np.multiply(d, m.scale, out=d)
+            np.multiply(squares, m.keep, out=squares)
+            term = np.sum(squares, axis=1, out=s.loss_term)
+            self.loss += np.add(term, m.loss_const, out=term)
+            np.multiply(d, m.twice_keep, out=d)
             for i in range(len(m.layers) - 1, -1, -1):
                 if m.relu[i]:
                     np.multiply(d, s.masks[i], out=d)
