@@ -35,7 +35,6 @@ from .coding import (
     Codebook,
     codebook_digest,
     compute_centroids,
-    decode_codeword,
     default_codebook,
     generate_codebook,
     load_codebook,
@@ -95,7 +94,6 @@ from .serialize import (
     IntegrityError,
     file_sha256,
     load_model,
-    model_digest,
     save_model,
 )
 from .triggers import (

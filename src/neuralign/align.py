@@ -17,7 +17,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .attacks import PermutationSpec, inverse_permutation, permute_neurons
 from .coding import CentroidSet, Codebook, codebook_digest, nearest_centroid
-from .network import Network
+from .network import Network, UnknownLayerError
 from .serialize import IntegrityError
 from .triggers import TriggerSet, dead_neurons, layer_outputs
 from .watermark import OVResult, TamperError, WatermarkRecord, verify
@@ -194,12 +194,16 @@ def verify_with_alignment(
 
     Code readout optionally runs on a normalized copy so rescaling cannot
     distort the fold boundaries, but the recovered permutation is applied to
-    the suspect exactly as given. Shape inconsistencies count as tampering
-    and come back as a refusal rather than an exception.
+    the suspect exactly as given. Shape inconsistencies, and a watermarked
+    layer that cannot be normalized, count as tampering and come back as a
+    refusal rather than an exception.
     """
     if codebook_digest(cb) != triggers.codebook_ref:
         raise IntegrityError("trigger set was built for a different codebook")
-    basis = normalize_layer(net, triggers.layer_name) if normalize else net
+    try:
+        basis = normalize_layer(net, triggers.layer_name) if normalize else net
+    except (UnknownLayerError, ValueError) as exc:  # no relu hidden layer of that name
+        return AlignedVerification(ov=None, alignment=None, tamper_cause=exc.args[0])
     try:
         observed = read_codes(basis, triggers.layer_name, triggers.inputs, triggers.centroid_set)
         result = align_to_matrix(

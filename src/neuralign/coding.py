@@ -31,22 +31,18 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class CentroidSet:
-    """K fold centroids in ascending order plus the K-1 decision boundaries."""
+    """K fold centroids in ascending order; a value reads as the index of the
+    nearest one, so the folds split at the midpoints between centroids."""
 
     centroids: np.ndarray  # (K,) float64, strictly ascending
-    boundaries: np.ndarray  # (K-1,) float64, midpoints between adjacent folds
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
-        b = np.asarray(self.boundaries, dtype=np.float64)
         if c.ndim != 1 or c.size < 1:
             raise ValueError("centroids must be a non-empty 1-D array")
-        if b.shape != (c.size - 1,):
-            raise ValueError("boundaries must have exactly K-1 entries")
         if np.any(np.diff(c) <= 0):
             raise ValueError("centroids must be strictly ascending")
         object.__setattr__(self, "centroids", c)
-        object.__setattr__(self, "boundaries", b)
 
     @property
     def k(self) -> int:
@@ -79,10 +75,7 @@ def compute_centroids(outputs: np.ndarray, k: int) -> CentroidSet:
     centroids = np.array([pooled[edges[j] : edges[j + 1]].sum() / denom for j in range(k)])
     if np.any(np.diff(centroids) <= 0):
         raise ValueError("pooled outputs are too degenerate to form K distinct folds")
-    boundaries = np.array(
-        [(pooled[edges[j + 1] - 1] + pooled[edges[j + 1]]) / 2.0 for j in range(k - 1)]
-    )
-    return CentroidSet(centroids, boundaries)
+    return CentroidSet(centroids)
 
 
 def nearest_centroid(values: np.ndarray | float, cs: CentroidSet) -> np.ndarray | int:
@@ -223,19 +216,6 @@ def default_codebook(n: int, t: int, k: int, k_corrupted: int, seed: int) -> Cod
             f"increase T"
         )
     return best
-
-
-def decode_codeword(observed: np.ndarray, cb: Codebook) -> tuple[int, int]:
-    """Nearest codeword by summed absolute symbol difference; ties take the
-    lowest index. Returns (codeword index, distance)."""
-    obs = np.asarray(observed)
-    if obs.shape != (cb.t,):
-        raise ValueError(f"observed word must have length {cb.t}, got shape {obs.shape}")
-    if np.any(obs < 0) or np.any(obs >= cb.k):
-        raise ValueError("observed symbol out of range")
-    dists = np.abs(cb.codewords.astype(np.int64) - obs.astype(np.int64)).sum(axis=1)
-    idx = int(dists.argmin())
-    return idx, int(dists[idx])
 
 
 def _codebook_payload(cb: Codebook) -> bytes:

@@ -5,12 +5,12 @@ activation capture, gradients with respect to the input, and magnitude-based
 neuron pruning. Parameters are stored as float32; all products and reductions
 run in float64.
 
-Input gradients run through `InputGradientKernel`, which a descent builds once:
-it casts the weights to float64 once per descent instead of once per step,
-fills buffers it allocated once instead of fresh temporaries on every step, and
-folds copies of the first network whose only change is zeroed neurons in the
-named layer (the pruned T2 variants) into the first network's pass as
-per-neuron weights, so each distinct network costs one pass.
+Input gradients come only from `InputGradientKernel`, which a descent builds
+once: it casts the weights to float64 once per descent instead of once per
+step, fills one set of buffers per layer shape instead of fresh temporaries on
+every step, and folds copies of the first network whose only change is zeroed
+neurons in the named layer (the pruned T2 variants) into the first network's
+pass as per-neuron weights, so each distinct network costs one pass.
 """
 
 from __future__ import annotations
@@ -345,7 +345,8 @@ def _kept_neurons(
 
 
 class _Workspace:
-    """Work buffers for one member's step, sized by its layer widths."""
+    """Work buffers for a member's step, sized by its layer widths. Members of
+    the same widths share one: each writes every buffer before reading it."""
 
     def __init__(self, rows: int, input_dim: int, widths: tuple):
         self.posts = [np.empty((rows, w)) for w in widths]
@@ -386,8 +387,7 @@ class InputGradientKernel:
 
     Built once per descent: it casts each network's parameters up to the named
     layer to float64 once, allocates its work buffers once and fills them in
-    place on every call. The first network keeps its own buffers; the other
-    members share one second set per layer shape.
+    place on every call. All members share one set of buffers per layer shape.
 
     A network that is the first one with some named-layer neurons zeroed (every
     earlier layer bit-equal; each named-layer row bit-equal or +0.0 in weights
@@ -417,7 +417,7 @@ class InputGradientKernel:
         rows, input_dim = targets.shape[0], nets[0].input_dim
         self.targets = targets
         self.members: list[_Member] = []
-        spaces: dict[tuple, _Workspace] = {}  # shared by every member after the first
+        spaces: dict[tuple, _Workspace] = {}  # one per layer shape, shared by members
         for net in nets:
             layers = net.layers[: net.layer_index(layer_name) + 1]
             if layers[-1].out_dim != targets.shape[1]:
@@ -430,14 +430,12 @@ class InputGradientKernel:
                     raise ValueError(
                         f"no elementwise derivative for activation {layer.activation!r}"
                     )
+            if self.members:
+                kept = _kept_neurons(self.members[0].layers, layers)
+                if kept is not None:
+                    self.members[0].fold(kept, targets)
+                    continue
             widths = tuple(layer.out_dim for layer in layers)
-            if not self.members:
-                self.members.append(_Member(layers, _Workspace(rows, input_dim, widths)))
-                continue
-            kept = _kept_neurons(self.members[0].layers, layers)
-            if kept is not None:
-                self.members[0].fold(kept, targets)
-                continue
             if widths not in spaces:
                 spaces[widths] = _Workspace(rows, input_dim, widths)
             self.members.append(_Member(layers, spaces[widths]))
@@ -475,22 +473,6 @@ class InputGradientKernel:
                     d = np.matmul(d, m.weights[i], out=s.deltas[i - 1])
             self.grad += np.matmul(d, m.weights[0], out=s.grad_term)
         return self.grad, self.loss
-
-
-def input_gradient_batch(
-    nets: Sequence[Network],
-    x: np.ndarray,
-    targets: np.ndarray,
-    layer_name: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Input gradient and per-row loss of the squared deviation of the named
-    layer's outputs from a per-row target matrix, summed over the networks.
-
-    targets is (batch, N); row b drives the named layer's outputs on x[b].
-    Builds an InputGradientKernel for this one call; a descent that takes
-    many steps builds one kernel and calls it instead.
-    """
-    return InputGradientKernel(nets, targets, layer_name)(x)
 
 
 def finetune_variant(

@@ -66,7 +66,7 @@ from .triggers import (
     separation_stats,
     synthesize_trigger_set,
 )
-from .watermark import EmbedConfig, embed, load_record, make_record, save_record, verify
+from .watermark import EmbedConfig, TamperError, embed, load_record, make_record, save_record, verify
 
 TRIGGER_MODES = (MODE_SINGLE, MODE_ENSEMBLE)
 
@@ -280,7 +280,6 @@ def stage_encode(cfg: ExperimentConfig, out) -> dict:
         bound = max_correctable(n, cfg.coding.t, cfg.coding.k, cfg.coding.k_corrupted)
         summary = {
             "centroids": [float(c) for c in cs.centroids],
-            "boundaries": [float(b) for b in cs.boundaries],
             "min_gap": gap,
             "separation_bound": gap / 10.0,
             "pooled_count": int(pooled.size),
@@ -310,10 +309,7 @@ def stage_encode(cfg: ExperimentConfig, out) -> dict:
 
 def load_centroids(out) -> CentroidSet:
     summary = read_json(Path(out) / ENCODE_SUMMARY)
-    return CentroidSet(
-        np.array(summary["centroids"], dtype=np.float64),
-        np.array(summary["boundaries"], dtype=np.float64),
-    )
+    return CentroidSet(np.array(summary["centroids"], dtype=np.float64))
 
 
 def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
@@ -346,8 +342,8 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         )
         ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
         save_trigger_set(ts, out / trigger_file(mode))
-        stats = separation_stats(basis, layer, ts.inputs, cs)
         observed = read_codes(basis, layer, ts.inputs, cs)
+        stats = separation_stats(observed.raw_outputs, observed.codes)
         neuron_errors = np.sum(observed.codes != cb.codewords, axis=1)
         radius = (cb.d_min - 1) // 2
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))
@@ -488,13 +484,16 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
         for rec in attack["records"]:
             i = rec["trial"]
             suspect = load_model(suspect_file(out, kind, i))
-            plain = verify(suspect, record)
+            try:
+                plain = verify(suspect, record)
+            except TamperError:  # another layer shape: the plain readout refuses too
+                plain = None
             av = verify_with_alignment(suspect, ts, cb, record, normalize=cfg.normalize)
             true_perm = np.array(rec["perm"], dtype=np.int64)
             entry = {
                 "trial": i,
-                "no_align_ber": plain.ber,
-                "no_align_accepted": plain.accepted,
+                "no_align_ber": plain.ber if plain is not None else None,
+                "no_align_accepted": plain is not None and plain.accepted,
                 "tamper_cause": av.tamper_cause,
                 "accepted": av.accepted,
                 "ber": av.ov.ber if av.ov is not None else None,
@@ -633,8 +632,8 @@ def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: Centroi
     _, held = make_experiment_data(cfg)
     # stored like trigger inputs, so normal probes read out as T1 and T2 do
     probes = held.inputs[: cb.t].astype(np.float32)
-    stats = separation_stats(basis, layer, probes, cs)
     reference = read_codes(basis, layer, probes, cs)
+    stats = separation_stats(reference.raw_outputs, reference.codes)
     accs = []
     n = model.layer(layer).out_dim
     for s in range(shuffles):

@@ -179,12 +179,6 @@ def load_model(path) -> Network:
     return Network(layers)
 
 
-def model_digest(net: Network) -> str:
-    import hashlib
-
-    return hashlib.sha256(_model_payload(net)).hexdigest()
-
-
 def file_sha256(path) -> str:
     import hashlib
 

@@ -229,15 +229,15 @@ class ClusterStats:
     occupied: int
 
 
-def cluster_quality(values: np.ndarray, cs: CentroidSet) -> ClusterStats:
+def cluster_quality(values: np.ndarray, assign: np.ndarray) -> ClusterStats:
     """How cleanly one trigger's neuron outputs split into the K folds.
 
-    Points are assigned to their nearest centroid. With fewer than two
-    occupied clusters the between-cluster distance is undefined and reported
-    as None rather than zero.
+    `assign` is each point's fold as the readout quantized it. With fewer than
+    two occupied clusters the between-cluster distance is undefined and
+    reported as None rather than zero.
     """
     vals = np.asarray(values, dtype=np.float64).ravel()
-    assign = np.abs(vals[:, None] - cs.centroids).argmin(axis=1)
+    assign = np.asarray(assign).ravel()
     labels = np.unique(assign)
     means = np.array([vals[assign == c].mean() for c in labels])
     intra = float(np.mean(np.abs(vals - means[np.searchsorted(labels, assign)])))
@@ -247,16 +247,16 @@ def cluster_quality(values: np.ndarray, cs: CentroidSet) -> ClusterStats:
     return ClusterStats(inter=float(np.mean(diffs)), intra=intra, occupied=int(labels.size))
 
 
-def separation_stats(
-    net: Network, layer_name: str, inputs: np.ndarray, centroid_set: CentroidSet
-) -> dict:
-    """Mean inter/intra statistics across probe inputs, dead neurons excluded."""
-    outs = layer_outputs(net, layer_name, inputs)
-    dead = dead_neurons(outs)
-    live = np.setdiff1d(np.arange(outs.shape[0]), dead)
+def separation_stats(raw_outputs: np.ndarray, codes: np.ndarray) -> dict:
+    """Mean inter/intra statistics across probe inputs, dead neurons excluded.
+
+    Takes one readout's (N, T) raw outputs and the codes they quantized to.
+    """
+    dead = dead_neurons(raw_outputs)
+    live = np.setdiff1d(np.arange(raw_outputs.shape[0]), dead)
     inters, intras = [], []
-    for t in range(outs.shape[1]):
-        stats = cluster_quality(outs[live, t], centroid_set)
+    for t in range(raw_outputs.shape[1]):
+        stats = cluster_quality(raw_outputs[live, t], codes[live, t])
         intras.append(stats.intra)
         if stats.inter is not None:
             inters.append(stats.inter)
@@ -277,7 +277,7 @@ def save_trigger_set(ts: TriggerSet, path) -> None:
     cs = ts.centroid_set
     w.u16(cs.k)
     w.f64_array(cs.centroids)
-    w.f64_array(cs.boundaries)
+    w.f64_array(np.zeros(cs.k - 1))  # reserved K-1 slots keep the version-1 layout
     w.text(ts.codebook_ref)
     w.f32_array(ts.inputs)
     w.f32_array(ts.final_losses)
@@ -294,7 +294,7 @@ def load_trigger_set(path) -> TriggerSet:
     in_dim = r.u32()
     k = r.u16()
     centroids = r.f64_array(k)
-    boundaries = r.f64_array(k - 1)
+    r.raw(8 * (k - 1))  # reserved K-1 float64 slots
     codebook_ref = r.text()
     inputs = r.f32_array(t * in_dim).reshape(t, in_dim)
     losses = r.f32_array(t)
@@ -304,7 +304,7 @@ def load_trigger_set(path) -> TriggerSet:
     r.expect_end()
     return TriggerSet(
         inputs=inputs,
-        centroid_set=CentroidSet(centroids, boundaries),
+        centroid_set=CentroidSet(centroids),
         codebook_ref=codebook_ref,
         mode=mode,
         variant_count=variant_count,

@@ -148,7 +148,16 @@ def test_recovery_exact_within_guarantee_radius(k, seed):
     obs = _corrupt(_scatter(cb.codewords, perm), radius, k, rng)
     res = align_to_matrix(obs, cb.codewords)
     np.testing.assert_array_equal(res.perm_estimate, perm)
-    assert (res.per_neuron_distance <= radius).all()
+    assert (res.per_neuron_distance == radius).all()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_exact_words_recover_at_distance_zero(k):
+    cb = default_codebook(8, 18, k, 1, seed=20)
+    perm = np.random.default_rng(k).permutation(cb.n)
+    res = align_to_matrix(_scatter(cb.codewords, perm), cb.codewords)
+    np.testing.assert_array_equal(res.perm_estimate, perm)
+    assert (res.per_neuron_distance == 0).all()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -316,6 +325,18 @@ def test_destroyed_layer_refused_not_raised(marked):
     out = verify_with_alignment(wrong_width, ts, cb, record)
     assert not out.accepted and out.ov is None
     assert "neurons" in out.tamper_cause
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_unreadable_layer_refused_with_or_without_normalization(marked, normalize):
+    """A suspect whose dense1 is the output layer, or which has no dense1, is
+    refused either way: normalizing it must not turn the refusal into an
+    exception."""
+    _, _, record, _, cb, ts = marked
+    for suspect in (init_network(16, [32, 4], seed=0), init_network(16, [4], seed=0)):
+        out = verify_with_alignment(suspect, ts, cb, record, normalize=normalize)
+        assert not out.accepted and out.ov is None and out.alignment is None
+        assert out.tamper_cause
 
 
 def test_wrong_input_dim_refused(marked):

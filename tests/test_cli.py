@@ -120,6 +120,24 @@ def test_verify_refuses_destroyed_layer(tiny_run, tmp_path, capsys):
     assert refusal["refused"] and "neurons" in refusal["cause"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--normalize"]])
+def test_verify_refuses_output_layer_suspect_with_or_without_normalize(
+    tiny_run, tmp_path, capsys, flags
+):
+    """dense1 is the output layer of this suspect: a refusal (exit 2), not
+    invalid input (exit 1), whether or not the readout normalizes."""
+    cfg, out, _ = tiny_run
+    path = tmp_path / "shallow.naf"
+    save_model(init_network(cfg.data.input_dim, [48, cfg.data.classes], seed=0), path)
+    code = main([
+        "verify", "--model", str(path), "--record", str(out / RECORD_FILE),
+        "--triggers", str(out / trigger_file("t1")), "--codebook", str(out / CODEBOOK_FILE),
+        *flags,
+    ])
+    assert code == EXIT_INTEGRITY
+    assert json.loads(capsys.readouterr().out)["refused"]
+
+
 def test_corrupt_container_exits_2(tiny_run, tmp_path, capsys):
     _, out, _ = tiny_run
     broken = tmp_path / "broken.naf"

@@ -17,7 +17,6 @@ from neuralign.network import (
     finetune_variant,
     forward,
     init_network,
-    input_gradient_batch,
     networks_equal,
     prune_variant,
     train,
@@ -176,8 +175,8 @@ def central_difference(nets, x, targets, layer_name, h=1e-6):
         up, down = x.copy(), x.copy()
         up[i] += h
         down[i] -= h
-        _, lu = input_gradient_batch(nets, up[None, :], targets[None, :], layer_name)
-        _, ld = input_gradient_batch(nets, down[None, :], targets[None, :], layer_name)
+        _, lu = InputGradientKernel(nets, targets[None, :], layer_name)(up[None, :])
+        _, ld = InputGradientKernel(nets, targets[None, :], layer_name)(down[None, :])
         grad[i] = (lu[0] - ld[0]) / (2 * h)
     return grad
 
@@ -188,7 +187,7 @@ def test_input_gradient_matches_central_differences(seed):
     net = init_network(5, [9, 6, 3], seed=seed)
     targets = rng.normal(size=6)
     x = rng.normal(size=5)
-    analytic, _ = input_gradient_batch([net], x[None, :], targets[None, :], "dense1")
+    analytic, _ = InputGradientKernel([net], targets[None, :], "dense1")(x[None, :])
     numeric = central_difference([net], x, targets, "dense1")
     np.testing.assert_allclose(analytic[0], numeric, rtol=1e-3, atol=1e-6)
 
@@ -198,7 +197,7 @@ def test_ensemble_gradient_matches_central_differences():
     nets = [init_network(4, [8, 5, 2], seed=s) for s in (10, 11, 12)]
     targets = rng.normal(size=5)
     x = rng.normal(size=4)
-    analytic, _ = input_gradient_batch(nets, x[None, :], targets[None, :], "dense1")
+    analytic, _ = InputGradientKernel(nets, targets[None, :], "dense1")(x[None, :])
     numeric = central_difference(nets, x, targets, "dense1")
     np.testing.assert_allclose(analytic[0], numeric, rtol=1e-3, atol=1e-6)
 
@@ -208,9 +207,9 @@ def test_batched_gradient_equals_rowwise_calls():
     net = init_network(5, [7, 4, 2], seed=21)
     targets = rng.normal(size=(6, 4))
     x = rng.normal(size=(6, 5))
-    g_batch, l_batch = input_gradient_batch([net], x, targets, "dense1")
+    g_batch, l_batch = InputGradientKernel([net], targets, "dense1")(x)
     for b in range(6):
-        g_row, l_row = input_gradient_batch([net], x[b : b + 1], targets[b : b + 1], "dense1")
+        g_row, l_row = InputGradientKernel([net], targets[b : b + 1], "dense1")(x[b : b + 1])
         np.testing.assert_allclose(g_batch[b], g_row[0], atol=1e-12)
         assert l_batch[b] == pytest.approx(l_row[0], abs=1e-12)
 
@@ -218,20 +217,20 @@ def test_batched_gradient_equals_rowwise_calls():
 def test_gradient_shape_errors():
     net = init_network(4, [6, 2], seed=0)
     with pytest.raises(ShapeError):
-        input_gradient_batch([net], np.zeros((2, 5)), np.zeros((2, 6)), "dense0")
+        InputGradientKernel([net], np.zeros((2, 6)), "dense0")(np.zeros((2, 5)))
     with pytest.raises(ShapeError):
-        input_gradient_batch([net], np.zeros((2, 4)), np.zeros((2, 5)), "dense0")
+        InputGradientKernel([net], np.zeros((2, 5)), "dense0")(np.zeros((2, 4)))
     with pytest.raises(ValueError):
-        input_gradient_batch([], np.zeros((2, 4)), np.zeros((2, 6)), "dense0")
+        InputGradientKernel([], np.zeros((2, 6)), "dense0")(np.zeros((2, 4)))
     # one target row is not broadcast over five input rows
     with pytest.raises(ShapeError):
-        input_gradient_batch([net], np.zeros((5, 4)), np.zeros((1, 6)), "dense0")
+        InputGradientKernel([net], np.zeros((1, 6)), "dense0")(np.zeros((5, 4)))
     with pytest.raises(ShapeError):
-        input_gradient_batch([net], np.zeros(4), np.zeros((1, 6)), "dense0")
+        InputGradientKernel([net], np.zeros((1, 6)), "dense0")(np.zeros(4))
     with pytest.raises(ShapeError):
-        input_gradient_batch([net], np.zeros((1, 4)), np.zeros(6), "dense0")
+        InputGradientKernel([net], np.zeros(6), "dense0")(np.zeros((1, 4)))
     with pytest.raises(ShapeError):
-        input_gradient_batch([net], np.zeros((1, 1, 4)), np.zeros((1, 6)), "dense0")
+        InputGradientKernel([net], np.zeros((1, 6)), "dense0")(np.zeros((1, 1, 4)))
     kernel = InputGradientKernel([net], np.zeros((3, 6)), "dense0")
     with pytest.raises(ShapeError):
         kernel(np.zeros((2, 4)))
@@ -280,13 +279,14 @@ def test_kernel_is_bit_identical_to_allocating_loop():
     nets = [net, tuned, linear, shifted]
     kernel = InputGradientKernel(nets, targets, "dense1")
     assert len(kernel.members) == 4  # nothing folds
+    assert len({id(m.space) for m in kernel.members}) == 1  # one shape, one workspace
     rng = np.random.default_rng(6)
     for _ in range(2):  # a second call must not read state left by the first
         x = rng.uniform(-3.0, 3.0, size=(9, 6))
         grad, loss = kernel(x)
         ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
         assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
-    grad, loss = input_gradient_batch(nets, x, targets, "dense1")
+    grad, loss = InputGradientKernel(nets, targets, "dense1")(x)
     assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
 
 

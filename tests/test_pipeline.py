@@ -14,7 +14,7 @@ import pytest
 from neuralign import pipeline, triggers
 from neuralign.align import read_codes, verify_with_alignment
 from neuralign.coding import load_codebook
-from neuralign.network import DenseLayer, Network
+from neuralign.network import DenseLayer, Network, init_network
 from neuralign.pipeline import (
     CODEBOOK_FILE,
     ENCODE_SUMMARY,
@@ -339,6 +339,7 @@ def test_t2_forge_folds_every_pruned_variant(tiny_run, tmp_path, monkeypatch):
     stage_forge(cfg, copy, "t2")
     assert [len(k.members) for k in kernels] == [1 + j // 2]
     assert kernels[0].members[0].count == 1 + j // 2
+    assert len({id(m.space) for m in kernels[0].members}) == 1  # all members share buffers
 
 
 # --------------------------------------------------------- observability
@@ -387,3 +388,23 @@ def test_align_records_carry_decode_margin(tiny_run, tmp_path):
         margins.append(rec["margin"])
     assert len(margins) == len(summary["records"]) - 1
     assert summary["min_margin"] == min(margins)
+
+
+def test_align_refuses_a_suspect_of_another_width(tiny_run, tmp_path):
+    """A suspect whose watermarked layer lost a neuron is recorded as refused,
+    plainly and aligned, instead of aborting the align stage."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    widths = list(cfg.model.widths)
+    widths[cfg.watermarked_index()] -= 1
+    narrow = init_network(cfg.data.input_dim, [*widths, cfg.data.classes], seed=0)
+    save_model(narrow, suspect_file(copy, "np", 0))
+    summary = stage_align(cfg, copy, "np", "t1")
+    refused, *rest = summary["records"]
+    assert refused["no_align_ber"] is None and refused["no_align_accepted"] is False
+    assert not refused["accepted"] and refused["ber"] is None
+    assert "neurons" in refused["tamper_cause"] and refused["margin"] is None
+    assert rest and all(r["accepted"] for r in rest)
+    assert summary["no_align_accept_rate"] == 0.0
+    assert summary["accept_rate"] == pytest.approx(len(rest) / (len(rest) + 1))

@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 
-from neuralign.coding import CentroidSet, compute_centroids, codebook_digest, default_codebook
+from neuralign.coding import (
+    CentroidSet,
+    codebook_digest,
+    compute_centroids,
+    default_codebook,
+    nearest_centroid,
+)
 from neuralign.data import make_blobs
 from neuralign import triggers
 from neuralign.network import (
     DenseLayer,
+    InputGradientKernel,
     Network,
     ShapeError,
     TrainConfig,
     UnknownLayerError,
     init_network,
-    input_gradient_batch,
     train,
 )
 from neuralign.triggers import (
@@ -153,7 +159,7 @@ def test_descent_equals_allocating_updates(trained):
     x = np.random.default_rng(opt.seed).uniform(opt.box_low, opt.box_high, size=(6, 16))
     ref_x, ref_loss = x.copy(), np.full(6, np.inf)
     for _ in range(opt.steps + 1):
-        grad, loss = input_gradient_batch(nets, x, targets, "dense1")
+        grad, loss = InputGradientKernel(nets, targets, "dense1")(x)
         better = loss < ref_loss
         ref_loss[better], ref_x[better] = loss[better], x[better]
         x = np.clip(x - opt.lr * grad, opt.box_low, opt.box_high)
@@ -162,7 +168,7 @@ def test_descent_equals_allocating_updates(trained):
 
 def test_descent_stays_in_clamp_box(single):
     ens, _, cb = single
-    unreachable = CentroidSet(np.array([50.0, 51.0]), np.array([50.5]))
+    unreachable = CentroidSet(np.array([50.0, 51.0]))
     opt = OptConfig(steps=100, lr=1.0, seed=1, box_low=-1.5, box_high=1.5, restarts=1)
     ts = synthesize_trigger_set(ens, "dense1", unreachable, cb, opt)
     assert (ts.inputs >= -1.5).all() and (ts.inputs <= 1.5).all()
@@ -178,7 +184,7 @@ def test_overflowing_loss_raises_with_step():
             np.zeros(b, dtype=np.float32), "relu",
         ))
     ens = VariantEnsemble([Network(layers)], ["original"])
-    cs = CentroidSet(np.array([0.0, 1.0]), np.array([0.5]))
+    cs = CentroidSet(np.array([0.0, 1.0]))
     cb = default_codebook(8, 8, 2, 1, seed=0)
     opt = OptConfig(steps=5, lr=0.01, seed=0, restarts=1, box_low=1.0, box_high=2.0)
     with np.errstate(all="ignore"), pytest.raises(OptimizationError) as info:
@@ -243,7 +249,7 @@ def test_trigger_set_rejects_mismatched_codebook(trained, forged):
     wide = default_codebook(12, 16, 2, 1, seed=1)  # 12 words vs 10 neurons
     with pytest.raises(ShapeError):
         synthesize_trigger_set(ens, "dense1", cs, wide, opt)
-    three_fold = CentroidSet(np.array([0.0, 1.0, 2.0]), np.array([0.5, 1.5]))
+    three_fold = CentroidSet(np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="folds"):
         synthesize_trigger_set(ens, "dense1", three_fold, cb, opt)
 
@@ -251,7 +257,7 @@ def test_trigger_set_rejects_mismatched_codebook(trained, forged):
 def test_trigger_set_mode_validation():
     base = dict(
         inputs=np.zeros((4, 3), dtype=np.float32),
-        centroid_set=CentroidSet(np.array([0.0, 1.0]), np.array([0.5])),
+        centroid_set=CentroidSet(np.array([0.0, 1.0])),
         codebook_ref="x",
         layer_name="dense1",
         final_losses=np.zeros(4, dtype=np.float32),
@@ -288,19 +294,26 @@ def test_dead_neuron_detection():
 
 
 def test_cluster_quality_hand_example():
-    cs = CentroidSet(np.array([0.0, 1.0]), np.array([0.5]))
-    stats = cluster_quality(np.array([0.0, 0.1, 1.0, 1.1]), cs)
+    stats = cluster_quality(np.array([0.0, 0.1, 1.0, 1.1]), np.array([0, 0, 1, 1]))
     assert stats.occupied == 2
     assert stats.intra == pytest.approx(0.05)
     assert stats.inter == pytest.approx(1.0)
 
 
 def test_cluster_quality_single_cluster_has_no_inter():
-    cs = CentroidSet(np.array([0.0, 5.0]), np.array([2.5]))
-    stats = cluster_quality(np.array([0.1, 0.2]), cs)
+    stats = cluster_quality(np.array([0.1, 0.2]), np.array([0, 0]))
     assert stats.occupied == 1
     assert stats.inter is None
     assert stats.intra == pytest.approx(0.05)
+
+
+def test_cluster_quality_takes_the_given_folds():
+    """The folds come from the readout, not from the values: 1.1 read as fold 0
+    joins the low cluster."""
+    stats = cluster_quality(np.array([0.0, 0.1, 1.0, 1.1]), np.array([0, 0, 1, 0]))
+    assert stats.occupied == 2
+    assert stats.inter == pytest.approx(1.0 - 0.4)
+    assert stats.intra == pytest.approx((0.4 + 0.3 + 0.0 + 0.7) / 4)
 
 
 def test_separation_stats_exclude_dead(trained, forged):
@@ -309,6 +322,16 @@ def test_separation_stats_exclude_dead(trained, forged):
     hollow = net.clone()
     hollow.layer("dense1").weights[4, :] = 0.0
     hollow.layer("dense1").biases[4] = 0.0
-    stats = separation_stats(hollow, ts.layer_name, ts.inputs, ts.centroid_set)
+    raw = layer_outputs(hollow, ts.layer_name, ts.inputs)
+    stats = separation_stats(raw, nearest_centroid(raw, ts.centroid_set))
     assert stats["dead_neurons"] == [4]
     assert np.isfinite(stats["mean_intra"])
+
+
+def test_separation_stats_match_a_quantizer_of_their_own(forged):
+    """Stats over the readout's codes equal those over a fresh argmin of the
+    raw outputs, whose ties also take the lower fold."""
+    net, cs, _, ts, _, _ = forged
+    raw = layer_outputs(net, ts.layer_name, ts.inputs)
+    own = np.abs(raw[..., None] - cs.centroids).argmin(axis=-1)
+    assert separation_stats(raw, nearest_centroid(raw, cs)) == separation_stats(raw, own)
