@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .attacks import PermutationSpec, inverse_permutation, permute_neurons
+from .attacks import PermutationSpec, attack_rescale, inverse_permutation, permute_neurons
 from .coding import CentroidSet, Codebook, codebook_digest, nearest_centroid
 from .network import Network, UnknownLayerError
 from .serialize import IntegrityError
@@ -149,27 +149,16 @@ def alignment_accuracy(result: AlignmentResult, true_perm: np.ndarray) -> float:
 def normalize_layer(net: Network, layer_name: str) -> Network:
     """Rescale each neuron so its (row, bias) vector has unit L2 norm.
 
-    The inverse scale moves into the successor column, preserving function
-    through relu. This cancels any positive rescaling an attacker applied;
-    zero-norm neurons stay untouched. Running it twice is a no-op up to
-    float32 rounding.
+    This is `attack_rescale` by the inverse norms, so the successor column
+    compensates and the output layer or a non-relu layer is refused the same
+    way. It cancels any positive rescaling an attacker applied; zero-norm
+    neurons stay untouched. Running it twice is a no-op up to float32 rounding.
     """
-    idx = net.layer_index(layer_name)
-    if idx == len(net.layers) - 1:
-        raise ValueError("cannot normalize the output layer: no successor to compensate")
-    layer = net.layers[idx]
-    if layer.activation != "relu":
-        raise ValueError("normalization preserves the function only through relu")
-    out = net.clone()
-    lay, nxt = out.layers[idx], out.layers[idx + 1]
-    w = lay.weights.astype(np.float64)
-    b = lay.biases.astype(np.float64)
+    layer = net.layer(layer_name)
+    w = layer.weights.astype(np.float64)
+    b = layer.biases.astype(np.float64)
     norms = np.sqrt((w**2).sum(axis=1) + b**2)
-    scale = np.where(norms > 0, norms, 1.0)
-    lay.weights = (w / scale[:, None]).astype(np.float32)
-    lay.biases = (b / scale).astype(np.float32)
-    nxt.weights = (nxt.weights.astype(np.float64) * scale[None, :]).astype(np.float32)
-    return out
+    return attack_rescale(net, layer_name, 1.0 / np.where(norms > 0, norms, 1.0))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Command line front end over the experiment stages.
 
+A run's settings are set once: `train` takes `--config`, `--seed` and
+`--normalize` and writes them to the run directory's config echo, and every
+later stage reads that echo back, so all stages of one run agree.
+
 Exit codes: 0 success, 1 validation problems (bad config, bad arguments,
 missing files), 2 integrity or tamper failures (corrupt containers, mismatched
 artifacts, refused verification), 3 numeric failures (training divergence,
@@ -21,7 +25,6 @@ from .network import ShapeError, TrainingDivergenceError, UnknownLayerError
 from .pipeline import (
     CONFIG_FILE,
     TRIGGER_MODES,
-    attack_spec_for,
     capacity_grid,
     format_capacity_grid,
     stage_align,
@@ -43,33 +46,27 @@ EXIT_INTEGRITY = 2
 EXIT_NUMERIC = 3
 
 
-def _load_cfg(args) -> ExperimentConfig:
-    """Resolve the config: explicit file, else the run directory echo, else
-    defaults; --seed and --normalize override whatever was loaded."""
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        echo = Path(args.out) / CONFIG_FILE
-        cfg = load_config(echo) if echo.exists() else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+def _train_cfg(args) -> ExperimentConfig:
+    """The run's settings: the config file (else defaults), then --seed and
+    --normalize; `train` writes them to the echo."""
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
+    if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "normalize", False):
+    if args.normalize:
         cfg.normalize = True
     return validate_config(cfg)
 
 
-def _stage_args(sub):
-    sub.add_argument("--config", help="experiment config JSON", default=None)
-    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+def _run_cfg(args) -> ExperimentConfig:
+    return load_config(Path(args.out) / CONFIG_FILE)
+
+
+def _out_arg(sub):
     sub.add_argument("--out", default="run", help="run directory (default: run)")
-    sub.add_argument(
-        "--normalize", action="store_true",
-        help="put the watermarked layer in canonical scale before coding",
-    )
 
 
 def cmd_train(args) -> int:
-    summary = stage_train(_load_cfg(args), args.out)
+    summary = stage_train(_train_cfg(args), args.out)
     print(
         "trained: heldout accuracy {a:.4f} -> {b:.4f} (drop {d:.4f}), "
         "watermark ber {ber:.4f}".format(
@@ -81,7 +78,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    summary = stage_encode(_load_cfg(args), args.out)
+    summary = stage_encode(_run_cfg(args), args.out)
     print(format_capacity_grid(summary["capacity"]["grid"]))
     cbs = summary["codebook"]
     conf = summary["capacity"]["configured"]
@@ -98,7 +95,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_forge(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _run_cfg(args)
     modes = [args.mode] if args.mode else list(TRIGGER_MODES)
     for mode in modes:
         summary = stage_forge(cfg, args.out, mode)
@@ -117,7 +114,7 @@ def cmd_forge(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _run_cfg(args)
     kinds = [args.kind] if args.kind else [a.kind for a in cfg.attacks]
     for kind in kinds:
         summary = stage_attack(cfg, args.out, kind, trials=args.trials)
@@ -132,7 +129,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_align(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = _run_cfg(args)
     out = Path(args.out)
     kinds = [args.kind] if args.kind else [a.kind for a in cfg.attacks]
     modes = [args.mode] if args.mode else [
@@ -182,7 +179,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = stage_report(_load_cfg(args), args.out)
+    report = stage_report(_run_cfg(args), args.out)
     print(f"report written to {Path(args.out) / 'report.json'}")
     for row in report["attacks"]:
         print(
@@ -207,27 +204,33 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("train", help="train the task model and embed the watermark")
-    _stage_args(sub)
+    sub.add_argument("--config", help="experiment config JSON", default=None)
+    sub.add_argument("--seed", type=int, default=None, help="override the config seed")
+    _out_arg(sub)
+    sub.add_argument(
+        "--normalize", action="store_true",
+        help="put the watermarked layer in canonical scale before coding",
+    )
     sub.set_defaults(func=cmd_train)
 
     sub = subs.add_parser("encode", help="derive fold centroids and build the codebook")
-    _stage_args(sub)
+    _out_arg(sub)
     sub.set_defaults(func=cmd_encode)
 
     sub = subs.add_parser("forge", help="synthesize trigger inputs")
-    _stage_args(sub)
+    _out_arg(sub)
     sub.add_argument("--mode", choices=list(TRIGGER_MODES), default=None,
                      help="one scheme (default: every scheme, t1 then t2)")
     sub.set_defaults(func=cmd_forge)
 
     sub = subs.add_parser("attack", help="generate attacked suspect models")
-    _stage_args(sub)
+    _out_arg(sub)
     sub.add_argument("--kind", choices=["np", "ftp", "npp", "rescale"], default=None)
     sub.add_argument("--trials", type=int, default=None)
     sub.set_defaults(func=cmd_attack)
 
     sub = subs.add_parser("align", help="recover neuron order and verify suspects")
-    _stage_args(sub)
+    _out_arg(sub)
     sub.add_argument("--kind", choices=["np", "ftp", "npp", "rescale"], default=None)
     sub.add_argument("--mode", choices=list(TRIGGER_MODES), default=None)
     sub.set_defaults(func=cmd_align)
@@ -241,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("report", help="aggregate stage summaries into report.json")
-    _stage_args(sub)
+    _out_arg(sub)
     sub.set_defaults(func=cmd_report)
 
     sub = subs.add_parser("capacity-table", help="print the correctable-positions table")
@@ -253,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on bad arguments
+        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
         return args.func(args)
     except (FormatError, IntegrityError, TamperError) as exc:

@@ -141,10 +141,12 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(0 < w.threshold < 1, "watermark.threshold", "threshold lies in (0, 1)")
     _require(w.strength > 0 and w.embed_epochs >= 1 and w.max_rounds >= 1,
              "watermark.strength", "need positive strength, epochs and rounds")
+    kinds = [a.kind for a in cfg.attacks]
     for i, a in enumerate(cfg.attacks):
         path = f"attacks[{i}]"
         _require(a.kind in ATTACK_KINDS, f"{path}.kind",
                  f"unknown kind {a.kind!r}, expected one of {ATTACK_KINDS}")
+        _require(a.kind not in kinds[:i], f"{path}.kind", f"duplicate kind {a.kind!r}")
         _require(a.trials >= 1, f"{path}.trials", "need at least one trial")
         if a.kind == "ftp":
             _require(a.epochs >= 1 and a.lr > 0, f"{path}.epochs", "need epochs >= 1, lr > 0")

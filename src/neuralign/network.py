@@ -161,14 +161,9 @@ class TrainConfig:
     extra_loss: Optional[Callable[[Network], tuple[float, dict[str, np.ndarray]]]] = None
 
 
-def init_network(
-    input_dim: int,
-    widths: Sequence[int],
-    seed: int,
-    hidden_activation: str = "relu",
-    output_activation: str = "softmax",
-) -> Network:
-    """Build a seeded network: hidden layers per `widths[:-1]`, output `widths[-1]`.
+def init_network(input_dim: int, widths: Sequence[int], seed: int) -> Network:
+    """Build a seeded network: relu hidden layers per `widths[:-1]`, a softmax
+    output of `widths[-1]`.
 
     Weights are uniform(-a, a) with a = sqrt(6 / (in + out)).
     """
@@ -179,7 +174,7 @@ def init_network(
         a = np.sqrt(6.0 / (d_in + d_out))
         w = rng.uniform(-a, a, size=(d_out, d_in)).astype(np.float32)
         b = np.zeros(d_out, dtype=np.float32)
-        act = output_activation if i == len(widths) - 1 else hidden_activation
+        act = "softmax" if i == len(widths) - 1 else "relu"
         layers.append(DenseLayer(f"dense{i}", w, b, act))
     return Network(layers)
 

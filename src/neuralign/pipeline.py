@@ -12,7 +12,6 @@ single top-level "timings" object and is otherwise reproducible.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -84,6 +83,10 @@ ENCODE_SUMMARY = "encode_summary.json"
 REPORT_FILE = "report.json"
 
 REPORT_SCHEMA_VERSION = 1
+
+BOOTSTRAP_RESAMPLES = 1000
+CI_ALPHA = 0.05  # the accept-rate interval covers 1 - CI_ALPHA
+BASELINE_SHUFFLES = 20  # permutations the normal-probe baseline aligns
 
 
 def trigger_file(mode: str) -> str:
@@ -283,7 +286,6 @@ def stage_encode(cfg: ExperimentConfig, out) -> dict:
             "min_gap": gap,
             "separation_bound": gap / 10.0,
             "pooled_count": int(pooled.size),
-            "normalized_basis": bool(cfg.normalize),
             "codebook": {
                 "digest": codebook_digest(cb),
                 "n": cb.n,
@@ -429,7 +431,6 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
             "kind": kind,
             "layer": layer,
             "trials": trials,
-            "spec": dataclasses.asdict(a),
             "base_accuracy": base_acc,
             "mean_drift": float(np.mean(drifts)),
             "max_drift": float(np.max(drifts)),
@@ -441,31 +442,27 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
     return summary
 
 
-def bootstrap_rate_ci(
-    outcomes, n_boot: int = 1000, seed: int = 0, alpha: float = 0.05
-) -> tuple[float, float]:
+def bootstrap_rate_ci(outcomes, seed: int = 0) -> tuple[float, float]:
     """Percentile bootstrap interval for a Bernoulli rate."""
     x = np.asarray(outcomes, dtype=np.float64)
     if x.size == 0:
         raise ValueError("need at least one outcome")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(n_boot, x.size))
+    idx = rng.integers(0, x.size, size=(BOOTSTRAP_RESAMPLES, x.size))
     means = x[idx].mean(axis=1)
-    lo, hi = np.quantile(means, [alpha / 2, 1 - alpha / 2])
+    lo, hi = np.quantile(means, [CI_ALPHA / 2, 1 - CI_ALPHA / 2])
     return float(lo), float(hi)
 
 
-def bootstrap_ordering(
-    lesser, greater, n_boot: int = 1000, seed: int = 0
-) -> float:
+def bootstrap_ordering(lesser, greater, seed: int = 0) -> float:
     """Bootstrap confidence that mean(greater) >= mean(lesser); ties count."""
     a = np.asarray(lesser, dtype=np.float64)
     b = np.asarray(greater, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("need outcomes on both sides")
     rng = np.random.default_rng(seed)
-    am = a[rng.integers(0, a.size, size=(n_boot, a.size))].mean(axis=1)
-    bm = b[rng.integers(0, b.size, size=(n_boot, b.size))].mean(axis=1)
+    am = a[rng.integers(0, a.size, size=(BOOTSTRAP_RESAMPLES, a.size))].mean(axis=1)
+    bm = b[rng.integers(0, b.size, size=(BOOTSTRAP_RESAMPLES, b.size))].mean(axis=1)
     return float(np.mean(bm >= am))
 
 
@@ -521,7 +518,6 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
         summary = {
             "kind": kind,
             "mode": mode,
-            "normalize": bool(cfg.normalize),
             "trials": len(records),
             "accept_rate": float(np.mean(accepts)),
             "accept_ci": [ci[0], ci[1]],
@@ -622,8 +618,7 @@ def validate_report(report: dict) -> dict:
     return report
 
 
-def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: CentroidSet,
-                     shuffles: int = 20) -> dict:
+def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: CentroidSet) -> dict:
     """Transcription scheme: plain heldout samples as probes, frame codes as
     the reference. Measures how identifiable neurons are without synthesis."""
     model = load_model(out / MODEL_FILE)
@@ -636,7 +631,7 @@ def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: Centroi
     stats = separation_stats(reference.raw_outputs, reference.codes)
     accs = []
     n = model.layer(layer).out_dim
-    for s in range(shuffles):
+    for s in range(BASELINE_SHUFFLES):
         spec = random_permutation(n, derive_seed(cfg.seed, "baseline", s), layer)
         shuffled = permute_neurons(basis, spec)
         observed = read_codes(shuffled, layer, probes, cs)
@@ -653,7 +648,7 @@ def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: Centroi
         "passes_separation": bool(stats["mean_intra"] <= bound),
         "dead_neurons": len(stats["dead_neurons"]),
         "shuffle_accuracy": _jsonable(np.nanmean(accs)),
-        "shuffles": shuffles,
+        "shuffles": BASELINE_SHUFFLES,
     }
 
 

@@ -217,9 +217,12 @@ def layer_outputs(net: Network, layer_name: str, inputs: np.ndarray) -> np.ndarr
     return _forward_layers(net.layers[: idx + 1], _as_batch(net, inputs))[-1].T
 
 
-def dead_neurons(outputs: np.ndarray, tol: float = 1e-12) -> list:
+DEAD_TOL = 1e-12  # largest activation a row may reach and still count as silent
+
+
+def dead_neurons(outputs: np.ndarray) -> list:
     """Rows that never leave zero across all columns."""
-    return [int(i) for i in np.flatnonzero(np.max(np.abs(outputs), axis=1) <= tol)]
+    return [int(i) for i in np.flatnonzero(np.max(np.abs(outputs), axis=1) <= DEAD_TOL)]
 
 
 @dataclass(frozen=True)

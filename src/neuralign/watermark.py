@@ -111,15 +111,15 @@ def verify(net: Network, record: WatermarkRecord) -> OVResult:
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    epochs: int = 4
-    lr: float = 0.05
-    batch_size: int = 32
-    strength: float = 4.0
-    max_rounds: int = 4
-    seed: int = 0
+    epochs: int
+    lr: float
+    batch_size: int
+    strength: float
+    max_rounds: int
+    seed: int
 
 
-def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig = EmbedConfig()) -> Network:
+def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig) -> Network:
     """Train with the sign penalty until extraction is error free.
 
     Runs up to max_rounds training passes, stopping at the first with zero

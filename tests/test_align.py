@@ -38,7 +38,8 @@ def marked():
     net = train(init_network(16, [32, 10, 4], seed=2), data,
                 TrainConfig(epochs=8, lr=0.1, seed=2))
     record = make_record(net, "dense1", bits=16, seed=5)
-    net = embed(net, record, data, EmbedConfig(epochs=3, lr=0.05, strength=2.0, seed=5))
+    net = embed(net, record, data, EmbedConfig(epochs=3, lr=0.05, batch_size=32,
+                                                strength=2.0, max_rounds=4, seed=5))
     pooled = layer_outputs(net, "dense1", data.inputs)
     cs = compute_centroids(pooled, 2)
     cb = default_codebook(10, 16, 2, 1, seed=6)

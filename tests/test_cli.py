@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from neuralign.cli import EXIT_INTEGRITY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from neuralign.config import config_to_dict, save_config
+from neuralign.config import load_config, save_config
 from neuralign.network import init_network
-from neuralign.pipeline import CONFIG_FILE, MODEL_FILE, RECORD_FILE, CODEBOOK_FILE, trigger_file
+from neuralign.pipeline import (
+    CODEBOOK_FILE, CONFIG_FILE, MODEL_FILE, RECORD_FILE, REPORT_FILE, run_all, trigger_file,
+)
 from neuralign.serialize import read_container, save_model, write_container
 
 
@@ -22,8 +24,8 @@ def cfg_file(tiny_config_factory, tmp_path):
 
 def test_full_stage_chain(cfg_file, tmp_path, capsys):
     out = tmp_path / "run"
-    base = ["--config", str(cfg_file), "--out", str(out)]
-    assert main(["train", *base]) == EXIT_OK
+    base = ["--out", str(out)]
+    assert main(["train", "--config", str(cfg_file), *base]) == EXIT_OK
     assert "watermark ber 0.0000" in capsys.readouterr().out
     assert main(["encode", *base]) == EXIT_OK
     text = capsys.readouterr().out
@@ -49,8 +51,8 @@ def test_forge_without_mode_forges_every_scheme(tiny_config_factory, tmp_path, c
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     out = tmp_path / "run"
-    base = ["--config", str(cfg_path), "--out", str(out)]
-    assert main(["train", *base]) == EXIT_OK
+    base = ["--out", str(out)]
+    assert main(["train", "--config", str(cfg_path), *base]) == EXIT_OK
     assert main(["encode", *base]) == EXIT_OK
     capsys.readouterr()
     assert main(["forge", *base]) == EXIT_OK
@@ -164,16 +166,15 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "coding.k" in capsys.readouterr().err
 
 
-def test_unsatisfiable_codebook_exits_3(tiny_run, tiny_config_factory, tmp_path, capsys):
+def test_unsatisfiable_codebook_exits_3(tiny_run, tmp_path, capsys):
     """16 neurons cannot get distinct 3-symbol binary words: numeric failure."""
     _, out, _ = tiny_run
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
-    cfg = tiny_config_factory()
+    cfg = load_config(copy / CONFIG_FILE)
     cfg.coding.t = 3
-    bad = tmp_path / "short.json"
-    save_config(cfg, bad)
-    code = main(["encode", "--config", str(bad), "--out", str(copy)])
+    save_config(cfg, copy / CONFIG_FILE)
+    code = main(["encode", "--out", str(copy)])
     assert code == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
 
@@ -182,9 +183,55 @@ def test_align_without_triggers_exits_1(cfg_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
     capsys.readouterr()
-    code = main(["align", "--config", str(cfg_file), "--out", str(out)])
+    code = main(["align", "--out", str(out)])
     assert code == EXIT_VALIDATION
     assert "forge first" in capsys.readouterr().err
+
+
+def test_normalized_chain_reads_settings_from_echo(tiny_config_factory, tmp_path, capsys):
+    """--seed and --normalize are given to train only; every later stage reads
+    them from the echo and the chain reproduces run_all's report."""
+    cfg_path = tmp_path / "cfg.json"
+    save_config(tiny_config_factory(), cfg_path)
+    out = tmp_path / "run"
+    train = ["train", "--config", str(cfg_path), "--seed", "3", "--normalize"]
+    assert main([*train, "--out", str(out)]) == EXIT_OK
+    for stage in ("encode", "forge", "attack", "align", "report"):
+        assert main([stage, "--out", str(out)]) == EXIT_OK, stage
+    assert main(["encode", "--out", str(out), "--seed", "5"]) == EXIT_VALIDATION
+    capsys.readouterr()
+
+    cfg = tiny_config_factory()
+    cfg.seed, cfg.normalize = 3, True
+    expected = run_all(cfg, tmp_path / "api")
+    got = json.loads((out / REPORT_FILE).read_text())
+    del got["timings"], expected["timings"]
+    assert got == expected
+
+
+@pytest.mark.parametrize("stage", ["encode", "forge", "attack", "align", "report"])
+def test_later_stages_take_settings_only_from_echo(stage, cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    for flags in (["--config", str(cfg_file)], ["--seed", "5"], ["--normalize"]):
+        assert main([stage, "--out", str(out), *flags]) == EXIT_VALIDATION
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main([stage, "--out", str(out)]) == EXIT_VALIDATION  # no config echo
+    assert "missing file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--bogus"],
+    ["attack", "--kind", "bogus"],
+    ["verify", "--model", "a"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == EXIT_VALIDATION
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["train", "--help"]) == EXIT_OK
+    assert "--normalize" in capsys.readouterr().out
 
 
 def test_capacity_table_output(capsys):

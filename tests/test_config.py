@@ -71,6 +71,12 @@ def test_attacks_list_built_per_item():
         config_from_dict({"attacks": {"kind": "np"}})
 
 
+def test_repeated_attack_kind_rejected():
+    """A second entry of one kind would never be read: stage_attack takes the first."""
+    with pytest.raises(ConfigError, match=r"attacks\[1\]\.kind: duplicate kind 'np'"):
+        config_from_dict({"attacks": [{"kind": "np", "trials": 2}, {"kind": "np", "trials": 5}]})
+
+
 def test_wrong_shape_rejected():
     with pytest.raises(ConfigError, match="expected an object"):
         config_from_dict({"coding": 4})

@@ -90,13 +90,16 @@ def test_make_record_is_seeded():
     assert not np.array_equal(a.key, c.key)
 
 
+EMBED = EmbedConfig(epochs=3, lr=0.05, batch_size=32, strength=2.0, max_rounds=4, seed=3)
+
+
 @pytest.fixture(scope="module")
 def marked_setup():
     data = make_blobs(400, 8, 3, spread=0.3, seed=3)
     net = train(init_network(8, [24, 12, 3], seed=3), data,
                 TrainConfig(epochs=15, lr=0.1, seed=3))
     record = make_record(net, "dense1", bits=32, seed=3)
-    marked = embed(net, record, data, EmbedConfig(epochs=3, lr=0.05, strength=2.0, seed=3))
+    marked = embed(net, record, data, EMBED)
     return net, marked, record, data
 
 
@@ -113,7 +116,7 @@ def test_embedding_keeps_task_accuracy(marked_setup):
 
 def test_embedding_is_deterministic(marked_setup):
     net, marked, record, data = marked_setup
-    again = embed(net, record, data, EmbedConfig(epochs=3, lr=0.05, strength=2.0, seed=3))
+    again = embed(net, record, data, EMBED)
     np.testing.assert_array_equal(
         again.layer("dense1").weights, marked.layer("dense1").weights
     )
