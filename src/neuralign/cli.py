@@ -5,9 +5,10 @@ A run's settings are set once: `train` takes `--config`, `--seed` and
 later stage reads that echo back, so all stages of one run agree.
 
 Exit codes: 0 success, 1 validation problems (bad config, bad arguments,
-missing files), 2 integrity or tamper failures (corrupt containers, mismatched
-artifacts, refused verification), 3 numeric failures (training divergence,
-trigger optimization blowup, unsatisfiable codebook distance).
+missing files, `train` into a directory holding an earlier run), 2 integrity
+or tamper failures (corrupt containers, mismatched artifacts, refused
+verification), 3 numeric failures (training divergence, trigger optimization
+blowup, unsatisfiable codebook distance).
 """
 
 from __future__ import annotations

@@ -11,6 +11,14 @@ step, fills one set of buffers per layer shape instead of fresh temporaries on
 every step, and folds copies of the first network whose only change is zeroed
 neurons in the named layer (the pruned T2 variants) into the first network's
 pass as per-neuron weights, so each distinct network costs one pass.
+
+No row of the kernel's batch reads another row, which lets trigger descent
+split its rows into blocks, one per usable core (`os.sched_getaffinity`), and
+run each block in a forked worker (Linux `fork`) pinned to one BLAS thread.
+Numpy's bundled OpenBLAS computes a GEMM row the same way at any thread count
+and any row count above the sizes it sends to its small-matrix kernels, so the
+blocks' rows are the whole batch's bit for bit. The descent checks this on its
+first step and descends in one process when a block's bits differ.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ class TrainingDivergenceError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"non-finite training loss in epoch {epoch}")
         self.epoch = epoch
+
+    def __reduce__(self):  # pickles through a worker process like any error
+        return type(self), (self.epoch,)
 
 
 @dataclass

@@ -12,6 +12,7 @@ single top-level "timings" object and is otherwise reproducible.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -81,6 +82,12 @@ CODEBOOK_FILE = "codebook.nac"
 TRAIN_SUMMARY = "train_summary.json"
 ENCODE_SUMMARY = "encode_summary.json"
 REPORT_FILE = "report.json"
+# what the stages write into a run directory; train refuses one holding any
+RUN_ARTIFACTS = (
+    CONFIG_FILE, MODEL_BASE_FILE, MODEL_FILE, RECORD_FILE, CODEBOOK_FILE, TRAIN_SUMMARY,
+    ENCODE_SUMMARY, REPORT_FILE, "triggers_*.nat", "*_summary_*.json", "timings_*.json",
+    "*_table.csv", "suspects",
+)
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -140,11 +147,13 @@ def read_json(path) -> dict:
 
 
 class _StageTimer:
-    """Record a stage's wall time off to the side, outside the artifact set."""
+    """Record a stage's wall time off to the side, outside the artifact set,
+    with any inner spans the stage adds to `spans` (name -> dict)."""
 
     def __init__(self, out: Path, stage: str):
         self.path = Path(out) / f"timings_{stage}.json"
         self.stage = stage
+        self.spans: dict = {}
 
     def __enter__(self):
         self.start = time.perf_counter()
@@ -154,7 +163,7 @@ class _StageTimer:
         if exc_type is None:
             elapsed = time.perf_counter() - self.start
             self.path.write_text(
-                json.dumps({"stage": self.stage, "seconds": elapsed}) + "\n"
+                json.dumps({"stage": self.stage, "seconds": elapsed, **self.spans}) + "\n"
             )
         return False
 
@@ -182,8 +191,18 @@ def attack_spec_for(cfg: ExperimentConfig, kind: str):
 
 
 def stage_train(cfg: ExperimentConfig, out) -> dict:
-    """Train the task model, embed the watermark, write model + record."""
+    """Train the task model, embed the watermark, write model + record.
+
+    Refuses a run directory that holds artifacts of an earlier run, which
+    would otherwise sit next to the new config echo and mix runs in a report.
+    """
     out = Path(out)
+    stale = next((p for pattern in RUN_ARTIFACTS for p in sorted(out.glob(pattern))), None)
+    if stale is not None:
+        raise ValueError(
+            f"run directory {out} already holds run artifacts ({stale.name}); "
+            "train into a new or empty directory"
+        )
     out.mkdir(parents=True, exist_ok=True)
     with _StageTimer(out, "train"):
         save_config(cfg, out / CONFIG_FILE)
@@ -321,7 +340,7 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     if mode == MODE_ENSEMBLE and cfg.triggers.j < 2:
         raise ValueError("the T2 scheme needs at least 2 variants (triggers.j >= 2)")
     out = Path(out)
-    with _StageTimer(out, f"forge_{mode}"):
+    with _StageTimer(out, f"forge_{mode}") as timer:
         model = load_model(out / MODEL_FILE)
         layer = cfg.model.watermarked_layer
         basis = normalize_layer(model, layer) if cfg.normalize else model
@@ -343,6 +362,7 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
             restarts=cfg.triggers.restarts,
         )
         ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
+        timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
         observed = read_codes(basis, layer, ts.inputs, cs)
         stats = separation_stats(observed.raw_outputs, observed.codes)

@@ -8,11 +8,32 @@ makes the readout survive those attacks at the price of a harder objective.
 
 All T positions are optimized as one batch; each row keeps its best-so-far
 input so a late bad step cannot lose a good solution.
+
+The rows never interact, so a large descent runs on every core the process
+may use (`os.sched_getaffinity`): the rows are split into one contiguous
+block per core, each block descends in a worker forked from this process
+(Linux `fork`, so an unguarded calling script is never re-imported), and the
+per-row results are concatenated in row order. Each worker pins numpy's
+bundled OpenBLAS to one thread, since workers that inherit several BLAS
+threads each fight over the same cores. OpenBLAS computes each GEMM row the
+same way at any thread count and at any row count above the sizes its
+small-matrix kernels take, so the triggers are byte-identical to a
+one-process descent; the first step of every block is compared with the
+whole batch's, and any differing bit sends the descent back into one
+process. A descent below `SPLIT_FLOOR_MACS`, a process with one core, or a
+numpy without a bundled OpenBLAS runs in this process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +66,9 @@ class OptimizationError(RuntimeError):
     def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
+
+    def __reduce__(self):  # survive the pickle back from a descent worker
+        return type(self), (str(self), self.step)
 
 
 @dataclass(frozen=True)
@@ -113,6 +137,18 @@ class OptConfig:
 
 
 @dataclass(frozen=True)
+class DescentSpan:
+    """How one descent ran: worker processes (1: in-process), descended rows
+    (triggers x restarts), steps, kernel members and wall seconds."""
+
+    workers: int
+    rows: int
+    steps: int
+    members: int
+    seconds: float
+
+
+@dataclass(frozen=True)
 class TriggerSet:
     """Owner-side evidence: T inputs plus the quantization frame they encode."""
 
@@ -124,6 +160,8 @@ class TriggerSet:
     layer_name: str
     final_losses: np.ndarray  # (T,) float32, best loss per trigger
     converged: np.ndarray  # (T,) bool, best loss within the per-network budget
+    # how the descent ran; wall-clock, so neither saved nor compared (None once loaded)
+    descent: DescentSpan | None = field(default=None, compare=False)
 
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float32)
@@ -154,17 +192,69 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
     return network_count * n * (gap / 4.0) ** 2
 
 
-def _descend(nets, targets, layer_name, opt: OptConfig):
-    """Batched projected descent; returns per-row best (inputs, losses)."""
+# Multiply-adds (rows x steps x per-row multiply-adds summed over the networks)
+# below which a descent stays in-process. Starting, feeding and joining the
+# pool costs 30-70 ms. Measured on 2 cores at the default widths: 2.5e9 took
+# 214 ms in-process and 208 ms split, 4e9 288 -> 262 ms, 1e10 719 -> 507 ms.
+# A tiny-config descent is 5e7 to 2e8; the default T1 descent is 1e10.
+SPLIT_FLOOR_MACS = 4e9
+BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
+)
+
+
+@lru_cache(maxsize=None)
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS bundled with numpy's wheel, or
+    None when numpy bundles none (a build against a system BLAS)."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*blas*")):
+        handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
+        for symbol in BLAS_SETTERS:
+            if hasattr(handle, symbol):
+                setter = getattr(handle, symbol)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return setter
+    return None
+
+
+def _one_blas_thread() -> None:
+    _blas_thread_setter()(1)
+
+
+def _worker_count(nets, layer_name: str, rows: int, steps: int) -> int:
+    """Processes to split the rows over: one per usable core, or 1 when the
+    descent is too small to repay the pool or no BLAS setter pins workers."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cores < 2 or _blas_thread_setter() is None:
+        return 1
+    macs = sum(
+        layer.weights.size
+        for net in nets
+        for layer in net.layers[: net.layer_index(layer_name) + 1]
+    )
+    if rows * (steps + 1) * macs < SPLIT_FLOOR_MACS:
+        return 1
+    return min(cores, rows)
+
+
+def _descend_rows(nets, targets, layer_name, opt: OptConfig, x, first_row=0, first_step=None):
+    """Projected descent of one block of rows, starting at x (overwritten);
+    row numbers in errors count from first_row. Returns per-row best (inputs,
+    losses) and the kernel's member count, or None when first_step (the whole
+    batch's step-0 grads and losses for these rows) differs from this block's
+    step 0 in any bit."""
     kernel = InputGradientKernel(nets, targets, layer_name)
-    rng = np.random.default_rng(opt.seed)
-    x = rng.uniform(opt.box_low, opt.box_high, size=(targets.shape[0], nets[0].input_dim))
     best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf)
     step_x = np.empty_like(x)
     for step in range(opt.steps + 1):
         grads, losses = kernel(x)
+        if step == 0 and first_step is not None and (
+            grads.tobytes() != first_step[0].tobytes()
+            or losses.tobytes() != first_step[1].tobytes()
+        ):
+            return None
         if not np.all(np.isfinite(losses)):
-            bad = int(np.flatnonzero(~np.isfinite(losses))[0])
+            bad = first_row + int(np.flatnonzero(~np.isfinite(losses))[0])
             raise OptimizationError(f"non-finite loss for row {bad} at step {step}", step)
         improved = losses < best_loss
         best_loss[improved] = losses[improved]
@@ -174,7 +264,58 @@ def _descend(nets, targets, layer_name, opt: OptConfig):
         # x <- clip(x - lr * g), in place
         np.subtract(x, np.multiply(grads, opt.lr, out=step_x), out=x)
         np.clip(x, opt.box_low, opt.box_high, out=x)
-    return best_x, best_loss
+    return best_x, best_loss, len(kernel.members)
+
+
+def _split_descent(nets, targets, layer_name, opt: OptConfig, x, workers: int):
+    """`_descend_rows` on contiguous row blocks in forked one-BLAS-thread
+    workers, concatenated in row order; None when a block's first step is not
+    the whole batch's bit for bit (a BLAS that rounds a block's GEMMs
+    differently), so the caller descends in-process instead."""
+    grads, losses = InputGradientKernel(nets, targets, layer_name)(x)
+    bounds = np.linspace(0, targets.shape[0], workers + 1).astype(int)
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+    ) as pool:
+        futures = [
+            pool.submit(
+                _descend_rows, nets, targets[lo:hi], layer_name, opt, x[lo:hi], lo,
+                (grads[lo:hi], losses[lo:hi]),
+            )
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+    if any(f.exception() is None and f.result() is None for f in futures):
+        return None
+    failed = [f.exception() for f in futures if f.exception() is not None]
+    if failed:
+        other = [e for e in failed if not isinstance(e, OptimizationError)]
+        # one process stops at the earliest step, naming its lowest bad row:
+        # min keeps the first (lowest) block among equal steps
+        raise other[0] if other else min(failed, key=lambda e: e.step)
+    parts = [f.result() for f in futures]
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        parts[0][2],
+    )
+
+
+def _descend(nets, targets, layer_name, opt: OptConfig):
+    """Batched projected descent; returns per-row best (inputs, losses) and
+    the run's DescentSpan. Split over worker processes when that pays (see
+    the module docstring); the result is the same either way."""
+    start = time.perf_counter()
+    rows = targets.shape[0]
+    rng = np.random.default_rng(opt.seed)
+    x = rng.uniform(opt.box_low, opt.box_high, size=(rows, nets[0].input_dim))
+    workers = _worker_count(nets, layer_name, rows, opt.steps)
+    result = _split_descent(nets, targets, layer_name, opt, x, workers) if workers > 1 else None
+    if result is None:
+        workers = 1
+        result = _descend_rows(nets, targets, layer_name, opt, x)
+    best_x, best_loss, members = result
+    span = DescentSpan(workers, rows, opt.steps, members, time.perf_counter() - start)
+    return best_x, best_loss, span
 
 
 def synthesize_trigger_set(
@@ -193,7 +334,7 @@ def synthesize_trigger_set(
         raise ValueError(f"centroid set has {cs.k} folds, codebook uses {cb.k} symbols")
     t = cb.t
     targets = cs.centroids[cb.codewords.T.astype(np.int64)]  # (T, N)
-    all_x, all_loss = _descend(nets, np.tile(targets, (opt.restarts, 1)), layer_name, opt)
+    all_x, all_loss, span = _descend(nets, np.tile(targets, (opt.restarts, 1)), layer_name, opt)
     pick = all_loss.reshape(opt.restarts, t).argmin(axis=0)
     best_x = all_x.reshape(opt.restarts, t, -1)[pick, np.arange(t)]
     best_loss = all_loss.reshape(opt.restarts, t)[pick, np.arange(t)]
@@ -207,6 +348,7 @@ def synthesize_trigger_set(
         layer_name=layer_name,
         final_losses=best_loss.astype(np.float32),
         converged=best_loss <= budget,
+        descent=span,
     )
 
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from neuralign.config import AttackSpec, ExperimentConfig, validate_config
@@ -25,6 +27,15 @@ def tiny_config() -> ExperimentConfig:
         AttackSpec(kind="rescale", trials=3, scale_low=0.2, scale_high=5.0),
     ]
     return validate_config(cfg)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a live child process behind, such as a
+    descent's worker pool that was never shut down."""
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"live child processes after the test: {leaked}"
 
 
 @pytest.fixture()

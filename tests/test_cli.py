@@ -166,6 +166,20 @@ def test_bad_config_exits_1(tmp_path, capsys):
     assert "coding.k" in capsys.readouterr().err
 
 
+def test_train_over_an_earlier_run_exits_1(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+    assert main(["encode", "--out", str(out)]) == EXIT_OK
+    codebook = (out / CODEBOOK_FILE).read_bytes()
+    capsys.readouterr()
+    code = main(["train", "--config", str(cfg_file), "--out", str(out), "--seed", "9"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"run directory {out} already holds run artifacts (config.json)" in err
+    assert load_config(out / CONFIG_FILE).seed != 9
+    assert (out / CODEBOOK_FILE).read_bytes() == codebook
+
+
 def test_unsatisfiable_codebook_exits_3(tiny_run, tmp_path, capsys):
     """16 neurons cannot get distinct 3-symbol binary words: numeric failure."""
     _, out, _ = tiny_run

@@ -1,5 +1,7 @@
 """Forward/backward correctness against hand arithmetic and finite differences."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,12 @@ def test_training_reports_divergence():
     net = init_network(4, [8, 2], seed=2)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
         train(net, data, TrainConfig(epochs=3, lr=1e30))
+
+
+def test_training_divergence_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(TrainingDivergenceError(7)))
+    assert type(err) is TrainingDivergenceError
+    assert err.epoch == 7 and str(err) == "non-finite training loss in epoch 7"
 
 
 def test_layers_reject_non_finite_parameters():

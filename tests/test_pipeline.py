@@ -216,6 +216,39 @@ def test_timing_sections_cover_stages(tiny_run):
     assert (out / "timings_report.json").exists()
 
 
+def test_forge_timings_carry_the_descent_span(tiny_run):
+    cfg, out, report = tiny_run
+    # T2: the model plus 2 fine-tuned copies; both pruned copies fold into the model
+    for mode, members in (("t1", 1), ("t2", 3)):
+        entry = read_json(out / f"timings_forge_{mode}.json")
+        span = entry["descent"]
+        assert set(span) == {"workers", "rows", "steps", "members", "seconds"}
+        assert span["rows"] == cfg.coding.t * cfg.triggers.restarts
+        assert span["steps"] == cfg.triggers.steps
+        assert span["workers"] >= 1 and 0.0 <= span["seconds"] <= entry["seconds"]
+        assert span["members"] == members
+        # the report keeps one number per stage
+        assert report["timings"][f"forge_{mode}"] == entry["seconds"]
+
+
+def test_train_refuses_a_directory_with_run_artifacts(tiny_run, tmp_path):
+    """Training over an earlier run would leave its codebook, triggers and
+    summaries next to the new config echo, so the report would mix runs."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    before = {p.name: p.stat().st_mtime_ns for p in copy.iterdir()}
+    with pytest.raises(ValueError, match=f"run directory {copy} already holds run artifacts"):
+        pipeline.stage_train(cfg, copy)
+    with pytest.raises(ValueError, match=r"\(config.json\)"):
+        run_all(cfg, copy)
+    assert {p.name: p.stat().st_mtime_ns for p in copy.iterdir()} == before
+    only_suspects = tmp_path / "suspects_only"
+    (only_suspects / "suspects" / "np").mkdir(parents=True)
+    with pytest.raises(ValueError, match=r"\(suspects\)"):
+        pipeline.stage_train(cfg, only_suspects)
+
+
 def test_csv_tables(tiny_run):
     _, out, report = tiny_run
     with (out / "capacity_table.csv").open() as fh:

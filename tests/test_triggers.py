@@ -1,5 +1,8 @@
 """Trigger synthesis: descent behavior, separation statistics, ensembles."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from neuralign.coding import (
     codebook_digest,
     compute_centroids,
     default_codebook,
+    load_codebook,
     nearest_centroid,
 )
 from neuralign.data import make_blobs
@@ -22,6 +26,8 @@ from neuralign.network import (
     init_network,
     train,
 )
+from neuralign.pipeline import CODEBOOK_FILE, MODEL_FILE, load_centroids, make_experiment_data
+from neuralign.serialize import load_model
 from neuralign.triggers import (
     MODE_ENSEMBLE,
     MODE_SINGLE,
@@ -155,7 +161,7 @@ def test_descent_equals_allocating_updates(trained):
     nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
     targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 10))
     opt = OptConfig(steps=30, lr=0.05, seed=4)
-    best_x, best_loss = triggers._descend(nets, targets, "dense1", opt)
+    best_x, best_loss, _ = triggers._descend(nets, targets, "dense1", opt)
     x = np.random.default_rng(opt.seed).uniform(opt.box_low, opt.box_high, size=(6, 16))
     ref_x, ref_loss = x.copy(), np.full(6, np.inf)
     for _ in range(opt.steps + 1):
@@ -190,6 +196,147 @@ def test_overflowing_loss_raises_with_step():
     with np.errstate(all="ignore"), pytest.raises(OptimizationError) as info:
         synthesize_trigger_set(ens, "dense3", cs, cb, opt)
     assert info.value.step == 0
+
+
+def test_optimization_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(OptimizationError("non-finite loss for row 3 at step 4", 4)))
+    assert type(err) is OptimizationError
+    assert str(err) == "non-finite loss for row 3 at step 4" and err.step == 4
+
+
+# ------------------------------------------------------ descent split in rows
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _in_process_and_split(nets, targets, layer_name, opt, monkeypatch):
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
+    whole = triggers._descend(nets, targets, layer_name, opt)
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
+    split = triggers._descend(nets, targets, layer_name, opt)
+    assert whole[2].workers == 1
+    return whole, split
+
+
+def _assert_same_descent(whole, split):
+    assert np.array_equal(split[0], whole[0]) and np.array_equal(split[1], whole[1])
+    assert split[0].tobytes() == whole[0].tobytes() and split[1].tobytes() == whole[1].tobytes()
+    assert split[2].members == whole[2].members and split[2].rows == whole[2].rows
+
+
+def test_split_descent_equals_in_process_on_tiny_config(tiny_run, monkeypatch):
+    """The tiny run's T2 descent (its ensemble, targets and seed) gives the
+    same bits split over the cores as in one process."""
+    cfg, out, _ = tiny_run
+    model = load_model(out / MODEL_FILE)
+    cb, cs = load_codebook(out / CODEBOOK_FILE), load_centroids(out)
+    layer = cfg.model.watermarked_layer
+    ens = make_variant_ensemble(
+        model, make_experiment_data(cfg)[0], layer, cfg.triggers.j, seed=5,
+        prune_step=cfg.triggers.prune_step,
+    )
+    targets = np.tile(cs.centroids[cb.codewords.T.astype(np.int64)], (cfg.triggers.restarts, 1))
+    opt = OptConfig(steps=cfg.triggers.steps, seed=9)
+    whole, split = _in_process_and_split(ens.networks, targets, layer, opt, monkeypatch)
+    _assert_same_descent(whole, split)
+    # the blocks' GEMMs round as the whole batch's, so the split really ran
+    assert split[2].workers == CORES
+
+
+@pytest.mark.parametrize("j", [0, 6])
+def test_split_descent_equals_in_process_at_default_shapes(j, monkeypatch):
+    """Default widths 48-128-32, 60 triggers x 8 restarts, T1 and T2."""
+    data = make_blobs(200, 48, 4, seed=1)
+    net = train(init_network(48, [128, 32, 16, 4], seed=1), data,
+                TrainConfig(epochs=1, lr=0.05, seed=1))
+    nets = make_variant_ensemble(net, data, "dense1", j=j, seed=2).networks
+    targets = np.random.default_rng(4).uniform(0.0, 2.0, size=(480, 32))
+    whole, split = _in_process_and_split(nets, targets, "dense1", OptConfig(steps=20, seed=3),
+                                         monkeypatch)
+    _assert_same_descent(whole, split)
+    assert split[2].workers == min(CORES, 480)
+    assert whole[2].members == (1 if j == 0 else 4)  # the 3 pruned variants fold
+
+
+class _FailingKernel(InputGradientKernel):
+    """Reports a NaN loss for the row whose first target is `row` at the
+    given kernel call (step); calls are counted per kernel, so per block."""
+
+    failures = {}  # global row -> step
+
+    def __init__(self, nets, targets, layer_name):
+        super().__init__(nets, targets, layer_name)
+        self.calls = 0
+
+    def __call__(self, x):
+        grads, losses = super().__call__(x)
+        for local, row in enumerate(self.targets[:, 0].astype(int)):
+            if self.failures.get(row) == self.calls:
+                losses[local] = np.nan
+        self.calls += 1
+        return grads, losses
+
+
+@pytest.mark.parametrize("failures, row, step", [
+    ({1: 5, 6: 3}, 6, 3),  # the second block fails first
+    ({2: 3, 5: 3}, 2, 3),  # same step: the lowest row wins
+])
+def test_split_descent_raises_what_one_process_raises(failures, row, step, monkeypatch):
+    nets = [init_network(6, [10, 5, 2], seed=1)]
+    targets = np.column_stack([np.arange(8.0), np.zeros((8, 4))])  # column 0 names the row
+    monkeypatch.setattr(_FailingKernel, "failures", failures)
+    monkeypatch.setattr(triggers, "InputGradientKernel", _FailingKernel)
+    opt = OptConfig(steps=10, seed=1)
+    raised = []
+    for floor in (float("inf"), 0.0):
+        monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", floor)
+        with pytest.raises(OptimizationError) as info:
+            triggers._descend(nets, targets, "dense1", opt)
+        raised.append((str(info.value), info.value.step))
+    assert raised[0] == raised[1] == (f"non-finite loss for row {row} at step {step}", step)
+    # the split's error came back from a worker, carrying its traceback
+    assert CORES < 2 or info.value.__cause__ is not None
+
+
+def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
+    """A block whose first step differs from the whole batch's in any bit
+    makes the descent run in-process, so the result never depends on it."""
+
+    class Skewed(InputGradientKernel):
+        def __call__(self, x):
+            grads, losses = super().__call__(x)
+            if len(x) < 8:  # a block, not the whole batch
+                losses += 1e-9
+            return grads, losses
+
+    nets = [init_network(6, [10, 5, 2], seed=1)]
+    targets = np.random.default_rng(2).uniform(0.0, 1.0, size=(8, 5))
+    opt = OptConfig(steps=10, seed=1)
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
+    whole = triggers._descend(nets, targets, "dense1", opt)
+    monkeypatch.setattr(triggers, "InputGradientKernel", Skewed)
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
+    fallback = triggers._descend(nets, targets, "dense1", opt)
+    assert fallback[2].workers == 1
+    assert np.array_equal(fallback[0], whole[0])
+
+
+def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
+    net, data = trained
+    targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 10))
+    opt = OptConfig(steps=30, seed=2)
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
+    whole = triggers._descend([net], targets, "dense1", opt)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(triggers, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(triggers, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
+    alone = triggers._descend([net], targets, "dense1", opt)
+    assert alone[2].workers == 1
+    _assert_same_descent(whole, alone)
 
 
 @pytest.fixture(scope="module")
