@@ -11,7 +11,8 @@ that decoding tolerates corrupted positions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -154,12 +155,27 @@ def min_pairwise_distance(codewords: np.ndarray) -> int:
     return best
 
 
+@lru_cache(maxsize=1)
+def _candidate_words(n: int, t: int, k: int, seed: int) -> np.ndarray:
+    """The seed's stream of 400 * N candidate words, one draw per word, so
+    every probe of `default_codebook`'s search reads the same stream; kept
+    for the next call with the same arguments (read-only)."""
+    rng = np.random.default_rng(seed)
+    words = np.stack([
+        rng.integers(0, k, size=t, dtype=np.uint8) for _ in range(400 * n)
+    ])
+    words.flags.writeable = False
+    return words
+
+
 def generate_codebook(n: int, t: int, k: int, d_min: int, seed: int) -> Codebook:
     """Draw codewords uniformly at random, rejecting any too close to a kept one.
 
     Raises CapacityError when 400 * N attempts run out before N words are
     found, which is the practical signal that d_min is too ambitious for
-    (N, T, K); the remedy is a longer T or a smaller d_min.
+    (N, T, K); the remedy is a longer T or a smaller d_min. The candidates are
+    tested in draw order against every kept word at once: each accepted word
+    lowers the nearest-kept distance of all later candidates in one pass.
     """
     if n < 1:
         raise ValueError("need at least one codeword")
@@ -176,21 +192,24 @@ def generate_codebook(n: int, t: int, k: int, d_min: int, seed: int) -> Codebook
         )
     if k**t < n:
         raise CapacityError(f"only {k**t} distinct words of length {t} exist, need {n}")
-    budget = 400 * n
-    rng = np.random.default_rng(seed)
-    kept = np.empty((n, t), dtype=np.uint8)
-    count = 0
-    for _ in range(budget):
-        cand = rng.integers(0, k, size=t, dtype=np.uint8)
-        if count == 0 or int((kept[:count] != cand).sum(axis=1).min()) >= d_min:
-            kept[count] = cand
-            count += 1
-            if count == n:
-                return Codebook(kept.copy(), k, min_pairwise_distance(kept), seed)
-    raise CapacityError(
-        f"found only {count}/{n} codewords at distance >= {d_min} within "
-        f"{budget} attempts; increase T or decrease d_min"
-    )
+    words = _candidate_words(n, t, k, seed)
+    kept = [0]  # stream indices of the kept words, in draw order
+    # each candidate's distance to its nearest kept word; only candidates
+    # after the last kept one are ever read
+    nearest = np.full(len(words), t, dtype=np.int64)
+    while len(kept) < n:
+        last = kept[-1]
+        rest = nearest[last + 1 :]
+        np.minimum(rest, np.count_nonzero(words[last + 1 :] != words[last], axis=1), out=rest)
+        far = np.flatnonzero(rest >= d_min)
+        if far.size == 0:
+            raise CapacityError(
+                f"found only {len(kept)}/{n} codewords at distance >= {d_min} within "
+                f"{len(words)} attempts; increase T or decrease d_min"
+            )
+        kept.append(last + 1 + int(far[0]))
+    cw = words[kept]
+    return Codebook(cw, k, min_pairwise_distance(cw), seed)
 
 
 def default_codebook(n: int, t: int, k: int, k_corrupted: int, seed: int) -> Codebook:

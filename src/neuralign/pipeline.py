@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import platform
+import shutil
 import time
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .attacks import (
     attack_ftp,
     attack_npp,
     attack_rescale,
-    functional_drift,
     permute_neurons,
     random_permutation,
     random_scales,
@@ -52,7 +52,8 @@ from .coding import (
 )
 from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config
 from .data import make_blobs, split_dataset
-from .network import Dataset, Network, TrainConfig, accuracy, init_network, train
+from .network import Dataset, Network, TrainConfig, accuracy, forward, init_network, train
+from .parallel import pool_size, run_blocks
 from .serialize import file_sha256, load_model, save_model
 from .triggers import (
     MODE_ENSEMBLE,
@@ -416,8 +417,36 @@ def _forge_suspect(cfg, kind, model, layer, spec, attacker_data, trial_seed):
     raise ValueError(f"unknown attack kind {kind!r}")
 
 
+def _attack_trials(lo, hi, cfg, out, kind, model, held) -> list:
+    """Trials [lo, hi) of an attack stage, in trial order: forge and save each
+    suspect, and read its drift and task accuracy off one forward pass over
+    `held` (the values `functional_drift` and `accuracy` give)."""
+    layer = cfg.model.watermarked_layer
+    n = model.layer(layer).out_dim
+    marked = forward(model, held.inputs).final
+    records = []
+    for i in range(lo, hi):
+        trial_seed = derive_seed(cfg.seed, "attack", kind, i)
+        spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
+        suspect = _forge_suspect(cfg, kind, model, layer, spec, held, trial_seed)
+        save_model(suspect, suspect_file(out, kind, i))
+        scores = forward(suspect, held.inputs).final
+        records.append({
+            "trial": i,
+            "perm": [int(p) for p in spec.perm],
+            "drift": float(np.max(np.abs(marked - scores))),
+            "accuracy": float((scores.argmax(axis=1) == held.labels).mean()),
+        })
+    return records
+
+
 def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = None) -> dict:
-    """Run seeded attack trials against the marked model and save each suspect."""
+    """Run seeded attack trials against the marked model and save each suspect.
+
+    The trials never interact, so with more than one usable core they run in
+    contiguous blocks through `run_blocks`; the records are concatenated in
+    trial order, so suspects and summary are the same bytes either way.
+    """
     if kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {kind!r}")
     out = Path(out)
@@ -425,33 +454,31 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
     trials = a.trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    with _StageTimer(out, f"attack_{kind}"):
+    with _StageTimer(out, f"attack_{kind}") as timer:
         model = load_model(out / MODEL_FILE)
-        layer = cfg.model.watermarked_layer
-        n = model.layer(layer).out_dim
-        train_ds, held = make_experiment_data(cfg)
+        _, held = make_experiment_data(cfg)
         sdir = suspect_dir(out, kind)
-        sdir.mkdir(parents=True, exist_ok=True)
-        base_acc = accuracy(model, held)
-        records = []
-        for i in range(trials):
-            trial_seed = derive_seed(cfg.seed, "attack", kind, i)
-            spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
-            suspect = _forge_suspect(cfg, kind, model, layer, spec, held, trial_seed)
-            save_model(suspect, suspect_file(out, kind, i))
-            records.append({
-                "trial": i,
-                "perm": [int(p) for p in spec.perm],
-                "drift": functional_drift(model, suspect, held.inputs),
-                "accuracy": accuracy(suspect, held),
-            })
+        if sdir.exists():  # an earlier, longer attack's trials would linger
+            shutil.rmtree(sdir)
+        sdir.mkdir(parents=True)
+        start = time.perf_counter()
+        workers = pool_size(trials)
+        if workers > 1:
+            futures = run_blocks(_attack_trials, trials, workers, cfg, out, kind, model, held)
+            # result() raises the first failed block's error: the lowest trial's
+            records = [r for f in futures for r in f.result()]
+        else:
+            records = _attack_trials(0, trials, cfg, out, kind, model, held)
+        timer.spans["trials"] = {
+            "workers": workers, "trials": trials, "seconds": time.perf_counter() - start,
+        }
         drifts = [r["drift"] for r in records]
         accs = [r["accuracy"] for r in records]
         summary = {
             "kind": kind,
-            "layer": layer,
+            "layer": cfg.model.watermarked_layer,
             "trials": trials,
-            "base_accuracy": base_acc,
+            "base_accuracy": accuracy(model, held),
             "mean_drift": float(np.mean(drifts)),
             "max_drift": float(np.max(drifts)),
             "mean_accuracy": float(np.mean(accs)),

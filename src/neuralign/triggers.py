@@ -9,31 +9,22 @@ makes the readout survive those attacks at the price of a harder objective.
 All T positions are optimized as one batch; each row keeps its best-so-far
 input so a late bad step cannot lose a good solution.
 
-The rows never interact, so a large descent runs on every core the process
-may use (`os.sched_getaffinity`): the rows are split into one contiguous
-block per core, each block descends in a worker forked from this process
-(Linux `fork`, so an unguarded calling script is never re-imported), and the
-per-row results are concatenated in row order. Each worker pins numpy's
-bundled OpenBLAS to one thread, since workers that inherit several BLAS
-threads each fight over the same cores. OpenBLAS computes each GEMM row the
-same way at any thread count and at any row count above the sizes its
-small-matrix kernels take, so the triggers are byte-identical to a
-one-process descent; the first step of every block is compared with the
-whole batch's, and any differing bit sends the descent back into one
-process. A descent below `SPLIT_FLOOR_MACS`, a process with one core, or a
-numpy without a bundled OpenBLAS runs in this process.
+The rows never interact, so a large descent runs on every core through
+`parallel.run_blocks`: one contiguous block of rows per usable core, each
+descended in a forked worker with one BLAS thread, the per-row results
+concatenated in row order. OpenBLAS computes each GEMM row the same way at
+any thread count and at any row count above the sizes its small-matrix
+kernels take, so the triggers are byte-identical to a one-process descent;
+the first step of every block is compared with the whole batch's, and any
+differing bit sends the descent back into one process. A descent below
+`SPLIT_FLOOR_MACS`, or one the pool helper keeps in-process (one core, no
+bundled OpenBLAS), runs in this process.
 """
 
 from __future__ import annotations
 
-import ctypes
-import multiprocessing
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -48,6 +39,7 @@ from .network import (
     finetune_variant,
     prune_variant,
 )
+from .parallel import pool_size, run_blocks
 from .serialize import (
     MAGIC_TRIGGERS,
     PayloadReader,
@@ -198,63 +190,38 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
 # 214 ms in-process and 208 ms split, 4e9 288 -> 262 ms, 1e10 719 -> 507 ms.
 # A tiny-config descent is 5e7 to 2e8; the default T1 descent is 1e10.
 SPLIT_FLOOR_MACS = 4e9
-BLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads",
-)
-
-
-@lru_cache(maxsize=None)
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS bundled with numpy's wheel, or
-    None when numpy bundles none (a build against a system BLAS)."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*blas*")):
-        handle = ctypes.CDLL(str(lib))  # the copy numpy already loaded
-        for symbol in BLAS_SETTERS:
-            if hasattr(handle, symbol):
-                setter = getattr(handle, symbol)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return setter
-    return None
-
-
-def _one_blas_thread() -> None:
-    _blas_thread_setter()(1)
 
 
 def _worker_count(nets, layer_name: str, rows: int, steps: int) -> int:
-    """Processes to split the rows over: one per usable core, or 1 when the
-    descent is too small to repay the pool or no BLAS setter pins workers."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cores < 2 or _blas_thread_setter() is None:
-        return 1
+    """Processes to split the rows over: the pool helper's count, or 1 when
+    the descent is too small to repay the pool."""
+    workers = pool_size(rows)
     macs = sum(
         layer.weights.size
         for net in nets
         for layer in net.layers[: net.layer_index(layer_name) + 1]
     )
-    if rows * (steps + 1) * macs < SPLIT_FLOOR_MACS:
-        return 1
-    return min(cores, rows)
+    return 1 if rows * (steps + 1) * macs < SPLIT_FLOOR_MACS else workers
 
 
-def _descend_rows(nets, targets, layer_name, opt: OptConfig, x, first_row=0, first_step=None):
-    """Projected descent of one block of rows, starting at x (overwritten);
-    row numbers in errors count from first_row. Returns per-row best (inputs,
-    losses) and the kernel's member count, or None when first_step (the whole
-    batch's step-0 grads and losses for these rows) differs from this block's
-    step 0 in any bit."""
+def _descend_rows(lo, hi, nets, targets, layer_name, opt: OptConfig, x, first_step=None):
+    """Projected descent of rows [lo, hi), starting at x[lo:hi] (overwritten).
+    Returns per-row best (inputs, losses) and the kernel's member count, or
+    None when first_step (the whole batch's step-0 grads and losses) differs
+    from this block's step 0 in any bit."""
+    targets, x = targets[lo:hi], x[lo:hi]
     kernel = InputGradientKernel(nets, targets, layer_name)
     best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf)
     step_x = np.empty_like(x)
     for step in range(opt.steps + 1):
         grads, losses = kernel(x)
         if step == 0 and first_step is not None and (
-            grads.tobytes() != first_step[0].tobytes()
-            or losses.tobytes() != first_step[1].tobytes()
+            grads.tobytes() != first_step[0][lo:hi].tobytes()
+            or losses.tobytes() != first_step[1][lo:hi].tobytes()
         ):
             return None
         if not np.all(np.isfinite(losses)):
-            bad = first_row + int(np.flatnonzero(~np.isfinite(losses))[0])
+            bad = lo + int(np.flatnonzero(~np.isfinite(losses))[0])
             raise OptimizationError(f"non-finite loss for row {bad} at step {step}", step)
         improved = losses < best_loss
         best_loss[improved] = losses[improved]
@@ -268,22 +235,14 @@ def _descend_rows(nets, targets, layer_name, opt: OptConfig, x, first_row=0, fir
 
 
 def _split_descent(nets, targets, layer_name, opt: OptConfig, x, workers: int):
-    """`_descend_rows` on contiguous row blocks in forked one-BLAS-thread
-    workers, concatenated in row order; None when a block's first step is not
-    the whole batch's bit for bit (a BLAS that rounds a block's GEMMs
-    differently), so the caller descends in-process instead."""
-    grads, losses = InputGradientKernel(nets, targets, layer_name)(x)
-    bounds = np.linspace(0, targets.shape[0], workers + 1).astype(int)
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
-    ) as pool:
-        futures = [
-            pool.submit(
-                _descend_rows, nets, targets[lo:hi], layer_name, opt, x[lo:hi], lo,
-                (grads[lo:hi], losses[lo:hi]),
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+    """`_descend_rows` on row blocks through `run_blocks`, concatenated in row
+    order; None when a block's first step is not the whole batch's bit for
+    bit (a BLAS that rounds a block's GEMMs differently), so the caller
+    descends in-process instead."""
+    first_step = InputGradientKernel(nets, targets, layer_name)(x)
+    futures = run_blocks(
+        _descend_rows, targets.shape[0], workers, nets, targets, layer_name, opt, x, first_step
+    )
     if any(f.exception() is None and f.result() is None for f in futures):
         return None
     failed = [f.exception() for f in futures if f.exception() is not None]
@@ -312,7 +271,7 @@ def _descend(nets, targets, layer_name, opt: OptConfig):
     result = _split_descent(nets, targets, layer_name, opt, x, workers) if workers > 1 else None
     if result is None:
         workers = 1
-        result = _descend_rows(nets, targets, layer_name, opt, x)
+        result = _descend_rows(0, rows, nets, targets, layer_name, opt, x)
     best_x, best_loss, members = result
     span = DescentSpan(workers, rows, opt.steps, members, time.perf_counter() - start)
     return best_x, best_loss, span

@@ -186,6 +186,56 @@ def test_overambitious_distance_exhausts_budget():
         generate_codebook(32, 160, 2, 129, seed=0)
 
 
+def _reference_codebook(n, t, k, d_min, seed):
+    """The generator as a plain loop: one candidate at a time against every
+    kept word. Returns (codewords, None) or (None, kept count at exhaustion)."""
+    rng = np.random.default_rng(seed)
+    kept = np.empty((n, t), dtype=np.uint8)
+    count = 0
+    for _ in range(400 * n):
+        cand = rng.integers(0, k, size=t, dtype=np.uint8)
+        if count == 0 or int((kept[:count] != cand).sum(axis=1).min()) >= d_min:
+            kept[count] = cand
+            count += 1
+            if count == n:
+                return kept, None
+    return None, count
+
+
+@pytest.mark.parametrize("n, t, k, seeds", [
+    (1, 5, 2, (0, 3)), (2, 1, 2, (0, 3)), (5, 8, 3, (0, 3, 11)), (9, 12, 7, (0, 3)),
+    (12, 24, 2, (3,)),
+])
+def test_generator_matches_the_plain_loop(n, t, k, seeds):
+    """Same words, or the same exhaustion count, at every distance."""
+    for seed in seeds:
+        for d_min in range(1, t + 1):
+            words, count = _reference_codebook(n, t, k, d_min, seed)
+            if words is None:
+                with pytest.raises(CapacityError, match=f"found only {count}/{n} codewords"):
+                    generate_codebook(n, t, k, d_min, seed)
+                continue
+            cb = generate_codebook(n, t, k, d_min, seed)
+            assert cb.codewords.tobytes() == words.tobytes()
+            assert cb.d_min == min_pairwise_distance(words)
+
+
+@pytest.mark.parametrize("n, t, k, kc, seed", [
+    (32, 60, 2, 1, 0), (16, 24, 2, 1, 5), (16, 40, 2, 1, 7), (10, 12, 3, 2, 1),
+])
+def test_default_codebook_matches_a_search_over_the_plain_loop(n, t, k, kc, seed):
+    lo, hi = 1, max(min(2 * max_correctable(n, t, k, kc) + 1, t), 1)
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        words, _ = _reference_codebook(n, t, k, mid, seed)
+        if words is None:
+            hi = mid - 1
+        else:
+            best, lo = words, mid + 1
+    assert default_codebook(n, t, k, kc, seed).codewords.tobytes() == best.tobytes()
+
+
 def test_default_codebook_reaches_useful_distance():
     cb = default_codebook(32, 60, 2, 1, seed=0)
     assert cb.n == 32 and cb.t == 60 and cb.k == 2

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -11,10 +12,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from neuralign import pipeline, triggers
+from neuralign import parallel, pipeline, triggers
 from neuralign.align import read_codes, verify_with_alignment
+from neuralign.attacks import functional_drift
 from neuralign.coding import load_codebook
-from neuralign.network import DenseLayer, Network, init_network
+from neuralign.config import ATTACK_KINDS, ExperimentConfig
+from neuralign.network import DenseLayer, Network, TrainConfig, accuracy, init_network, train
 from neuralign.pipeline import (
     CODEBOOK_FILE,
     ENCODE_SUMMARY,
@@ -32,11 +35,15 @@ from neuralign.pipeline import (
     forge_summary_file,
     format_capacity_grid,
     load_centroids,
+    make_experiment_data,
     read_json,
     run_all,
     stage_align,
+    stage_attack,
     stage_encode,
     stage_forge,
+    stage_report,
+    suspect_dir,
     suspect_file,
     trigger_file,
     validate_report,
@@ -330,7 +337,9 @@ def test_t2_forge_without_variants_is_refused(tiny_run, tmp_path):
 def test_run_all_looks_up_benchmark_hooks_in_pipeline(tiny_config_factory, tmp_path, monkeypatch):
     """The benchmark's desk workload wraps these three names in the pipeline
     module's namespace to capture verdicts and ensembles; run_all must call
-    them through it."""
+    them through it, in this process: at 3 trials per attack the attack
+    stages run in worker processes on a machine with more than one core, and
+    a hook moved into a worker would count nothing here."""
     calls = Counter()
     for name in ("stage_align", "verify_with_alignment", "make_variant_ensemble"):
         original = getattr(pipeline, name)
@@ -342,11 +351,12 @@ def test_run_all_looks_up_benchmark_hooks_in_pipeline(tiny_config_factory, tmp_p
         monkeypatch.setattr(pipeline, name, counted)
     cfg = tiny_config_factory()
     cfg.triggers.steps = 5
-    run_all(cfg, tmp_path / "run", trials=1)
+    run_all(cfg, tmp_path / "run")
     kinds, modes = len(cfg.attacks), len(pipeline.TRIGGER_MODES)
+    assert all(a.trials == 3 for a in cfg.attacks)
     assert calls == {
         "stage_align": kinds * modes,
-        "verify_with_alignment": kinds * modes,
+        "verify_with_alignment": kinds * modes * 3,
         "make_variant_ensemble": modes,
     }
 
@@ -441,3 +451,154 @@ def test_align_refuses_a_suspect_of_another_width(tiny_run, tmp_path):
     assert rest and all(r["accepted"] for r in rest)
     assert summary["no_align_accept_rate"] == 0.0
     assert summary["accept_rate"] == pytest.approx(len(rest) / (len(rest) + 1))
+
+
+# ------------------------------------------------- attack trials in blocks
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _attack_files(cfg, model_path, out, kinds) -> dict:
+    """Every kind's attack stage into a fresh run directory holding only the
+    model: relative path -> bytes of each suspect and summary, plus each
+    stage's trial span."""
+    out.mkdir()
+    shutil.copy(model_path, out / MODEL_FILE)
+    spans = {}
+    for kind in kinds:
+        stage_attack(cfg, out, kind)
+        spans[kind] = read_json(out / f"timings_attack_{kind}.json")["trials"]
+    files = {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != MODEL_FILE and not p.name.startswith("timings_")
+    }
+    return files, spans
+
+
+def _attack_alone_and_split(cfg, model_path, tmp_path, monkeypatch):
+    kinds = [a.kind for a in cfg.attacks]
+    with monkeypatch.context() as m:
+        m.setattr(parallel, "_blas_thread_setter", lambda: None)
+        alone, alone_spans = _attack_files(cfg, model_path, tmp_path / "alone", kinds)
+    split, split_spans = _attack_files(cfg, model_path, tmp_path / "split", kinds)
+    assert sorted(kinds) == sorted(ATTACK_KINDS)
+    assert len(alone) == sum(a.trials for a in cfg.attacks) + len(kinds)
+    assert split.keys() == alone.keys()
+    assert all(split[name] == alone[name] for name in alone)
+    for a in cfg.attacks:
+        assert alone_spans[a.kind]["workers"] == 1
+        assert split_spans[a.kind]["workers"] == min(CORES, a.trials)
+    return split
+
+
+def test_attack_split_equals_in_process_on_tiny_config(tiny_run, tmp_path, monkeypatch):
+    """Suspects and summaries of all four kinds are the same bytes whether the
+    trials run in blocks over the cores or in one process, and the same as
+    the tiny run's own."""
+    cfg, out, _ = tiny_run
+    split = _attack_alone_and_split(cfg, out / MODEL_FILE, tmp_path, monkeypatch)
+    assert all(data == (out / name).read_bytes() for name, data in split.items())
+
+
+def test_attack_split_equals_in_process_at_default_shapes(tmp_path, monkeypatch):
+    """Default data and widths (48-128-32-16-4), a few trials of each kind."""
+    cfg = ExperimentConfig()
+    cfg.attacks = [dataclasses.replace(a, trials=5) for a in cfg.attacks]
+    train_ds, _ = make_experiment_data(cfg)
+    net = train(
+        init_network(cfg.data.input_dim, [*cfg.model.widths, cfg.data.classes], seed=1),
+        train_ds, TrainConfig(epochs=1, lr=0.05, seed=1),
+    )
+    save_model(net, tmp_path / "model.naf")
+    _attack_alone_and_split(cfg, tmp_path / "model.naf", tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("failing, lowest", [
+    ({4, 1}, 1),  # one failure in each block: the first block's
+    ({5, 3}, 3),  # both in the last block: its first
+])
+def test_attack_split_raises_what_one_process_raises(tiny_run, tmp_path, monkeypatch,
+                                                     failing, lowest):
+    cfg, out, _ = tiny_run
+    forge = pipeline._forge_suspect
+    failing_seeds = {derive_seed(cfg.seed, "attack", "np", i): i for i in failing}
+
+    def failing_forge(cfg, kind, model, layer, spec, data, trial_seed):
+        if trial_seed in failing_seeds:
+            raise ValueError(f"trial {failing_seeds[trial_seed]} failed")
+        return forge(cfg, kind, model, layer, spec, data, trial_seed)
+
+    monkeypatch.setattr(pipeline, "_forge_suspect", failing_forge)
+    raised = []
+    for setter in (lambda: None, parallel._blas_thread_setter):
+        monkeypatch.setattr(parallel, "_blas_thread_setter", setter)
+        run = tmp_path / f"run{len(raised)}"
+        run.mkdir()
+        shutil.copy(out / MODEL_FILE, run / MODEL_FILE)
+        with pytest.raises(ValueError) as info:
+            stage_attack(cfg, run, "np", trials=6)
+        raised.append(str(info.value))
+    assert raised == [f"trial {lowest} failed"] * 2
+    # the split's error came back from a worker, carrying its traceback
+    assert CORES < 2 or info.value.__cause__ is not None
+
+
+@pytest.mark.parametrize("case", ["one core", "no blas setter", "one trial"])
+def test_attack_without_a_pool_starts_no_child(case, tiny_run, tmp_path, monkeypatch):
+    cfg, out, _ = tiny_run
+    shutil.copy(out / MODEL_FILE, tmp_path / MODEL_FILE)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    if case == "one core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif case == "no blas setter":
+        monkeypatch.setattr(parallel, "_blas_thread_setter", lambda: None)
+    trials = 1 if case == "one trial" else 3
+    summary = stage_attack(cfg, tmp_path, "rescale", trials=trials)
+    assert read_json(tmp_path / "timings_attack_rescale.json")["trials"]["workers"] == 1
+    full = read_json(out / pipeline.attack_summary_file("rescale"))
+    assert summary["records"] == full["records"][:trials]
+
+
+def test_attack_records_read_drift_and_accuracy_of_each_suspect(tiny_run):
+    """Drift and accuracy come from one forward pass per suspect, and equal
+    what `functional_drift` and `accuracy` give for the saved suspect."""
+    cfg, out, _ = tiny_run
+    model = load_model(out / MODEL_FILE)
+    _, held = make_experiment_data(cfg)
+    for kind in ATTACK_KINDS:
+        summary = read_json(out / pipeline.attack_summary_file(kind))
+        assert summary["base_accuracy"] == accuracy(model, held)
+        for rec in summary["records"]:
+            suspect = load_model(suspect_file(out, kind, rec["trial"]))
+            assert rec["drift"] == functional_drift(model, suspect, held.inputs)
+            assert rec["accuracy"] == accuracy(suspect, held)
+
+
+def test_attack_timings_carry_the_trial_span(tiny_run):
+    cfg, out, report = tiny_run
+    for a in cfg.attacks:
+        entry = read_json(out / f"timings_attack_{a.kind}.json")
+        span = entry["trials"]
+        assert set(span) == {"workers", "trials", "seconds"}
+        assert span["trials"] == a.trials and span["workers"] == min(CORES, a.trials)
+        assert 0.0 <= span["seconds"] <= entry["seconds"]
+        assert report["timings"][f"attack_{a.kind}"] == entry["seconds"]
+
+
+def test_attack_replaces_the_suspects_of_an_earlier_longer_attack(tiny_run, tmp_path):
+    """A 1-trial attack over a 3-trial one leaves one suspect, so the report
+    hashes only the suspects the attack summary lists."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    stage_attack(cfg, copy, "np", trials=1)
+    assert [p.name for p in suspect_dir(copy, "np").iterdir()] == ["trial_000.naf"]
+    report = stage_report(cfg, copy)
+    assert [name for name in report["artifacts"] if name.startswith("suspects/np/")] == [
+        "suspects/np/trial_000.naf"
+    ]

@@ -15,7 +15,7 @@ from neuralign.coding import (
     nearest_centroid,
 )
 from neuralign.data import make_blobs
-from neuralign import triggers
+from neuralign import parallel, triggers
 from neuralign.network import (
     DenseLayer,
     InputGradientKernel,
@@ -331,8 +331,8 @@ def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(triggers, "_blas_thread_setter", lambda: None)
-    monkeypatch.setattr(triggers, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
     alone = triggers._descend([net], targets, "dense1", opt)
     assert alone[2].workers == 1
