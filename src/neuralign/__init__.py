@@ -1,10 +1,11 @@
 """Neuron alignment defense for white-box neural network watermarks.
 
-The owner encodes each neuron of the watermarked layer as a codeword read off
-quantized activations on synthesized trigger inputs. An adversary may permute,
-fine-tune, prune, or rescale neurons without changing the network function;
-re-reading the codes on a suspect model and solving an assignment problem
-recovers the original neuron order so the watermark verifies again.
+The owner gives each neuron of the watermarked layer a codeword and forges
+trigger inputs that drive every neuron toward its word's centroids. An
+adversary may permute, fine-tune, prune, or rescale neurons without changing
+the network function; reading the suspect's activations on the triggers and
+solving a cosine assignment against those targets recovers the original neuron
+order so the watermark verifies again.
 """
 
 from .align import (
@@ -14,7 +15,6 @@ from .align import (
     align_to_matrix,
     alignment_accuracy,
     apply_alignment,
-    normalize_layer,
     read_codes,
     verify_with_alignment,
 )

@@ -1,11 +1,13 @@
 """Recovering the original neuron order of a suspect model.
 
-Feeding the owner's triggers through the suspect model gives each neuron an
-observed codeword; matching observed words to the codebook identifies where
-each original neuron went. A one-to-one assignment that minimizes the summed
-decode distance (rather than an independent nearest-word choice per neuron)
-guarantees a usable permutation even when noisy readouts collide on the same
-codeword.
+Feeding the owner's triggers through the suspect model gives each neuron a
+row of activations; trigger t was forged to drive neuron i toward the
+centroid of symbol t of neuron i's codeword, so matching the observed rows to
+those targets identifies where each original neuron went. The cost is 1 - cosine,
+which a positive rescale of a ReLU neuron cannot change. A one-to-one
+assignment that minimizes the summed cost (rather than an independent
+nearest-row choice per neuron) guarantees a usable permutation even when
+noisy rows collide on the same target.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .attacks import PermutationSpec, attack_rescale, inverse_permutation, permute_neurons
+from .attacks import PermutationSpec, inverse_permutation, permute_neurons
 from .coding import CentroidSet, Codebook, codebook_digest, nearest_centroid
-from .network import Network, UnknownLayerError
+from .network import Network
 from .serialize import IntegrityError
 from .triggers import TriggerSet, dead_neurons, layer_outputs
 from .watermark import OVResult, TamperError, WatermarkRecord, verify
@@ -43,80 +45,87 @@ class AlignmentResult:
     """perm_estimate[i] is the estimated current position of original neuron i."""
 
     perm_estimate: np.ndarray  # (N,) int64 bijection
-    per_neuron_distance: np.ndarray  # (N,) int64, decode distance at each position
-    collisions_resolved: int  # positions an independent nearest-word pick would have tied
-    dead: list  # positions silent on every trigger
+    # (N,) float64: at each position, the assigned row's cosine minus the best
+    # cosine to any other reference row; positive where the two picks agree
+    per_neuron_margin: np.ndarray
+    collisions_resolved: int  # live positions an independent nearest-row pick would have tied
+    dead: list  # positions silent on every probe
     layer_name: str
 
     @property
     def n(self) -> int:
         return int(self.perm_estimate.size)
 
+    @property
+    def margin(self) -> float | None:
+        """The smallest margin over live positions; None if every one is dead."""
+        live = np.delete(self.per_neuron_margin, self.dead)
+        return float(live.min()) if live.size else None
 
-def read_codes(
-    net: Network, layer_name: str, inputs: np.ndarray, centroid_set: CentroidSet
-) -> ObservedCodeMatrix:
-    """Quantize the suspect layer's outputs on the owner's probe inputs."""
+
+def _read_outputs(net: Network, layer_name: str, inputs: np.ndarray) -> np.ndarray:
+    """The suspect layer's outputs on the owner's probe inputs; a suspect that
+    cannot take the probes or lacks the layer is reported as tampering."""
     if net.input_dim != inputs.shape[1]:
         raise TamperError(
             f"suspect expects {net.input_dim}-dim inputs, probes are {inputs.shape[1]}-dim"
         )
     try:
-        raw = layer_outputs(net, layer_name, inputs)
+        return layer_outputs(net, layer_name, inputs)
     except KeyError as exc:
         raise TamperError(f"suspect model has no layer {layer_name!r}") from exc
+
+
+def read_codes(
+    net: Network, layer_name: str, inputs: np.ndarray, centroid_set: CentroidSet
+) -> ObservedCodeMatrix:
+    """Quantize the suspect layer's outputs on the owner's probe inputs."""
+    raw = _read_outputs(net, layer_name, inputs)
     codes = nearest_centroid(raw, centroid_set)
     return ObservedCodeMatrix(codes=codes, raw_outputs=raw, layer_name=layer_name)
 
 
-def _distance_matrix(obs: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """cost[p, i] = decode distance between the neuron at position p and word i,
-    the sum over t of |obs[p, t] - ref[i, t]| for integer codes.
-
-    Uses |a - b| = sum over thresholds s in (lo, hi] of |[a >= s] - [b >= s]|,
-    so each threshold costs two float64 matrix products of 0/1 indicators
-    instead of an (N, N, T) temporary; the counts are exact integers.
-    """
-    lo = int(min(obs.min(initial=0), ref.min(initial=0)))
-    hi = int(max(obs.max(initial=0), ref.max(initial=0)))
-    cost = np.zeros((obs.shape[0], ref.shape[0]))
-    for s in range(lo + 1, hi + 1):
-        a = (obs >= s).astype(np.float64)
-        b = (ref >= s).astype(np.float64)
-        cost += a @ (1.0 - b).T + (1.0 - a) @ b.T
-    return cost.astype(np.int64)
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm; a zero row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    return x / np.where(norms > 0, norms, 1.0)
 
 
 def align_to_matrix(
-    observed_codes: np.ndarray,
-    reference_codes: np.ndarray,
-    raw_outputs: np.ndarray | None = None,
-    layer_name: str = "",
+    observed: np.ndarray, reference: np.ndarray, layer_name: str = ""
 ) -> AlignmentResult:
-    """Minimum-total-distance bijection between observed and reference rows;
-    a row-count or length mismatch is reported as tampering."""
-    obs = np.asarray(observed_codes, dtype=np.int64)
-    ref = np.asarray(reference_codes, dtype=np.int64)
+    """Bijection between observed and reference rows that minimizes the summed
+    1 - cosine cost; a row-count or length mismatch is reported as tampering.
+
+    Cosine ignores each row's scale, so a positive rescale of a ReLU neuron,
+    which scales its activations by the same factor, leaves the cost unchanged.
+    """
+    obs = np.asarray(observed, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
     if obs.ndim != 2 or ref.ndim != 2:
-        raise TamperError(f"code matrices must be 2-D, got {obs.shape} and {ref.shape}")
+        raise TamperError(f"activation matrices must be 2-D, got {obs.shape} and {ref.shape}")
     if obs.shape[0] != ref.shape[0]:
         raise TamperError(
             f"suspect layer has {obs.shape[0]} neurons, reference has {ref.shape[0]} words"
         )
     if obs.shape[1] != ref.shape[1]:
         raise TamperError(
-            f"observed codes have length {obs.shape[1]}, reference words {ref.shape[1]}"
+            f"observed rows have length {obs.shape[1]}, reference rows {ref.shape[1]}"
         )
-    cost = _distance_matrix(obs, ref)
-    _, assign = linear_sum_assignment(cost)
-    greedy = cost.argmin(axis=1)
-    hits = np.bincount(greedy, minlength=cost.shape[0])
-    collisions = int(np.sum(hits[greedy] > 1))
-    dead = dead_neurons(raw_outputs) if raw_outputs is not None else []
+    cos = _unit_rows(obs) @ _unit_rows(ref).T
+    _, assign = linear_sum_assignment(1.0 - cos)
+    dead = dead_neurons(obs)
+    live = np.ones(cos.shape[0], dtype=bool)
+    live[dead] = False
+    greedy = cos.argmax(axis=1)
+    hits = np.bincount(greedy[live], minlength=cos.shape[0])
+    rows = np.arange(cos.shape[0])
+    assigned = cos[rows, assign]
+    cos[rows, assign] = -1.0  # the lowest cosine: a lone row has no rival
     return AlignmentResult(
         perm_estimate=inverse_permutation(assign),
-        per_neuron_distance=cost[np.arange(cost.shape[0]), assign].astype(np.int64),
-        collisions_resolved=collisions,
+        per_neuron_margin=assigned - cos.max(axis=1),
+        collisions_resolved=int(np.sum(hits[greedy[live]] > 1)),
         dead=dead,
         layer_name=layer_name,
     )
@@ -146,21 +155,6 @@ def alignment_accuracy(result: AlignmentResult, true_perm: np.ndarray) -> float:
     return float(correct.mean())
 
 
-def normalize_layer(net: Network, layer_name: str) -> Network:
-    """Rescale each neuron so its (row, bias) vector has unit L2 norm.
-
-    This is `attack_rescale` by the inverse norms, so the successor column
-    compensates and the output layer or a non-relu layer is refused the same
-    way. It cancels any positive rescaling an attacker applied; zero-norm
-    neurons stay untouched. Running it twice is a no-op up to float32 rounding.
-    """
-    layer = net.layer(layer_name)
-    w = layer.weights.astype(np.float64)
-    b = layer.biases.astype(np.float64)
-    norms = np.sqrt((w**2).sum(axis=1) + b**2)
-    return attack_rescale(net, layer_name, 1.0 / np.where(norms > 0, norms, 1.0))
-
-
 @dataclass(frozen=True)
 class AlignedVerification:
     ov: OVResult | None
@@ -173,31 +167,21 @@ class AlignedVerification:
 
 
 def verify_with_alignment(
-    net: Network,
-    triggers: TriggerSet,
-    cb: Codebook,
-    record: WatermarkRecord,
-    normalize: bool = False,
+    net: Network, triggers: TriggerSet, cb: Codebook, record: WatermarkRecord
 ) -> AlignedVerification:
-    """Full owner-side pipeline: read codes, align, undo the permutation, verify.
+    """Full owner-side pipeline: read the suspect's activations on the triggers,
+    align them to the targets the triggers were forged toward (each codeword's
+    symbols mapped to their centroids), undo the permutation, verify.
 
-    Code readout optionally runs on a normalized copy so rescaling cannot
-    distort the fold boundaries, but the recovered permutation is applied to
-    the suspect exactly as given. Shape inconsistencies, and a watermarked
-    layer that cannot be normalized, count as tampering and come back as a
-    refusal rather than an exception.
+    Shape inconsistencies count as tampering and come back as a refusal
+    rather than an exception.
     """
     if codebook_digest(cb) != triggers.codebook_ref:
         raise IntegrityError("trigger set was built for a different codebook")
+    targets = triggers.centroid_set.centroids[cb.codewords]
     try:
-        basis = normalize_layer(net, triggers.layer_name) if normalize else net
-    except (UnknownLayerError, ValueError) as exc:  # no relu hidden layer of that name
-        return AlignedVerification(ov=None, alignment=None, tamper_cause=exc.args[0])
-    try:
-        observed = read_codes(basis, triggers.layer_name, triggers.inputs, triggers.centroid_set)
-        result = align_to_matrix(
-            observed.codes, cb.codewords, observed.raw_outputs, observed.layer_name
-        )
+        observed = _read_outputs(net, triggers.layer_name, triggers.inputs)
+        result = align_to_matrix(observed, targets, triggers.layer_name)
     except TamperError as exc:
         return AlignedVerification(ov=None, alignment=None, tamper_cause=str(exc))
     aligned = apply_alignment(net, result)

@@ -1,8 +1,8 @@
 """Command line front end over the experiment stages.
 
-A run's settings are set once: `train` takes `--config`, `--seed` and
-`--normalize` and writes them to the run directory's config echo, and every
-later stage reads that echo back, so all stages of one run agree.
+A run's settings are set once: `train` takes `--config` and `--seed` and
+writes them to the run directory's config echo, and every later stage reads
+that echo back, so all stages of one run agree.
 
 Exit codes: 0 success, 1 validation problems (bad config, bad arguments,
 missing files, `train` into a directory holding an earlier run), 2 integrity
@@ -48,13 +48,11 @@ EXIT_NUMERIC = 3
 
 
 def _train_cfg(args) -> ExperimentConfig:
-    """The run's settings: the config file (else defaults), then --seed and
-    --normalize; `train` writes them to the echo."""
+    """The run's settings: the config file (else defaults), then --seed;
+    `train` writes them to the echo."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.normalize:
-        cfg.normalize = True
     return validate_config(cfg)
 
 
@@ -161,7 +159,7 @@ def cmd_verify(args) -> int:
     if args.triggers:
         ts = load_trigger_set(args.triggers)
         cb = load_codebook(args.codebook)
-        av = verify_with_alignment(net, ts, cb, record, normalize=args.normalize)
+        av = verify_with_alignment(net, ts, cb, record)
         if av.tamper_cause is not None:
             print(json.dumps({"refused": True, "cause": av.tamper_cause}))
             return EXIT_INTEGRITY
@@ -171,6 +169,7 @@ def cmd_verify(args) -> int:
             "aligned": True,
             "collisions_resolved": av.alignment.collisions_resolved,
             "dead_neurons": len(av.alignment.dead),
+            "margin": av.alignment.margin,
         }
     else:
         ov = verify(net, record)
@@ -208,10 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--config", help="experiment config JSON", default=None)
     sub.add_argument("--seed", type=int, default=None, help="override the config seed")
     _out_arg(sub)
-    sub.add_argument(
-        "--normalize", action="store_true",
-        help="put the watermarked layer in canonical scale before coding",
-    )
     sub.set_defaults(func=cmd_train)
 
     sub = subs.add_parser("encode", help="derive fold centroids and build the codebook")
@@ -241,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--record", required=True)
     sub.add_argument("--triggers", default=None, help="align before verifying")
     sub.add_argument("--codebook", default=None)
-    sub.add_argument("--normalize", action="store_true")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("report", help="aggregate stage summaries into report.json")

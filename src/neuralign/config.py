@@ -80,7 +80,6 @@ class AttackSpec:
 @dataclass
 class ExperimentConfig:
     seed: int = 0
-    normalize: bool = False
     data: DataSpec = field(default_factory=DataSpec)
     model: ModelSpec = field(default_factory=ModelSpec)
     coding: CodingSpec = field(default_factory=CodingSpec)
@@ -164,7 +163,8 @@ def _build(dc_type, value, path: str):
     known = {f.name: f for f in dataclasses.fields(dc_type)}
     unknown = set(value) - set(known)
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
+        key = sorted(unknown)[0]
+        raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
     kwargs = {}
     for key, val in value.items():
         sub = f"{path}.{key}" if path else key

@@ -27,7 +27,6 @@ import numpy as np
 from .align import (
     align_to_matrix,
     alignment_accuracy,
-    normalize_layer,
     read_codes,
     verify_with_alignment,
 )
@@ -59,6 +58,7 @@ from .triggers import (
     MODE_ENSEMBLE,
     MODE_SINGLE,
     OptConfig,
+    dead_neurons,
     layer_outputs,
     load_trigger_set,
     loss_budget,
@@ -284,14 +284,8 @@ def stage_encode(cfg: ExperimentConfig, out) -> dict:
     out = Path(out)
     with _StageTimer(out, "encode"):
         model = load_model(out / MODEL_FILE)
-        basis = (
-            normalize_layer(model, cfg.model.watermarked_layer)
-            if cfg.normalize else model
-        )
         train_ds, _ = make_experiment_data(cfg)
-        pooled = layer_outputs(
-            basis, cfg.model.watermarked_layer, train_ds.inputs
-        ).ravel()
+        pooled = layer_outputs(model, cfg.model.watermarked_layer, train_ds.inputs).ravel()
         cs = compute_centroids(pooled, cfg.coding.k)
         n = cfg.watermarked_width()
         cb = default_codebook(
@@ -344,13 +338,12 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     with _StageTimer(out, f"forge_{mode}") as timer:
         model = load_model(out / MODEL_FILE)
         layer = cfg.model.watermarked_layer
-        basis = normalize_layer(model, layer) if cfg.normalize else model
         cb = load_codebook(out / CODEBOOK_FILE)
         cs = load_centroids(out)
         train_ds, _ = make_experiment_data(cfg)
         j = 0 if mode == MODE_SINGLE else cfg.triggers.j
         ensemble = make_variant_ensemble(
-            basis, train_ds, layer, j,
+            model, train_ds, layer, j,
             seed=derive_seed(cfg.seed, "variants", mode),
             finetune_lr=cfg.triggers.variant_lr,
             batch_size=cfg.model.batch_size,
@@ -365,7 +358,7 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
         timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
-        observed = read_codes(basis, layer, ts.inputs, cs)
+        observed = read_codes(model, layer, ts.inputs, cs)
         stats = separation_stats(observed.raw_outputs, observed.codes)
         neuron_errors = np.sum(observed.codes != cb.codewords, axis=1)
         radius = (cb.d_min - 1) // 2
@@ -388,8 +381,8 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
             "separation_bound": bound,
             "passes_separation": bool(stats["mean_intra"] <= bound),
             "residual_symbol_errors": int(neuron_errors.sum()),
-            # the owner's own model read through the triggers: a neuron past
-            # the radius is recovered only if the assignment happens to fix it
+            # how well the triggers fit their codewords on the owner's own
+            # model, in quantized symbols; alignment reads the raw activations
             "residual_errors_per_neuron": neuron_errors.tolist(),
             "neurons_past_radius": int(np.sum(neuron_errors > radius)),
         }
@@ -522,7 +515,6 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
         record = load_record(out / RECORD_FILE)
         cb = load_codebook(out / CODEBOOK_FILE)
         ts = load_trigger_set(out / trigger_file(mode))
-        radius = (cb.d_min - 1) // 2
         attack = read_json(out / attack_summary_file(kind))
         records = []
         for rec in attack["records"]:
@@ -532,7 +524,7 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
                 plain = verify(suspect, record)
             except TamperError:  # another layer shape: the plain readout refuses too
                 plain = None
-            av = verify_with_alignment(suspect, ts, cb, record, normalize=cfg.normalize)
+            av = verify_with_alignment(suspect, ts, cb, record)
             true_perm = np.array(rec["perm"], dtype=np.int64)
             entry = {
                 "trial": i,
@@ -548,8 +540,9 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
                 )
                 entry["collisions_resolved"] = av.alignment.collisions_resolved
                 entry["dead"] = len(av.alignment.dead)
-                # decode margin: how far the worst neuron is inside the radius
-                entry["margin"] = radius - int(av.alignment.per_neuron_distance.max())
+                # positive exactly when every live neuron's nearest target is
+                # the one the assignment gave it
+                entry["margin"] = av.alignment.margin
             else:
                 entry["neuron_accuracy"] = None
                 entry["collisions_resolved"] = None
@@ -666,25 +659,25 @@ def validate_report(report: dict) -> dict:
 
 
 def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: CentroidSet) -> dict:
-    """Transcription scheme: plain heldout samples as probes, frame codes as
-    the reference. Measures how identifiable neurons are without synthesis."""
+    """Transcription scheme: plain heldout samples as probes, the marked
+    model's codes on them (mapped to their centroids) as the reference.
+    Measures how identifiable neurons are without synthesis."""
     model = load_model(out / MODEL_FILE)
     layer = cfg.model.watermarked_layer
-    basis = normalize_layer(model, layer) if cfg.normalize else model
     _, held = make_experiment_data(cfg)
     # stored like trigger inputs, so normal probes read out as T1 and T2 do
     probes = held.inputs[: cb.t].astype(np.float32)
-    reference = read_codes(basis, layer, probes, cs)
+    reference = read_codes(model, layer, probes, cs)
     stats = separation_stats(reference.raw_outputs, reference.codes)
+    targets = cs.centroids[reference.codes]
     accs = []
     n = model.layer(layer).out_dim
     for s in range(BASELINE_SHUFFLES):
         spec = random_permutation(n, derive_seed(cfg.seed, "baseline", s), layer)
-        shuffled = permute_neurons(basis, spec)
-        observed = read_codes(shuffled, layer, probes, cs)
-        result = align_to_matrix(
-            observed.codes, reference.codes, observed.raw_outputs, layer
-        )
+        observed = read_codes(permute_neurons(model, spec), layer, probes, cs)
+        result = align_to_matrix(cs.centroids[observed.codes], targets, layer)
+        # a neuron silent on every probe still reads as the lowest centroid
+        result = dataclasses.replace(result, dead=dead_neurons(observed.raw_outputs))
         accs.append(alignment_accuracy(result, spec.perm))
     bound = cs.min_gap / 10.0
     return {

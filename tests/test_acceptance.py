@@ -12,13 +12,18 @@ import time
 import numpy as np
 import pytest
 
-from neuralign.align import align_to_matrix
+from neuralign.align import align_to_matrix, verify_with_alignment
 from neuralign.attacks import attack_rescale, permute_neurons, random_permutation, random_scales
 from neuralign.coding import load_codebook
 from neuralign.config import ExperimentConfig
 from neuralign.network import InputGradientKernel, forward, init_network
-from neuralign.pipeline import CODEBOOK_FILE, MODEL_FILE, capacity_grid, run_all
+from neuralign.pipeline import (
+    CODEBOOK_FILE, MODEL_BASE_FILE, MODEL_FILE, RECORD_FILE, TRIGGER_MODES, capacity_grid,
+    load_centroids, run_all, trigger_file,
+)
 from neuralign.serialize import load_model
+from neuralign.triggers import load_trigger_set
+from neuralign.watermark import load_record
 
 PUBLISHED_GRID = {
     64: [4, 12, 21, 29, 38, 47, 56, 65],
@@ -77,10 +82,12 @@ def test_criterion_2_equivalence_attacks_preserve_function(desk, capfd):
 
 
 def test_criterion_3_ecc_radius_property(desk, capfd):
-    """The decoder verdicts use recovers any neuron order exactly while every
-    neuron's code is within the radius of its word."""
+    """The aligner verdicts use recovers any neuron order exactly while every
+    neuron's code is within the radius of its word, each symbol read as its
+    fold centroid."""
     _, out, *_ = desk
     cb = load_codebook(out / CODEBOOK_FILE)
+    centroids = load_centroids(out).centroids
     assert cb.k == 2  # a flip moves a symbol by decode distance 1
     radius = (cb.d_min - 1) // 2
     rng = np.random.default_rng(123)
@@ -92,7 +99,8 @@ def test_criterion_3_ecc_radius_property(desk, capfd):
         for row in observed:
             flips = rng.choice(cb.t, size=int(rng.integers(0, radius + 1)), replace=False)
             row[flips] = 1 - row[flips]
-        hits += np.array_equal(align_to_matrix(observed, cb.codewords).perm_estimate, perm)
+        result = align_to_matrix(centroids[observed], centroids[cb.codewords])
+        hits += np.array_equal(result.perm_estimate, perm)
     ok = hits == 1000
     _verdict(capfd, 3, ok, (
         f"assignment decode exact {hits}/1000 permuted codebooks with <= {radius} "
@@ -179,4 +187,45 @@ def test_criterion_8_deterministic_reports(desk, capfd):
     ok = dump(a) == dump(b)
     _verdict(capfd, 8, ok, "two full runs byte-identical modulo timing fields" if ok
              else "reports differ beyond timing fields")
+    assert ok
+
+
+def test_criterion_9_rescale_neuron_order(desk, capfd):
+    """Rescaling cannot hide a neuron: the cosine cost ignores each row's
+    scale. The rescale accept rate itself is a known failure and not gated."""
+    *_, report, _ = desk
+    rows = {r["mode"]: r for r in report["attacks"] if r["kind"] == "rescale"}
+    ok = set(rows) == set(TRIGGER_MODES) and all(
+        r["mean_neuron_accuracy"] >= 0.95 for r in rows.values()
+    )
+    _verdict(capfd, 9, ok, "RESCALE neuron accuracy " + "; ".join(
+        f"{m}={r['mean_neuron_accuracy']:.1%} (accept {r['accept_rate']:.0%})"
+        for m, r in sorted(rows.items())
+    ) + " (>=95%)")
+    assert ok
+
+
+def test_criterion_10_non_owner_model_refused(desk, capfd):
+    """The owner's unmarked base model, permuted, is refused by both schemes:
+    alignment does not manufacture a watermark."""
+    cfg, out, *_ = desk
+    base = load_model(out / MODEL_BASE_FILE)
+    record = load_record(out / RECORD_FILE)
+    cb = load_codebook(out / CODEBOOK_FILE)
+    layer = cfg.model.watermarked_layer
+    n = base.layer(layer).out_dim
+    accepted = {}
+    for mode in TRIGGER_MODES:
+        ts = load_trigger_set(out / trigger_file(mode))
+        accepted[mode] = sum(
+            verify_with_alignment(
+                permute_neurons(base, random_permutation(n, seed=seed, layer_name=layer)),
+                ts, cb, record,
+            ).accepted
+            for seed in range(20)
+        )
+    ok = all(a == 0 for a in accepted.values())
+    _verdict(capfd, 10, ok, "unmarked base x20 permutations accepted " + "; ".join(
+        f"{m}={a}/20" for m, a in sorted(accepted.items())
+    ) + " (=0)")
     assert ok

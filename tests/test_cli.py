@@ -96,6 +96,8 @@ def test_verify_plain_and_aligned(tiny_run, capsys):
     ]) == EXIT_OK
     aligned = json.loads(capsys.readouterr().out)
     assert aligned["accepted"] and aligned["aligned"] and aligned["ber"] == 0.0
+    record_0 = json.loads((out / "align_summary_np_t1.json").read_text())["records"][0]
+    assert aligned["margin"] == record_0["margin"] > 0
 
 
 def test_verify_needs_both_alignment_files(tiny_run, capsys):
@@ -122,19 +124,15 @@ def test_verify_refuses_destroyed_layer(tiny_run, tmp_path, capsys):
     assert refusal["refused"] and "neurons" in refusal["cause"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--normalize"]])
-def test_verify_refuses_output_layer_suspect_with_or_without_normalize(
-    tiny_run, tmp_path, capsys, flags
-):
+def test_verify_refuses_output_layer_suspect(tiny_run, tmp_path, capsys):
     """dense1 is the output layer of this suspect: a refusal (exit 2), not
-    invalid input (exit 1), whether or not the readout normalizes."""
+    invalid input (exit 1)."""
     cfg, out, _ = tiny_run
     path = tmp_path / "shallow.naf"
     save_model(init_network(cfg.data.input_dim, [48, cfg.data.classes], seed=0), path)
     code = main([
         "verify", "--model", str(path), "--record", str(out / RECORD_FILE),
         "--triggers", str(out / trigger_file("t1")), "--codebook", str(out / CODEBOOK_FILE),
-        *flags,
     ])
     assert code == EXIT_INTEGRITY
     assert json.loads(capsys.readouterr().out)["refused"]
@@ -193,6 +191,18 @@ def test_unsatisfiable_codebook_exits_3(tiny_run, tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_config_echo_with_unknown_key_exits_1(cfg_file, tmp_path, capsys):
+    """An echo written before a setting was removed names the key it refuses."""
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
+    echo = json.loads((out / CONFIG_FILE).read_text())
+    echo["normalize"] = False
+    (out / CONFIG_FILE).write_text(json.dumps(echo))
+    capsys.readouterr()
+    assert main(["encode", "--out", str(out)]) == EXIT_VALIDATION
+    assert "invalid input: normalize: unknown key" in capsys.readouterr().err
+
+
 def test_align_without_triggers_exits_1(cfg_file, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
@@ -203,12 +213,12 @@ def test_align_without_triggers_exits_1(cfg_file, tmp_path, capsys):
 
 
 def test_normalized_chain_reads_settings_from_echo(tiny_config_factory, tmp_path, capsys):
-    """--seed and --normalize are given to train only; every later stage reads
-    them from the echo and the chain reproduces run_all's report."""
+    """--seed is given to train only; every later stage reads it from the
+    echo and the chain reproduces run_all's report."""
     cfg_path = tmp_path / "cfg.json"
     save_config(tiny_config_factory(), cfg_path)
     out = tmp_path / "run"
-    train = ["train", "--config", str(cfg_path), "--seed", "3", "--normalize"]
+    train = ["train", "--config", str(cfg_path), "--seed", "3"]
     assert main([*train, "--out", str(out)]) == EXIT_OK
     for stage in ("encode", "forge", "attack", "align", "report"):
         assert main([stage, "--out", str(out)]) == EXIT_OK, stage
@@ -216,7 +226,7 @@ def test_normalized_chain_reads_settings_from_echo(tiny_config_factory, tmp_path
     capsys.readouterr()
 
     cfg = tiny_config_factory()
-    cfg.seed, cfg.normalize = 3, True
+    cfg.seed = 3
     expected = run_all(cfg, tmp_path / "api")
     got = json.loads((out / REPORT_FILE).read_text())
     del got["timings"], expected["timings"]
@@ -226,7 +236,7 @@ def test_normalized_chain_reads_settings_from_echo(tiny_config_factory, tmp_path
 @pytest.mark.parametrize("stage", ["encode", "forge", "attack", "align", "report"])
 def test_later_stages_take_settings_only_from_echo(stage, cfg_file, tmp_path, capsys):
     out = tmp_path / "run"
-    for flags in (["--config", str(cfg_file)], ["--seed", "5"], ["--normalize"]):
+    for flags in (["--config", str(cfg_file)], ["--seed", "5"]):
         assert main([stage, "--out", str(out), *flags]) == EXIT_VALIDATION
         assert "unrecognized arguments" in capsys.readouterr().err
     assert main([stage, "--out", str(out)]) == EXIT_VALIDATION  # no config echo
@@ -245,7 +255,7 @@ def test_usage_errors_exit_1(argv, capsys):
 
 def test_help_exits_0(capsys):
     assert main(["train", "--help"]) == EXIT_OK
-    assert "--normalize" in capsys.readouterr().out
+    assert "--seed" in capsys.readouterr().out
 
 
 def test_capacity_table_output(capsys):

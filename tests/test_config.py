@@ -32,7 +32,7 @@ def test_watermarked_layer_helpers():
 
 
 def test_round_trip_through_dict():
-    cfg = ExperimentConfig(seed=7, normalize=True)
+    cfg = ExperimentConfig(seed=7)
     cfg.attacks[1].trials = 11
     again = config_from_dict(config_to_dict(cfg))
     assert again == cfg

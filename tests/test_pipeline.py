@@ -403,8 +403,8 @@ def test_forge_summary_counts_neurons_past_radius(tiny_run):
 
 
 def test_align_records_carry_decode_margin(tiny_run, tmp_path):
-    """margin = radius - worst per-neuron decode distance; null where the
-    alignment was refused, and min_margin skips those records."""
+    """margin = the smallest per-neuron cosine margin over live positions;
+    null where the alignment was refused, and min_margin skips those records."""
     cfg, out, _ = tiny_run
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
@@ -420,14 +420,14 @@ def test_align_records_carry_decode_margin(tiny_run, tmp_path):
     cb = load_codebook(copy / CODEBOOK_FILE)
     ts = load_trigger_set(copy / trigger_file("t1"))
     record = load_record(copy / RECORD_FILE)
-    radius = (cb.d_min - 1) // 2
     margins = []
     for rec in summary["records"]:
         av = verify_with_alignment(load_model(suspect_file(copy, "np", rec["trial"])), ts, cb, record)
         if av.alignment is None:
             assert rec["trial"] == 0 and rec["margin"] is None
             continue
-        assert rec["margin"] == radius - int(av.alignment.per_neuron_distance.max())
+        live = np.delete(av.alignment.per_neuron_margin, av.alignment.dead)
+        assert rec["margin"] == live.min() == av.alignment.margin
         margins.append(rec["margin"])
     assert len(margins) == len(summary["records"]) - 1
     assert summary["min_margin"] == min(margins)
