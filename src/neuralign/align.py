@@ -8,6 +8,10 @@ which a positive rescale of a ReLU neuron cannot change. A one-to-one
 assignment that minimizes the summed cost (rather than an independent
 nearest-row choice per neuron) guarantees a usable permutation even when
 noisy rows collide on the same target.
+
+The aligned verdict reads the suspect's watermarked-layer rows in the
+estimated original order, in place: it builds no permuted copy of the
+suspect, and `apply_alignment`, which does, is the reference it must match.
 """
 
 from __future__ import annotations
@@ -132,7 +136,11 @@ def align_to_matrix(
 
 
 def apply_alignment(net: Network, result: AlignmentResult) -> Network:
-    """Send the neuron at position p back to its estimated original index."""
+    """Send the neuron at position p back to its estimated original index.
+
+    The restored layer's rows are weights[perm_estimate], which is what
+    `verify_with_alignment` reads without building this copy.
+    """
     spec = PermutationSpec(result.layer_name, inverse_permutation(result.perm_estimate))
     return permute_neurons(net, spec)
 
@@ -171,22 +179,29 @@ def verify_with_alignment(
 ) -> AlignedVerification:
     """Full owner-side pipeline: read the suspect's activations on the triggers,
     align them to the targets the triggers were forged toward (each codeword's
-    symbols mapped to their centroids), undo the permutation, verify.
+    symbols mapped to their centroids), and verify the watermarked layer's
+    rows read in the estimated original order. The verdict equals
+    `verify(apply_alignment(net, alignment), record)`, without the copy.
 
     Shape inconsistencies count as tampering and come back as a refusal
-    rather than an exception.
+    rather than an exception; owner artifacts that disagree raise
+    `IntegrityError`.
     """
     if codebook_digest(cb) != triggers.codebook_ref:
         raise IntegrityError("trigger set was built for a different codebook")
+    if triggers.layer_name != record.layer_name:
+        raise IntegrityError(
+            f"trigger set aligns layer {triggers.layer_name!r}, "
+            f"record watermarks layer {record.layer_name!r}"
+        )
     targets = triggers.centroid_set.centroids[cb.codewords]
     try:
         observed = _read_outputs(net, triggers.layer_name, triggers.inputs)
         result = align_to_matrix(observed, targets, triggers.layer_name)
     except TamperError as exc:
         return AlignedVerification(ov=None, alignment=None, tamper_cause=str(exc))
-    aligned = apply_alignment(net, result)
     try:
-        ov = verify(aligned, record)
+        ov = verify(net, record, result.perm_estimate)
     except TamperError as exc:
         return AlignedVerification(ov=None, alignment=result, tamper_cause=str(exc))
     return AlignedVerification(ov=ov, alignment=result, tamper_cause=None)

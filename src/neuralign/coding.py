@@ -19,6 +19,7 @@ import numpy as np
 
 from .serialize import (
     MAGIC_CODEBOOK,
+    FormatError,
     PayloadReader,
     PayloadWriter,
     read_container,
@@ -259,11 +260,14 @@ def save_codebook(cb: Codebook, path) -> None:
 
 def load_codebook(path) -> Codebook:
     r = PayloadReader(read_container(path, MAGIC_CODEBOOK))
-    n = r.u32()
-    t = r.u32()
-    k = r.u16()
-    d_min = r.u32()
-    seed = r.u64()
-    words = np.frombuffer(r.raw(n * t), dtype=np.uint8).reshape(n, t).copy()
-    r.expect_end()
-    return Codebook(words, k, d_min, seed)
+    try:
+        n = r.u32()
+        t = r.u32()
+        k = r.u16()
+        d_min = r.u32()
+        seed = r.u64()
+        words = np.frombuffer(r.raw(n * t), dtype=np.uint8).reshape(n, t).copy()
+        r.expect_end()
+        return Codebook(words, k, d_min, seed)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

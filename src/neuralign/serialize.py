@@ -4,6 +4,11 @@ Every artifact shares one container layout: a 4-byte magic, a u16 format
 version, a structured little-endian payload, and a trailing CRC32 of the
 payload. Model files use magic "NAF1"; watermark records, codebooks and
 trigger sets use sibling magics so a reader can tell artifacts apart.
+
+Readers parse fields in place, copying each array once out of the payload.
+A container whose checksum holds but whose fields fail their type's own
+validation is as corrupt as one that is cut short: each `load_*` reports it
+as a `FormatError` naming the file.
 """
 
 from __future__ import annotations
@@ -73,50 +78,64 @@ class PayloadWriter:
 
 
 class PayloadReader:
-    """Sequential reader that reports absolute byte offsets on truncation."""
+    """Sequential reader that parses each field in place at its offset, so an
+    array costs one copy out of the payload; truncation and negative lengths
+    are reported at absolute byte offsets."""
 
     def __init__(self, data: bytes, base_offset: int = _HEADER_LEN):
-        self.data = data
+        self.data = memoryview(data)
         self.off = 0
         self.base = base_offset
 
-    def _take(self, n: int) -> bytes:
+    def _advance(self, n: int) -> int:
+        """Start of the next n bytes, which the reader then moves past."""
+        if n < 0:
+            raise FormatError(f"negative field length {n} at byte {self.base + self.off}")
         if self.off + n > len(self.data):
             raise FormatError(
                 f"file truncated at byte {self.base + len(self.data)} "
                 f"(needed {n} more bytes at byte {self.base + self.off})"
             )
-        out = self.data[self.off : self.off + n]
+        start = self.off
         self.off += n
-        return out
+        return start
+
+    def _scalar(self, fmt: str):
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))[0]
+
+    def _array(self, dtype: str, count: int) -> np.ndarray:
+        start = self._advance(np.dtype(dtype).itemsize * count)
+        return np.frombuffer(self.data, dtype=dtype, count=count, offset=start).copy()
 
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return self._scalar("<B")
 
     def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
+        return self._scalar("<H")
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self._scalar("<I")
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return self._scalar("<Q")
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return self._scalar("<d")
 
     def text(self) -> str:
         n = self.u16()
-        return self._take(n).decode("utf-8")
+        return str(self.raw(n), "utf-8")
 
     def f32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(4 * count), dtype="<f4").copy()
+        return self._array("<f4", count)
 
     def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(8 * count), dtype="<f8").copy()
+        return self._array("<f8", count)
 
-    def raw(self, n: int) -> bytes:
-        return self._take(n)
+    def raw(self, n: int) -> memoryview:
+        """The next n bytes as a view into the payload, not a copy."""
+        start = self._advance(n)
+        return self.data[start : start + n]
 
     def expect_end(self):
         if self.off != len(self.data):
@@ -164,19 +183,22 @@ def save_model(net: Network, path) -> None:
 
 def load_model(path) -> Network:
     r = PayloadReader(read_container(path, MAGIC_MODEL))
-    n_layers = r.u16()
-    layers = []
-    for i in range(n_layers):
-        in_dim = r.u32()
-        out_dim = r.u32()
-        tag = r.u8()
-        if tag not in TAG_ACTIVATIONS:
-            raise FormatError(f"unknown activation tag {tag} at byte {r.base + r.off - 1}")
-        weights = r.f32_array(out_dim * in_dim).reshape(out_dim, in_dim)
-        biases = r.f32_array(out_dim)
-        layers.append(DenseLayer(f"dense{i}", weights, biases, TAG_ACTIVATIONS[tag]))
-    r.expect_end()
-    return Network(layers)
+    try:
+        n_layers = r.u16()
+        layers = []
+        for i in range(n_layers):
+            in_dim = r.u32()
+            out_dim = r.u32()
+            tag = r.u8()
+            if tag not in TAG_ACTIVATIONS:
+                raise FormatError(f"unknown activation tag {tag} at byte {r.base + r.off - 1}")
+            weights = r.f32_array(out_dim * in_dim).reshape(out_dim, in_dim)
+            biases = r.f32_array(out_dim)
+            layers.append(DenseLayer(f"dense{i}", weights, biases, TAG_ACTIVATIONS[tag]))
+        r.expect_end()
+        return Network(layers)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def file_sha256(path) -> str:

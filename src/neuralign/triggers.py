@@ -42,6 +42,7 @@ from .network import (
 from .parallel import pool_size, run_blocks
 from .serialize import (
     MAGIC_TRIGGERS,
+    FormatError,
     PayloadReader,
     PayloadWriter,
     read_container,
@@ -391,28 +392,31 @@ def save_trigger_set(ts: TriggerSet, path) -> None:
 
 def load_trigger_set(path) -> TriggerSet:
     r = PayloadReader(read_container(path, MAGIC_TRIGGERS))
-    mode = r.text()
-    variant_count = r.u16()
-    layer_name = r.text()
-    t = r.u32()
-    in_dim = r.u32()
-    k = r.u16()
-    centroids = r.f64_array(k)
-    r.raw(8 * (k - 1))  # reserved K-1 float64 slots
-    codebook_ref = r.text()
-    inputs = r.f32_array(t * in_dim).reshape(t, in_dim)
-    losses = r.f32_array(t)
-    conv = np.unpackbits(
-        np.frombuffer(r.raw((t + 7) // 8), dtype=np.uint8), count=t, bitorder="little"
-    ).astype(bool)
-    r.expect_end()
-    return TriggerSet(
-        inputs=inputs,
-        centroid_set=CentroidSet(centroids),
-        codebook_ref=codebook_ref,
-        mode=mode,
-        variant_count=variant_count,
-        layer_name=layer_name,
-        final_losses=losses,
-        converged=conv,
-    )
+    try:
+        mode = r.text()
+        variant_count = r.u16()
+        layer_name = r.text()
+        t = r.u32()
+        in_dim = r.u32()
+        k = r.u16()
+        centroids = r.f64_array(k)
+        r.raw(8 * (k - 1))  # reserved K-1 float64 slots
+        codebook_ref = r.text()
+        inputs = r.f32_array(t * in_dim).reshape(t, in_dim)
+        losses = r.f32_array(t)
+        conv = np.unpackbits(
+            np.frombuffer(r.raw((t + 7) // 8), dtype=np.uint8), count=t, bitorder="little"
+        ).astype(bool)
+        r.expect_end()
+        return TriggerSet(
+            inputs=inputs,
+            centroid_set=CentroidSet(centroids),
+            codebook_ref=codebook_ref,
+            mode=mode,
+            variant_count=variant_count,
+            layer_name=layer_name,
+            final_losses=losses,
+            converged=conv,
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

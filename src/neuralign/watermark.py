@@ -9,18 +9,22 @@ bit-error rate stays within the record's threshold.
 
 Because the projection mixes weight rows in a fixed order, reordering the
 layer's neurons scrambles the extracted bits; that is the failure the
-alignment stage exists to undo.
+alignment stage exists to undo. The readout can take the layer's rows in a
+given order, which is how an aligned verdict reads a suspect without a
+permuted copy of it. Each record casts its key to float64 once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .network import Network, TrainConfig, train
 from .serialize import (
     MAGIC_RECORD,
+    FormatError,
     PayloadReader,
     PayloadWriter,
     read_container,
@@ -64,6 +68,14 @@ class WatermarkRecord:
     def bits(self) -> int:
         return int(self.key.shape[0])
 
+    @cached_property
+    def key64(self) -> np.ndarray:
+        """The key cast to float64 once per record, read-only. Not a field, so
+        equality and the saved bytes never see it."""
+        key = self.key.astype(np.float64)
+        key.flags.writeable = False
+        return key
+
 
 @dataclass(frozen=True)
 class OVResult:
@@ -84,7 +96,9 @@ def make_record(
     return WatermarkRecord(layer_name, key, payload, threshold, seed)
 
 
-def _projections(net: Network, record: WatermarkRecord) -> np.ndarray:
+def _projections(
+    net: Network, record: WatermarkRecord, order: np.ndarray | None = None
+) -> np.ndarray:
     try:
         layer = net.layer(record.layer_name)
     except KeyError as exc:
@@ -94,17 +108,26 @@ def _projections(net: Network, record: WatermarkRecord) -> np.ndarray:
             f"layer {record.layer_name!r} has {layer.weights.size} weights, "
             f"record key expects {record.key.shape[1]}"
         )
-    w = layer.weights.astype(np.float64).ravel()
-    return record.key.astype(np.float64) @ w
+    weights = layer.weights if order is None else layer.weights[order]
+    return record.key64 @ weights.astype(np.float64).ravel()
 
 
-def extract_bits(net: Network, record: WatermarkRecord) -> np.ndarray:
-    """Sign readout: projection >= 0 reads as bit 1, otherwise 0."""
-    return (_projections(net, record) >= 0.0).astype(np.uint8)
+def extract_bits(
+    net: Network, record: WatermarkRecord, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Sign readout: projection >= 0 reads as bit 1, otherwise 0.
+
+    With `order`, row i of the layer read is the suspect's row order[i]: an
+    alignment's perm_estimate reads the rows `apply_alignment` would restore,
+    in place.
+    """
+    return (_projections(net, record, order) >= 0.0).astype(np.uint8)
 
 
-def verify(net: Network, record: WatermarkRecord) -> OVResult:
-    bits = extract_bits(net, record)
+def verify(net: Network, record: WatermarkRecord, order: np.ndarray | None = None) -> OVResult:
+    """Accept when the bit-error rate is within the record's threshold; `order`
+    as in `extract_bits`."""
+    bits = extract_bits(net, record, order)
     ber = float(np.mean(bits != record.payload))
     return OVResult(accepted=ber <= record.threshold, ber=ber, bits_extracted=bits)
 
@@ -131,7 +154,7 @@ def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig) -> Netwo
         raise TamperError(
             f"record key expects {record.key.shape[1]} weights, layer has {layer.weights.size}"
         )
-    key64 = record.key.astype(np.float64)
+    key64 = record.key64
     target = record.payload.astype(np.float64)
     shape = layer.weights.shape
     b = record.bits
@@ -193,12 +216,15 @@ def save_record(record: WatermarkRecord, path) -> None:
 
 def load_record(path) -> WatermarkRecord:
     r = PayloadReader(read_container(path, MAGIC_RECORD))
-    layer_name = r.text()
-    bits = r.u32()
-    width = r.u32()
-    threshold = r.f64()
-    seed = r.u64()
-    key = r.f32_array(bits * width).reshape(bits, width)
-    payload = _unpack_bits(r.raw((bits + 7) // 8), bits)
-    r.expect_end()
-    return WatermarkRecord(layer_name, key, payload, threshold, seed)
+    try:
+        layer_name = r.text()
+        bits = r.u32()
+        width = r.u32()
+        threshold = r.f64()
+        seed = r.u64()
+        key = r.f32_array(bits * width).reshape(bits, width)
+        payload = _unpack_bits(r.raw((bits + 7) // 8), bits)
+        r.expect_end()
+        return WatermarkRecord(layer_name, key, payload, threshold, seed)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -1,9 +1,13 @@
+import importlib.util
 import multiprocessing
+import sys
+from pathlib import Path
 
 import pytest
 
 from neuralign.config import AttackSpec, ExperimentConfig, validate_config
 from neuralign.pipeline import run_all
+from neuralign.serialize import read_container, write_container
 
 
 def tiny_config() -> ExperimentConfig:
@@ -50,3 +54,32 @@ def tiny_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_run")
     report = run_all(cfg, out)
     return cfg, out, report
+
+
+@pytest.fixture()
+def perfbench_module():
+    """Loader of one of the benchmark's modules (perfbench/<name>.py), which
+    are written apart from the program and imported here read-only."""
+
+    def load(name: str):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+        return module
+
+    return load
+
+
+@pytest.fixture()
+def rewrite_payload():
+    """Overwrite payload bytes of a container at a payload offset and refresh
+    its checksum: a file that passes the CRC but carries the given field."""
+
+    def rewrite(path, magic: bytes, offset: int, value: bytes) -> None:
+        payload = bytearray(read_container(path, magic))
+        payload[offset : offset + len(value)] = value
+        write_container(path, magic, bytes(payload))
+
+    return rewrite

@@ -1,11 +1,13 @@
 """Neuron-order recovery: cosine assignment, margins, aligned verify."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from neuralign import align, attacks
 from neuralign.align import (
     AlignmentResult,
     ObservedCodeMatrix,
@@ -22,16 +24,23 @@ from neuralign.attacks import (
     permute_neurons,
     random_permutation,
 )
-from neuralign.coding import compute_centroids, default_codebook, nearest_centroid
+from neuralign.coding import compute_centroids, default_codebook, load_codebook, nearest_centroid
 from neuralign.data import make_blobs
-from neuralign.network import TrainConfig, forward, init_network, train
-from neuralign.serialize import IntegrityError
-from neuralign.triggers import OptConfig, layer_outputs, make_variant_ensemble, synthesize_trigger_set
+from neuralign.network import Network, TrainConfig, forward, init_network, train
+from neuralign.pipeline import CODEBOOK_FILE, RECORD_FILE, TRIGGER_MODES, suspect_file, trigger_file
+from neuralign.serialize import IntegrityError, load_model
+from neuralign.triggers import (
+    OptConfig,
+    layer_outputs,
+    load_trigger_set,
+    make_variant_ensemble,
+    synthesize_trigger_set,
+)
 
 # fold centroids for the synthetic cases: the lowest sits just above zero, as
 # a trained layer's does, so no codeword maps to a zero row
 CENTROIDS = np.array([0.1, 1.0, 2.0])
-from neuralign.watermark import EmbedConfig, TamperError, embed, make_record, verify
+from neuralign.watermark import EmbedConfig, TamperError, embed, load_record, make_record, verify
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +331,66 @@ def test_unreadable_layer_refused(marked):
         out = verify_with_alignment(suspect, ts, cb, record)
         assert not out.accepted and out.ov is None and out.alignment is None
         assert out.tamper_cause
+
+
+def test_key_width_mismatch_refused_after_alignment(marked):
+    """A dense1 of the right width but another input width aligns, and the
+    aligned readout still refuses the record's key width."""
+    _, _, record, _, cb, ts = marked
+    out = verify_with_alignment(init_network(16, [30, 10, 4], seed=0), ts, cb, record)
+    assert out.alignment is not None and out.ov is None
+    assert "record key expects" in out.tamper_cause
+
+
+def test_record_of_another_layer_is_integrity_error(marked):
+    """The alignment orders the trigger set's layer, so a record that marks
+    another layer cannot be read through it."""
+    net, _, _, _, cb, ts = marked
+    with pytest.raises(IntegrityError, match="layer"):
+        verify_with_alignment(net, ts, cb, make_record(net, "dense0", bits=16, seed=5))
+
+
+def test_aligned_verdict_copies_no_network(marked, monkeypatch):
+    """The aligned readout reads the suspect's rows in place: no network
+    clone and no permutation happen during a verdict."""
+    net, _, record, _, cb, ts = marked
+    attacked = permute_neurons(net, random_permutation(10, seed=7, layer_name="dense1"))
+    calls = Counter()
+    clone = Network.clone
+
+    def counted_clone(self):
+        calls["clone"] += 1
+        return clone(self)
+
+    def counted_permute(*args, **kwargs):
+        calls["permute_neurons"] += 1
+        return permute_neurons(*args, **kwargs)
+
+    monkeypatch.setattr(Network, "clone", counted_clone)
+    monkeypatch.setattr(align, "permute_neurons", counted_permute)
+    monkeypatch.setattr(attacks, "permute_neurons", counted_permute)
+    out = verify_with_alignment(attacked, ts, cb, record)
+    assert out.accepted and calls == Counter()
+
+
+def test_aligned_verdict_equals_verdict_on_restored_copy(tiny_run):
+    """On every tiny-run suspect of every attack and both schemes, the verdict
+    read in place equals verifying the copy apply_alignment restores."""
+    cfg, out, _ = tiny_run
+    record = load_record(out / RECORD_FILE)
+    cb = load_codebook(out / CODEBOOK_FILE)
+    checked = 0
+    for mode in TRIGGER_MODES:
+        ts = load_trigger_set(out / trigger_file(mode))
+        for attack in cfg.attacks:
+            for trial in range(attack.trials):
+                net = load_model(suspect_file(out, attack.kind, trial))
+                av = verify_with_alignment(net, ts, cb, record)
+                ref = verify(apply_alignment(net, av.alignment), record)
+                assert (av.ov.ber, av.ov.accepted) == (ref.ber, ref.accepted)
+                np.testing.assert_array_equal(av.ov.bits_extracted, ref.bits_extracted)
+                checked += 1
+    assert checked == len(TRIGGER_MODES) * sum(a.trials for a in cfg.attacks)
 
 
 def test_wrong_input_dim_refused(marked):

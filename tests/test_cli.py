@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from neuralign.network import init_network
 from neuralign.pipeline import (
     CODEBOOK_FILE, CONFIG_FILE, MODEL_FILE, RECORD_FILE, REPORT_FILE, run_all, trigger_file,
 )
-from neuralign.serialize import read_container, save_model, write_container
+from neuralign.serialize import (
+    MAGIC_CODEBOOK, MAGIC_MODEL, MAGIC_TRIGGERS, read_container, save_model, write_container,
+)
 
 
 @pytest.fixture()
@@ -147,6 +150,31 @@ def test_corrupt_container_exits_2(tiny_run, tmp_path, capsys):
     code = main(["verify", "--model", str(broken), "--record", str(out / RECORD_FILE)])
     assert code == EXIT_INTEGRITY
     assert "integrity error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, magic, offset, value, complaint", [
+    # u16 symbol count after u32 n and u32 t
+    (CODEBOOK_FILE, MAGIC_CODEBOOK, 8, struct.pack("<H", 1), "symbol count"),
+    # dense0's first weight after u16 layer count, u32 in, u32 out and u8 tag
+    (MODEL_FILE, MAGIC_MODEL, 11, struct.pack("<f", float("nan")), "non-finite"),
+    # u16 centroid count after text "t1", u16 variants, text "dense1", u32 t, u32 width
+    (trigger_file("t1"), MAGIC_TRIGGERS, 4 + 2 + 8 + 8, struct.pack("<H", 0), "negative field"),
+], ids=["codebook", "model", "triggers"])
+def test_invalid_field_in_a_valid_container_exits_2(tiny_run, tmp_path, capsys, rewrite_payload,
+                                                    name, magic, offset, value, complaint):
+    """Fields that fail their own validation behind a valid checksum make the
+    container corrupt (exit 2), not the input invalid (exit 1)."""
+    _, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    rewrite_payload(copy / name, magic, offset, value)
+    code = main([
+        "verify", "--model", str(copy / MODEL_FILE), "--record", str(copy / RECORD_FILE),
+        "--triggers", str(copy / trigger_file("t1")), "--codebook", str(copy / CODEBOOK_FILE),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTEGRITY
+    assert "integrity error" in err and str(copy / name) in err and complaint in err
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

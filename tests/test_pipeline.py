@@ -12,6 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import neuralign
 from neuralign import parallel, pipeline, triggers
 from neuralign.align import read_codes, verify_with_alignment
 from neuralign.attacks import functional_drift
@@ -431,6 +432,30 @@ def test_align_records_carry_decode_margin(tiny_run, tmp_path):
         margins.append(rec["margin"])
     assert len(margins) == len(summary["records"]) - 1
     assert summary["min_margin"] == min(margins)
+
+
+def test_benchmark_tracer_reads_the_align_stage(tiny_run, tmp_path, perfbench_module):
+    """The benchmark's tracer, run around an align stage and one file-to-verdict
+    check, still finds what its counters read: the observed matrix passed
+    first to align_to_matrix and the payload read_container returns."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    owner = [copy / RECORD_FILE, copy / CODEBOOK_FILE, copy / trigger_file("t1")]
+    suspects = [suspect_file(copy, "np", i) for i in range(cfg.attacks[0].trials)]
+    tracer = perfbench_module("spans").Tracer()
+    with tracer:
+        pipeline.stage_align(cfg, copy, "np", "t1")
+        av = neuralign.verify_with_alignment(
+            neuralign.load_model(suspects[0]), neuralign.load_trigger_set(owner[2]),
+            neuralign.load_codebook(owner[1]), neuralign.load_record(owner[0]),
+        )
+    assert av.ov is not None
+    _, _, calls = tracer.totals()
+    assert calls["align.verify_with_alignment"] == len(suspects) + 1
+    assert tracer.counts["assign_cells"] > 0
+    read = 2 * sum(p.stat().st_size for p in owner) + sum(p.stat().st_size for p in suspects)
+    assert tracer.counts["bytes_read"] == read + suspects[0].stat().st_size
 
 
 def test_align_refuses_a_suspect_of_another_width(tiny_run, tmp_path):

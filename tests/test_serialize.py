@@ -1,13 +1,13 @@
 """Container round-trips and corruption detection for every artifact type."""
 
-import importlib.util
-import sys
-from pathlib import Path
+import re
+import struct
 
 import numpy as np
 import pytest
 
 from neuralign.coding import (
+    MAGIC_CODEBOOK,
     codebook_digest,
     default_codebook,
     load_codebook,
@@ -15,8 +15,12 @@ from neuralign.coding import (
 )
 from neuralign.network import init_network, networks_equal
 from neuralign.serialize import (
+    MAGIC_MODEL,
+    MAGIC_RECORD,
+    MAGIC_TRIGGERS,
     FormatError,
     IntegrityError,
+    PayloadReader,
     file_sha256,
     load_model,
     save_model,
@@ -85,22 +89,11 @@ def test_trigger_round_trip(tmp_path, tiny_run):
     assert back.layer_name == ts.layer_name
 
 
-def _benchmark_readers():
-    """The benchmark's container readers (perfbench/containers.py), which are
-    written apart from the program's serializer."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "containers.py"
-    spec = importlib.util.spec_from_file_location("perfbench_containers", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_benchmark_readers_parse_every_container(tmp_path, net, tiny_run):
+def test_benchmark_readers_parse_every_container(tmp_path, net, tiny_run, perfbench_module):
     """Every container the program writes reads back field for field through
-    the benchmark's strict readers, so a layout change fails here and not only
-    in the benchmark."""
-    pb = _benchmark_readers()
+    the benchmark's strict readers, which are written apart from the program's
+    serializer, so a layout change fails here and not only in the benchmark."""
+    pb = perfbench_module("containers")
 
     save_model(net, tmp_path / "m.naf")
     layers = pb.read_model(tmp_path / "m.naf")
@@ -234,3 +227,57 @@ def test_file_sha256_matches_content(tmp_path):
     path = tmp_path / "blob.bin"
     path.write_bytes(b"0123456789")
     assert file_sha256(path) == hashlib.sha256(b"0123456789").hexdigest()
+
+
+# Each builder saves one container and names a field to overwrite: its payload
+# offset, the checksum-valid bytes that break the type's own validation, the
+# loader and the complaint the loader must carry.
+def _model_with_nan_weight(tmp_path, net, tiny_run):
+    path = _saved_model(tmp_path, net)
+    # u16 layer count, then dense0's u32 in, u32 out and u8 tag before its first weight
+    return path, MAGIC_MODEL, 11, struct.pack("<f", np.nan), load_model, "layer dense0: non-finite"
+
+
+def _record_with_zero_threshold(tmp_path, net, tiny_run):
+    path = tmp_path / "r.nar"
+    save_record(make_record(net, "dense1", bits=8, seed=1), path)
+    # text "dense1" (u16 length + 6 bytes), u32 bits and u32 width before the threshold
+    return path, MAGIC_RECORD, 16, struct.pack("<d", 0.0), load_record, "threshold must lie"
+
+
+def _codebook_with_one_symbol(tmp_path, net, tiny_run):
+    path = tmp_path / "c.nac"
+    save_codebook(default_codebook(10, 16, 2, 1, seed=4), path)
+    # u32 n and u32 t before the u16 symbol count
+    return path, MAGIC_CODEBOOK, 8, struct.pack("<H", 1), load_codebook, "symbol count must be"
+
+
+def _triggers_with_no_centroids(tmp_path, net, tiny_run):
+    ts = load_trigger_set(tiny_run[1] / "triggers_t1.nat")
+    path = tmp_path / "t.nat"
+    save_trigger_set(ts, path)
+    # text mode, u16 variant count, text layer, u32 t and u32 input width before
+    # the u16 centroid count; zero centroids leave -1 reserved slots to skip
+    offset = 2 + len(ts.mode) + 2 + 2 + len(ts.layer_name) + 8
+    return path, MAGIC_TRIGGERS, offset, struct.pack("<H", 0), load_trigger_set, "negative field length -8"
+
+
+@pytest.mark.parametrize("build", [_model_with_nan_weight, _record_with_zero_threshold,
+                                   _codebook_with_one_symbol, _triggers_with_no_centroids])
+def test_invalid_field_is_a_format_error_naming_the_file(build, tmp_path, net, tiny_run,
+                                                         rewrite_payload):
+    """A container whose checksum holds but whose fields fail their type's own
+    validation is as corrupt as a truncated one: a FormatError naming the file."""
+    path, magic, offset, value, load, complaint = build(tmp_path, net, tiny_run)
+    rewrite_payload(path, magic, offset, value)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*" + re.escape(complaint)):
+        load(path)
+
+
+def test_reader_refuses_negative_lengths():
+    """A negative length must not walk the reader backwards over read bytes."""
+    r = PayloadReader(b"\x00" * 8)
+    r.u32()
+    with pytest.raises(FormatError, match="negative field length -4 at byte 10"):
+        r.raw(-4)
+    assert r.off == 4

@@ -1,5 +1,7 @@
 """Sign-projection watermark: extraction oracles, embedding, sensitivity."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from neuralign.watermark import (
     embed,
     extract_bits,
     make_record,
+    save_record,
     verify,
 )
 
@@ -78,6 +81,24 @@ def test_record_validation_and_tamper_errors():
     gone.layers[0].name = "dense7"
     with pytest.raises(TamperError, match="no layer"):
         verify(gone, record)
+
+
+def test_float64_key_is_cast_once_outside_equality_and_bytes(tmp_path):
+    """The float64 key is computed once per record and read-only; it is no
+    field, so equality and the saved bytes do not see it."""
+    net = init_network(5, [8, 4, 3], seed=7)
+    record = make_record(net, "dense1", bits=12, seed=3)
+    twin = WatermarkRecord(record.layer_name, record.key, record.payload, record.threshold,
+                           record.seed)
+    save_record(record, tmp_path / "before.nar")
+    key64 = record.key64
+    assert key64 is record.key64 and not key64.flags.writeable
+    assert key64.dtype == np.float64
+    np.testing.assert_array_equal(key64, record.key.astype(np.float64))
+    assert "key64" not in {f.name for f in dataclasses.fields(record)}
+    assert record == twin  # only record has cast its key
+    save_record(record, tmp_path / "after.nar")
+    assert (tmp_path / "after.nar").read_bytes() == (tmp_path / "before.nar").read_bytes()
 
 
 def test_make_record_is_seeded():
