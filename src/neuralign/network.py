@@ -14,11 +14,14 @@ pass as per-neuron weights, so each distinct network costs one pass.
 
 No row of the kernel's batch reads another row, which lets trigger descent
 split its rows into blocks, one per usable core (`os.sched_getaffinity`), and
-run each block in a forked worker (Linux `fork`) pinned to one BLAS thread.
-Numpy's bundled OpenBLAS computes a GEMM row the same way at any thread count
-and any row count above the sizes it sends to its small-matrix kernels, so the
-blocks' rows are the whole batch's bit for bit. The descent checks this on its
-first step and descends in one process when a block's bits differ.
+run each block in a forked worker (Linux `fork`) with one BLAS thread: the
+forking process pins BLAS before it forks and restores it after the join,
+because the setter, called in a forked child, restarts OpenBLAS's thread
+server. Numpy's bundled OpenBLAS computes a GEMM row the same way at any
+thread count and any row count above the sizes it sends to its small-matrix
+kernels, so the blocks' rows are the whole batch's bit for bit. The descent
+checks this on its first step and descends in one process when a block's bits
+differ.
 """
 
 from __future__ import annotations

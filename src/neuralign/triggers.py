@@ -11,7 +11,9 @@ input so a late bad step cannot lose a good solution.
 
 The rows never interact, so a large descent runs on every core through
 `parallel.run_blocks`: one contiguous block of rows per usable core, each
-descended in a forked worker with one BLAS thread, the per-row results
+descended in a forked worker that inherits one BLAS thread (the forking
+process pins and later restores its own count; the setter, called in a forked
+child, would restart OpenBLAS's spinning thread server), the per-row results
 concatenated in row order. OpenBLAS computes each GEMM row the same way at
 any thread count and at any row count above the sizes its small-matrix
 kernels take, so the triggers are byte-identical to a one-process descent;
@@ -187,10 +189,12 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
 
 # Multiply-adds (rows x steps x per-row multiply-adds summed over the networks)
 # below which a descent stays in-process. Starting, feeding and joining the
-# pool costs 30-70 ms. Measured on 2 cores at the default widths: 2.5e9 took
-# 214 ms in-process and 208 ms split, 4e9 288 -> 262 ms, 1e10 719 -> 507 ms.
-# A tiny-config descent is 5e7 to 2e8; the default T1 descent is 1e10.
-SPLIT_FLOOR_MACS = 4e9
+# pool costs 12-37 ms. Measured on 2 cores at the default widths (480 rows,
+# medians of 9 runs, two runs): 5e8 took 86-108 ms in-process and 88-103 ms
+# split, 7.5e8 125-163 -> 124-137 ms, 1e9 157-204 -> 120-171 ms. A tiny-config
+# descent is 5e7 to 2e8; the default T1 descent is 1e10 (1.8-1.9 s in-process,
+# 1.3-1.4 s split on the same VM).
+SPLIT_FLOOR_MACS = 1e9
 
 
 def _worker_count(nets, layer_name: str, rows: int, steps: int) -> int:

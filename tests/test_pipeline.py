@@ -504,7 +504,7 @@ def _attack_files(cfg, model_path, out, kinds) -> dict:
 def _attack_alone_and_split(cfg, model_path, tmp_path, monkeypatch):
     kinds = [a.kind for a in cfg.attacks]
     with monkeypatch.context() as m:
-        m.setattr(parallel, "_blas_thread_setter", lambda: None)
+        m.setattr(parallel, "_blas_threads", lambda: None)
         alone, alone_spans = _attack_files(cfg, model_path, tmp_path / "alone", kinds)
     split, split_spans = _attack_files(cfg, model_path, tmp_path / "split", kinds)
     assert sorted(kinds) == sorted(ATTACK_KINDS)
@@ -556,8 +556,8 @@ def test_attack_split_raises_what_one_process_raises(tiny_run, tmp_path, monkeyp
 
     monkeypatch.setattr(pipeline, "_forge_suspect", failing_forge)
     raised = []
-    for setter in (lambda: None, parallel._blas_thread_setter):
-        monkeypatch.setattr(parallel, "_blas_thread_setter", setter)
+    for lookup in (lambda: None, parallel._blas_threads):
+        monkeypatch.setattr(parallel, "_blas_threads", lookup)
         run = tmp_path / f"run{len(raised)}"
         run.mkdir()
         shutil.copy(out / MODEL_FILE, run / MODEL_FILE)
@@ -581,7 +581,7 @@ def test_attack_without_a_pool_starts_no_child(case, tiny_run, tmp_path, monkeyp
     if case == "one core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif case == "no blas setter":
-        monkeypatch.setattr(parallel, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
     trials = 1 if case == "one trial" else 3
     summary = stage_attack(cfg, tmp_path, "rescale", trials=trials)
     assert read_json(tmp_path / "timings_attack_rescale.json")["trials"]["workers"] == 1

@@ -331,7 +331,7 @@ def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(parallel, "_blas_thread_setter", lambda: None)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
     alone = triggers._descend([net], targets, "dense1", opt)
