@@ -11,11 +11,9 @@ order so the watermark verifies again.
 from .align import (
     AlignedVerification,
     AlignmentResult,
-    ObservedCodeMatrix,
     align_to_matrix,
     alignment_accuracy,
     apply_alignment,
-    read_codes,
     verify_with_alignment,
 )
 from .attacks import (

@@ -22,26 +22,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .attacks import PermutationSpec, inverse_permutation, permute_neurons
-from .coding import CentroidSet, Codebook, codebook_digest, nearest_centroid
+from .coding import Codebook, codebook_digest
 from .network import Network
 from .serialize import IntegrityError
 from .triggers import TriggerSet, dead_neurons, layer_outputs
 from .watermark import OVResult, TamperError, WatermarkRecord, verify
-
-
-@dataclass(frozen=True)
-class ObservedCodeMatrix:
-    codes: np.ndarray  # (N, T) uint8, symbol per neuron and trigger
-    raw_outputs: np.ndarray  # (N, T) float64 activations behind the codes
-    layer_name: str
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.uint8)
-        raw = np.asarray(self.raw_outputs, dtype=np.float64)
-        if codes.ndim != 2 or codes.shape != raw.shape:
-            raise ValueError("codes and raw outputs must be matching 2-D arrays")
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "raw_outputs", raw)
 
 
 @dataclass(frozen=True)
@@ -78,15 +63,6 @@ def _read_outputs(net: Network, layer_name: str, inputs: np.ndarray) -> np.ndarr
         return layer_outputs(net, layer_name, inputs)
     except KeyError as exc:
         raise TamperError(f"suspect model has no layer {layer_name!r}") from exc
-
-
-def read_codes(
-    net: Network, layer_name: str, inputs: np.ndarray, centroid_set: CentroidSet
-) -> ObservedCodeMatrix:
-    """Quantize the suspect layer's outputs on the owner's probe inputs."""
-    raw = _read_outputs(net, layer_name, inputs)
-    codes = nearest_centroid(raw, centroid_set)
-    return ObservedCodeMatrix(codes=codes, raw_outputs=raw, layer_name=layer_name)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

@@ -128,6 +128,6 @@ def attack_rescale(net: Network, layer_name: str, scales: np.ndarray) -> Network
 
 def functional_drift(a: Network, b: Network, probes: np.ndarray) -> float:
     """Largest absolute difference in final outputs over a probe batch."""
-    ya = forward(a, probes).final
-    yb = forward(b, probes).final
+    ya = forward(a, probes)
+    yb = forward(b, probes)
     return float(np.max(np.abs(ya - yb)))

@@ -21,7 +21,7 @@ from pathlib import Path
 import jsonschema
 
 from .coding import CapacityError, load_codebook
-from .config import ConfigError, ExperimentConfig, load_config, validate_config
+from .config import ATTACK_KINDS, ConfigError, ExperimentConfig, load_config, validate_config
 from .network import ShapeError, TrainingDivergenceError, UnknownLayerError
 from .pipeline import (
     CONFIG_FILE,
@@ -221,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("attack", help="generate attacked suspect models")
     _out_arg(sub)
-    sub.add_argument("--kind", choices=["np", "ftp", "npp", "rescale"], default=None)
+    sub.add_argument("--kind", choices=list(ATTACK_KINDS), default=None)
     sub.add_argument("--trials", type=int, default=None)
     sub.set_defaults(func=cmd_attack)
 
     sub = subs.add_parser("align", help="recover neuron order and verify suspects")
     _out_arg(sub)
-    sub.add_argument("--kind", choices=["np", "ftp", "npp", "rescale"], default=None)
+    sub.add_argument("--kind", choices=list(ATTACK_KINDS), default=None)
     sub.add_argument("--mode", choices=list(TRIGGER_MODES), default=None)
     sub.set_defaults(func=cmd_align)
 

@@ -56,6 +56,11 @@ class CentroidSet:
             return float("inf")
         return float(np.min(np.diff(self.centroids)))
 
+    @property
+    def separation_bound(self) -> float:
+        """Largest mean intra-fold distance at which probes still separate."""
+        return self.min_gap / 10.0
+
 
 def compute_centroids(outputs: np.ndarray, k: int) -> CentroidSet:
     """Split the pooled, sorted outputs into K rank-equal folds.

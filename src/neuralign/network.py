@@ -134,17 +134,6 @@ class Network:
 
 
 @dataclass
-class ActivationTrace:
-    """Post-activation outputs of every layer for one batch."""
-
-    outputs: list[np.ndarray]  # each (batch, out_dim), float64
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.outputs[-1]
-
-
-@dataclass
 class Dataset:
     """Labelled inputs for training and probing."""
 
@@ -227,9 +216,10 @@ def _as_batch(net: Network, batch: np.ndarray) -> np.ndarray:
     return batch
 
 
-def forward(net: Network, batch: np.ndarray) -> ActivationTrace:
-    """Run a batch through the network, capturing every layer's output."""
-    return ActivationTrace(_forward_layers(net.layers, _as_batch(net, batch)))
+def forward(net: Network, batch: np.ndarray) -> np.ndarray:
+    """Run a batch through the network: the last layer's (batch, out_dim)
+    outputs, in float64."""
+    return _forward_layers(net.layers, _as_batch(net, batch))[-1]
 
 
 def _activation_grad_mask(post: np.ndarray, activation: str) -> np.ndarray:
@@ -258,13 +248,13 @@ def _softmax_cross_entropy(final_post: np.ndarray, activation: str, labels: np.n
 
 
 def cross_entropy(net: Network, data: Dataset) -> float:
-    outputs = forward(net, data.inputs).final
+    outputs = forward(net, data.inputs)
     loss, _ = _softmax_cross_entropy(outputs, net.layers[-1].activation, data.labels)
     return float(loss)
 
 
 def accuracy(net: Network, data: Dataset) -> float:
-    scores = forward(net, data.inputs).final
+    scores = forward(net, data.inputs)
     return float((scores.argmax(axis=1) == data.labels).mean())
 
 

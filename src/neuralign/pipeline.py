@@ -24,12 +24,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .align import (
-    align_to_matrix,
-    alignment_accuracy,
-    read_codes,
-    verify_with_alignment,
-)
+from .align import align_to_matrix, alignment_accuracy, verify_with_alignment
 from .attacks import (
     attack_ftp,
     attack_npp,
@@ -47,6 +42,7 @@ from .coding import (
     default_codebook,
     load_codebook,
     max_correctable,
+    nearest_centroid,
     save_codebook,
 )
 from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config
@@ -58,7 +54,6 @@ from .triggers import (
     MODE_ENSEMBLE,
     MODE_SINGLE,
     OptConfig,
-    dead_neurons,
     layer_outputs,
     load_trigger_set,
     loss_budget,
@@ -293,12 +288,11 @@ def stage_encode(cfg: ExperimentConfig, out) -> dict:
             seed=derive_seed(cfg.seed, "codebook"),
         )
         save_codebook(cb, out / CODEBOOK_FILE)
-        gap = cs.min_gap
         bound = max_correctable(n, cfg.coding.t, cfg.coding.k, cfg.coding.k_corrupted)
         summary = {
             "centroids": [float(c) for c in cs.centroids],
-            "min_gap": gap,
-            "separation_bound": gap / 10.0,
+            "min_gap": cs.min_gap,
+            "separation_bound": cs.separation_bound,
             "pooled_count": int(pooled.size),
             "codebook": {
                 "digest": codebook_digest(cb),
@@ -358,12 +352,12 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
         timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
-        observed = read_codes(model, layer, ts.inputs, cs)
-        stats = separation_stats(observed.raw_outputs, observed.codes)
-        neuron_errors = np.sum(observed.codes != cb.codewords, axis=1)
+        raw = layer_outputs(model, layer, ts.inputs)
+        codes = nearest_centroid(raw, cs)
+        stats = separation_stats(raw, codes)
+        neuron_errors = np.sum(codes != cb.codewords, axis=1)
         radius = (cb.d_min - 1) // 2
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))
-        bound = cs.min_gap / 10.0
         summary = {
             "mode": mode,
             "t": ts.t,
@@ -378,8 +372,8 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
                 "mean_intra": stats["mean_intra"],
                 "dead_neurons": stats["dead_neurons"],
             },
-            "separation_bound": bound,
-            "passes_separation": bool(stats["mean_intra"] <= bound),
+            "separation_bound": cs.separation_bound,
+            "passes_separation": bool(stats["mean_intra"] <= cs.separation_bound),
             "residual_symbol_errors": int(neuron_errors.sum()),
             # how well the triggers fit their codewords on the owner's own
             # model, in quantized symbols; alignment reads the raw activations
@@ -416,14 +410,14 @@ def _attack_trials(lo, hi, cfg, out, kind, model, held) -> list:
     `held` (the values `functional_drift` and `accuracy` give)."""
     layer = cfg.model.watermarked_layer
     n = model.layer(layer).out_dim
-    marked = forward(model, held.inputs).final
+    marked = forward(model, held.inputs)
     records = []
     for i in range(lo, hi):
         trial_seed = derive_seed(cfg.seed, "attack", kind, i)
         spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
         suspect = _forge_suspect(cfg, kind, model, layer, spec, held, trial_seed)
         save_model(suspect, suspect_file(out, kind, i))
-        scores = forward(suspect, held.inputs).final
+        scores = forward(suspect, held.inputs)
         records.append({
             "trial": i,
             "perm": [int(p) for p in spec.perm],
@@ -660,32 +654,30 @@ def validate_report(report: dict) -> dict:
 
 def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: CentroidSet) -> dict:
     """Transcription scheme: plain heldout samples as probes, the marked
-    model's codes on them (mapped to their centroids) as the reference.
-    Measures how identifiable neurons are without synthesis."""
+    model's codes on them (mapped to their centroids) as the reference,
+    aligned as a verdict aligns. Measures how identifiable neurons are
+    without synthesis."""
     model = load_model(out / MODEL_FILE)
     layer = cfg.model.watermarked_layer
     _, held = make_experiment_data(cfg)
     # stored like trigger inputs, so normal probes read out as T1 and T2 do
     probes = held.inputs[: cb.t].astype(np.float32)
-    reference = read_codes(model, layer, probes, cs)
-    stats = separation_stats(reference.raw_outputs, reference.codes)
-    targets = cs.centroids[reference.codes]
+    raw = layer_outputs(model, layer, probes)
+    codes = nearest_centroid(raw, cs)
+    stats = separation_stats(raw, codes)
+    targets = cs.centroids[codes]
     accs = []
     n = model.layer(layer).out_dim
     for s in range(BASELINE_SHUFFLES):
         spec = random_permutation(n, derive_seed(cfg.seed, "baseline", s), layer)
-        observed = read_codes(permute_neurons(model, spec), layer, probes, cs)
-        result = align_to_matrix(cs.centroids[observed.codes], targets, layer)
-        # a neuron silent on every probe still reads as the lowest centroid
-        result = dataclasses.replace(result, dead=dead_neurons(observed.raw_outputs))
-        accs.append(alignment_accuracy(result, spec.perm))
-    bound = cs.min_gap / 10.0
+        observed = layer_outputs(permute_neurons(model, spec), layer, probes)
+        accs.append(alignment_accuracy(align_to_matrix(observed, targets, layer), spec.perm))
     return {
         "scheme": "normal",
         "mean_inter": _jsonable(stats["mean_inter"]),
         "mean_intra": stats["mean_intra"],
-        "separation_bound": bound,
-        "passes_separation": bool(stats["mean_intra"] <= bound),
+        "separation_bound": cs.separation_bound,
+        "passes_separation": bool(stats["mean_intra"] <= cs.separation_bound),
         "dead_neurons": len(stats["dead_neurons"]),
         "shuffle_accuracy": _jsonable(np.nanmean(accs)),
         "shuffles": BASELINE_SHUFFLES,

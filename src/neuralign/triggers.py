@@ -335,7 +335,6 @@ def dead_neurons(outputs: np.ndarray) -> list:
 class ClusterStats:
     inter: float | None  # mean distance between occupied cluster means
     intra: float  # mean distance of points to their cluster mean
-    occupied: int
 
 
 def cluster_quality(values: np.ndarray, assign: np.ndarray) -> ClusterStats:
@@ -351,9 +350,9 @@ def cluster_quality(values: np.ndarray, assign: np.ndarray) -> ClusterStats:
     means = np.array([vals[assign == c].mean() for c in labels])
     intra = float(np.mean(np.abs(vals - means[np.searchsorted(labels, assign)])))
     if labels.size < 2:
-        return ClusterStats(inter=None, intra=intra, occupied=int(labels.size))
+        return ClusterStats(inter=None, intra=intra)
     diffs = [abs(means[i] - means[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))]
-    return ClusterStats(inter=float(np.mean(diffs)), intra=intra, occupied=int(labels.size))
+    return ClusterStats(inter=float(np.mean(diffs)), intra=intra)
 
 
 def separation_stats(raw_outputs: np.ndarray, codes: np.ndarray) -> dict:

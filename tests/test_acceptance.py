@@ -69,12 +69,12 @@ def test_criterion_2_equivalence_attacks_preserve_function(desk, capfd):
     for seed in range(20):
         rng = np.random.default_rng(seed)
         probes = rng.standard_normal((1000, cfg.data.input_dim))
-        reference = forward(model, probes).final
+        reference = forward(model, probes)
         permuted = permute_neurons(model, random_permutation(n, seed=seed, layer_name=layer))
         scales = random_scales(n, seed=seed, low=spec.scale_low, high=spec.scale_high)
         rescaled = attack_rescale(model, layer, scales)
         for attacked in (permuted, rescaled):
-            drift = float(np.abs(forward(attacked, probes).final - reference).max())
+            drift = float(np.abs(forward(attacked, probes) - reference).max())
             worst = max(worst, drift)
     ok = worst <= 1e-5
     _verdict(capfd, 2, ok, f"NP/RESCALE max output drift {worst:.2e} over 1000 probes x 20 seeds (<=1e-5)")

@@ -10,11 +10,9 @@ from scipy.optimize import linear_sum_assignment
 from neuralign import align, attacks
 from neuralign.align import (
     AlignmentResult,
-    ObservedCodeMatrix,
     align_to_matrix,
     alignment_accuracy,
     apply_alignment,
-    read_codes,
     verify_with_alignment,
 )
 from neuralign.attacks import (
@@ -24,7 +22,7 @@ from neuralign.attacks import (
     permute_neurons,
     random_permutation,
 )
-from neuralign.coding import compute_centroids, default_codebook, load_codebook, nearest_centroid
+from neuralign.coding import compute_centroids, default_codebook, load_codebook
 from neuralign.data import make_blobs
 from neuralign.network import Network, TrainConfig, forward, init_network, train
 from neuralign.pipeline import CODEBOOK_FILE, RECORD_FILE, TRIGGER_MODES, suspect_file, trigger_file
@@ -64,9 +62,9 @@ def marked():
 def _align(net, ts, cb):
     """Read the suspect's activations on the triggers and align them to the
     targets the triggers were forged toward."""
-    observed = read_codes(net, ts.layer_name, ts.inputs, ts.centroid_set)
+    observed = layer_outputs(net, ts.layer_name, ts.inputs)
     targets = ts.centroid_set.centroids[cb.codewords]
-    return align_to_matrix(observed.raw_outputs, targets, observed.layer_name)
+    return align_to_matrix(observed, targets, ts.layer_name)
 
 
 def _margins(obs: np.ndarray, ref: np.ndarray, assign: np.ndarray) -> np.ndarray:
@@ -83,31 +81,10 @@ def _margins(obs: np.ndarray, ref: np.ndarray, assign: np.ndarray) -> np.ndarray
 
 # ---------------------------------------------------------------- readout
 
-def test_read_codes_matches_direct_quantization(marked):
-    net, _, _, cs, cb, ts = marked
-    observed = read_codes(net, "dense1", ts.inputs, cs)
-    raw = layer_outputs(net, "dense1", ts.inputs)
-    np.testing.assert_array_equal(observed.raw_outputs, raw)
-    np.testing.assert_array_equal(observed.codes, nearest_centroid(raw, cs))
-    assert observed.layer_name == "dense1"
-
-
 def test_unpermuted_model_aligns_to_identity(marked):
     net, _, _, _, cb, ts = marked
     res = _align(net, ts, cb)
     np.testing.assert_array_equal(res.perm_estimate, np.arange(cb.n))
-
-
-def test_read_codes_rejects_wrong_input_dim(marked):
-    *_, ts = marked
-    other = init_network(12, [8, 10, 3], seed=0)
-    with pytest.raises(TamperError, match="inputs"):
-        read_codes(other, ts.layer_name, ts.inputs, ts.centroid_set)
-
-
-def test_observed_code_matrix_validation():
-    with pytest.raises(ValueError, match="matching"):
-        ObservedCodeMatrix(np.zeros((3, 4), dtype=np.uint8), np.zeros((3, 5)), "x")
 
 
 # ------------------------------------------------------- permutation recovery
@@ -435,5 +412,5 @@ def test_rescale_preserves_task_function(marked):
     net, data, *_ = marked
     scales = np.linspace(0.2, 5.0, net.layer("dense1").weights.shape[0])
     attacked = attack_rescale(net, "dense1", scales)
-    drift = np.abs(forward(net, data.inputs).final - forward(attacked, data.inputs).final).max()
+    drift = np.abs(forward(net, data.inputs) - forward(attacked, data.inputs)).max()
     assert drift <= 1e-4

@@ -19,11 +19,11 @@ from neuralign.data import make_blobs
 from neuralign.network import (
     TrainConfig,
     accuracy,
-    forward,
     init_network,
     networks_equal,
     train,
 )
+from neuralign.triggers import layer_outputs
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +133,11 @@ def test_npp_prunes_then_permutes(victim):
     rows = np.abs(suspect.layer("dense1").weights).sum(axis=1)
     assert int((rows == 0).sum()) == 3  # floor(0.3 * 10)
     # live neurons still compute their original outputs, permuted
-    orig = forward(net, probes).outputs[1]
-    got = forward(suspect, probes).outputs[1]
+    orig = layer_outputs(net, "dense1", probes)
+    got = layer_outputs(suspect, "dense1", probes)
     for i in range(10):
         if rows[spec.perm[i]] != 0:
-            np.testing.assert_allclose(got[:, spec.perm[i]], orig[:, i], atol=1e-6)
+            np.testing.assert_allclose(got[spec.perm[i]], orig[i], atol=1e-6)
 
 
 def test_npp_zero_fraction_equals_np(victim):

@@ -1,5 +1,6 @@
 """Command line behavior: stage chaining, exit codes, verify output."""
 
+import argparse
 import json
 import shutil
 import struct
@@ -7,8 +8,10 @@ import struct
 import numpy as np
 import pytest
 
-from neuralign.cli import EXIT_INTEGRITY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from neuralign.config import load_config, save_config
+from neuralign.cli import (
+    EXIT_INTEGRITY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, build_parser, main,
+)
+from neuralign.config import ATTACK_KINDS, load_config, save_config
 from neuralign.network import init_network
 from neuralign.pipeline import (
     CODEBOOK_FILE, CONFIG_FILE, MODEL_FILE, RECORD_FILE, REPORT_FILE, run_all, trigger_file,
@@ -279,6 +282,14 @@ def test_later_stages_take_settings_only_from_echo(stage, cfg_file, tmp_path, ca
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == EXIT_VALIDATION
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["attack", "align"])
+def test_kind_choices_are_the_attack_kinds(command):
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (kind,) = [a for a in subparsers.choices[command]._actions if a.dest == "kind"]
+    assert tuple(kind.choices) == ATTACK_KINDS
 
 
 def test_help_exits_0(capsys):

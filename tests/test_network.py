@@ -24,6 +24,7 @@ from neuralign.network import (
     train,
 )
 from neuralign.data import make_blobs
+from neuralign.triggers import layer_outputs
 
 
 def relu_net():
@@ -46,25 +47,24 @@ def relu_net():
 def test_forward_matches_hand_arithmetic():
     net = relu_net()
     x = np.array([[2.0, 1.0]])
-    trace = forward(net, x)
     # z0 = [2 - 2 + 0.5, 3 - 1] = [0.5, 2.0]; relu keeps both
-    np.testing.assert_allclose(trace.outputs[0], [[0.5, 2.0]], atol=1e-7)
+    np.testing.assert_allclose(layer_outputs(net, "dense0", x), [[0.5], [2.0]], atol=1e-7)
     logits = np.array([0.5 + 2.0, -0.5 + 4.0 + 0.25])
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
-    np.testing.assert_allclose(trace.final[0], probs, atol=1e-7)
+    np.testing.assert_allclose(forward(net, x)[0], probs, atol=1e-7)
 
 
 def test_forward_relu_clips_negative_preactivations():
     net = relu_net()
-    trace = forward(net, np.array([[-2.0, 0.0]]))
     # z0 = [-2 + 0.5, -1] -> relu -> [0, 0]
-    np.testing.assert_allclose(trace.outputs[0], [[0.0, 0.0]], atol=1e-7)
+    np.testing.assert_allclose(layer_outputs(net, "dense0", np.array([[-2.0, 0.0]])),
+                               [[0.0], [0.0]], atol=1e-7)
 
 
 def test_softmax_rows_normalize():
     net = init_network(5, [7, 4], seed=3)
-    out = forward(net, np.random.default_rng(0).normal(size=(11, 5))).final
+    out = forward(net, np.random.default_rng(0).normal(size=(11, 5)))
     np.testing.assert_allclose(out.sum(axis=1), np.ones(11), atol=1e-9)
     assert (out >= 0).all()
 
@@ -72,7 +72,7 @@ def test_softmax_rows_normalize():
 def test_cross_entropy_matches_log_probability():
     net = relu_net()
     x = np.array([[2.0, 1.0]])
-    probs = forward(net, x).final[0]
+    probs = forward(net, x)[0]
     data = Dataset(x, np.array([1]))
     assert cross_entropy(net, data) == pytest.approx(-np.log(probs[1]), rel=1e-9)
 
@@ -80,7 +80,7 @@ def test_cross_entropy_matches_log_probability():
 def test_accuracy_counts_argmax_hits():
     net = relu_net()
     x = np.array([[2.0, 1.0], [2.0, 1.0]])
-    probs = forward(net, x).final
+    probs = forward(net, x)
     winner = int(probs[0].argmax())
     data = Dataset(x, np.array([winner, 1 - winner]))
     assert accuracy(net, data) == pytest.approx(0.5)

@@ -14,9 +14,9 @@ import pytest
 
 import neuralign
 from neuralign import parallel, pipeline, triggers
-from neuralign.align import read_codes, verify_with_alignment
-from neuralign.attacks import functional_drift
-from neuralign.coding import load_codebook
+from neuralign.align import align_to_matrix, alignment_accuracy, verify_with_alignment
+from neuralign.attacks import functional_drift, permute_neurons, random_permutation
+from neuralign.coding import load_codebook, nearest_centroid
 from neuralign.config import ATTACK_KINDS, ExperimentConfig
 from neuralign.network import DenseLayer, Network, TrainConfig, accuracy, init_network, train
 from neuralign.pipeline import (
@@ -51,7 +51,7 @@ from neuralign.pipeline import (
     write_json,
 )
 from neuralign.serialize import file_sha256, load_model, save_model
-from neuralign.triggers import load_trigger_set
+from neuralign.triggers import layer_outputs, load_trigger_set
 from neuralign.watermark import load_record
 
 PUBLISHED_GRID = {
@@ -186,6 +186,28 @@ def test_trigger_rows_normal_fails_synthesis_passes(tiny_run):
     assert rows["normal"]["shuffle_accuracy"] < 1.0
     for r in rows.values():
         assert r["mean_intra"] >= 0.0 and r["separation_bound"] > 0.0
+
+
+def test_normal_row_aligns_raw_activations_as_a_verdict_does(tiny_run):
+    """The normal baseline aligns the permuted model's raw activations on its
+    probes against the owner's codes mapped to their centroids, as a verdict
+    aligns a suspect against the triggers' targets."""
+    cfg, out, report = tiny_run
+    model = load_model(out / MODEL_FILE)
+    layer = cfg.model.watermarked_layer
+    cs = load_centroids(out)
+    _, held = make_experiment_data(cfg)
+    probes = held.inputs[: load_codebook(out / CODEBOOK_FILE).t].astype(np.float32)
+    targets = cs.centroids[nearest_centroid(layer_outputs(model, layer, probes), cs)]
+    accs = []
+    for s in range(20):
+        spec = random_permutation(model.layer(layer).out_dim,
+                                  derive_seed(cfg.seed, "baseline", s), layer)
+        observed = layer_outputs(permute_neurons(model, spec), layer, probes)
+        accs.append(alignment_accuracy(align_to_matrix(observed, targets, layer), spec.perm))
+    (row,) = [r for r in report["triggers"] if r["scheme"] == "normal"]
+    assert row["shuffles"] == 20
+    assert row["shuffle_accuracy"] == pytest.approx(np.nanmean(accs), abs=1e-12)
 
 
 def test_attack_rows_permutation_fully_recovered(tiny_run):
@@ -396,8 +418,8 @@ def test_forge_summary_counts_neurons_past_radius(tiny_run):
     for mode in TRIGGER_MODES:
         summary = read_json(out / forge_summary_file(mode))
         ts = load_trigger_set(out / trigger_file(mode))
-        observed = read_codes(model, cfg.model.watermarked_layer, ts.inputs, load_centroids(out))
-        errors = (observed.codes != cb.codewords).sum(axis=1)
+        raw = layer_outputs(model, cfg.model.watermarked_layer, ts.inputs)
+        errors = (nearest_centroid(raw, load_centroids(out)) != cb.codewords).sum(axis=1)
         assert summary["residual_errors_per_neuron"] == errors.tolist()
         assert sum(summary["residual_errors_per_neuron"]) == summary["residual_symbol_errors"]
         assert summary["neurons_past_radius"] == int((errors > radius).sum())

@@ -423,9 +423,9 @@ def test_layer_outputs_shape_and_values(trained):
     x = data.inputs[:7]
     out = layer_outputs(net, "dense1", x)
     assert out.shape == (10, 7)
-    from neuralign.network import forward
+    from neuralign.network import _forward_layers
 
-    np.testing.assert_array_equal(out.T, forward(net, x).outputs[1])
+    np.testing.assert_array_equal(out.T, _forward_layers(net.layers, x)[1])
     with pytest.raises(ShapeError):
         layer_outputs(net, "dense1", x[0])
     with pytest.raises(ShapeError):
@@ -441,14 +441,12 @@ def test_dead_neuron_detection():
 
 def test_cluster_quality_hand_example():
     stats = cluster_quality(np.array([0.0, 0.1, 1.0, 1.1]), np.array([0, 0, 1, 1]))
-    assert stats.occupied == 2
     assert stats.intra == pytest.approx(0.05)
     assert stats.inter == pytest.approx(1.0)
 
 
 def test_cluster_quality_single_cluster_has_no_inter():
     stats = cluster_quality(np.array([0.1, 0.2]), np.array([0, 0]))
-    assert stats.occupied == 1
     assert stats.inter is None
     assert stats.intra == pytest.approx(0.05)
 
@@ -457,7 +455,6 @@ def test_cluster_quality_takes_the_given_folds():
     """The folds come from the readout, not from the values: 1.1 read as fold 0
     joins the low cluster."""
     stats = cluster_quality(np.array([0.0, 0.1, 1.0, 1.1]), np.array([0, 0, 1, 0]))
-    assert stats.occupied == 2
     assert stats.inter == pytest.approx(1.0 - 0.4)
     assert stats.intra == pytest.approx((0.4 + 0.3 + 0.0 + 0.7) / 4)
 
