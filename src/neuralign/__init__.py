@@ -18,8 +18,6 @@ from .align import (
 )
 from .attacks import (
     PermutationSpec,
-    attack_ftp,
-    attack_npp,
     attack_rescale,
     functional_drift,
     inverse_permutation,

@@ -170,6 +170,11 @@ def verify_with_alignment(
             f"trigger set aligns layer {triggers.layer_name!r}, "
             f"record watermarks layer {record.layer_name!r}"
         )
+    if triggers.centroid_set.k != cb.k:
+        raise IntegrityError(
+            f"trigger set carries {triggers.centroid_set.k} centroids, "
+            f"codebook uses {cb.k} symbols"
+        )
     targets = triggers.centroid_set.centroids[cb.codewords]
     try:
         observed = _read_outputs(net, triggers.layer_name, triggers.inputs)

@@ -2,9 +2,11 @@
 
 Reordering the neurons of a hidden layer and applying the inverse reorder to
 the successor's input columns leaves the network's function untouched, yet
-destroys any watermark that depends on weight positions. The variants here
-combine that reorder with light fine-tuning, pruning of low-magnitude
-neurons, or positive rescaling through a relu layer.
+destroys any watermark that depends on weight positions. Positive rescaling
+through a relu layer likewise changes every weight of a layer and none of
+its function. The attack stage builds each suspect from one transform of the
+marked model (none, fine-tuning, pruning of low-magnitude neurons, or
+rescaling), then one reorder of the watermarked layer.
 
 Permutations are destination arrays: perm[i] is the new position of neuron i.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Dataset, Network, finetune_variant, forward, prune_variant
+from .network import Network, forward
 
 
 @dataclass(frozen=True)
@@ -71,26 +73,6 @@ def permute_neurons(net: Network, spec: PermutationSpec) -> Network:
     lb[spec.perm] = lb.copy()
     sw[:, spec.perm] = sw.copy()
     return out
-
-
-def attack_ftp(
-    net: Network,
-    data: Dataset,
-    epochs: int,
-    spec: PermutationSpec,
-    seed: int,
-    lr: float = 0.01,
-    batch_size: int = 32,
-) -> Network:
-    """Fine-tune on the attacker's data, then permute."""
-    tuned = finetune_variant(net, data, epochs=epochs, seed=seed, lr=lr, batch_size=batch_size)
-    return permute_neurons(tuned, spec)
-
-
-def attack_npp(net: Network, fraction: float, spec: PermutationSpec) -> Network:
-    """Zero out the lowest-magnitude neurons of the layer, then permute."""
-    pruned = prune_variant(net, spec.layer_name, fraction)
-    return permute_neurons(pruned, spec)
 
 
 def random_scales(n: int, seed: int, low: float = 0.5, high: float = 2.0) -> np.ndarray:

@@ -112,8 +112,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(d.input_dim >= 2, "data.input_dim", "need at least two dimensions")
     _require(d.samples > d.holdout >= 1, "data.holdout", "holdout must leave training data")
     _require(d.spread > 0, "data.spread", "must be positive")
-    _require(len(m.widths) >= 2 and all(int(x) >= 1 for x in m.widths), "model.widths",
-             "need positive widths for at least one hidden layer and the output")
+    _require(len(m.widths) >= 1 and all(int(x) >= 1 for x in m.widths), "model.widths",
+             "need positive widths for at least one hidden layer")
     _require(m.epochs >= 0 and m.lr > 0 and m.batch_size >= 1, "model.epochs",
              "need epochs >= 0, lr > 0, batch_size >= 1")
     name = m.watermarked_layer
@@ -122,9 +122,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         "model.watermarked_layer", f"unknown layer name {name!r}",
     )
     idx = int(name.removeprefix("dense"))
-    _require(idx < len(m.widths) - 1, "model.watermarked_layer",
+    # widths lists the hidden layers; the softmax output dense{len(widths)} follows them
+    _require(idx < len(m.widths), "model.watermarked_layer",
              f"layer {name!r} must be a hidden layer with a successor "
-             f"(dense0..dense{len(m.widths) - 2})")
+             f"(dense0..dense{len(m.widths) - 1})")
     _require(2 <= c.k <= 256, "coding.k", "symbol count must be in [2, 256]")
     _require(c.t >= 1, "coding.t", "need at least one trigger position")
     _require(1 <= c.k_corrupted <= c.k - 1, "coding.k_corrupted",

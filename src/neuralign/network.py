@@ -1,9 +1,9 @@
 """Minimal dense feedforward network engine.
 
-Construction, deterministic SGD training, forward passes with per-layer
-activation capture, gradients with respect to the input, and magnitude-based
-neuron pruning. Parameters are stored as float32; all products and reductions
-run in float64.
+Construction, deterministic SGD training of a copy (which is also how
+variants and suspects are fine-tuned), forward passes to the final outputs,
+gradients with respect to the input, and magnitude-based neuron pruning.
+Parameters are stored as float32; all products and reductions run in float64.
 
 Input gradients come only from `InputGradientKernel`, which a descent builds
 once: it casts the weights to float64 once per descent instead of once per
@@ -472,13 +472,6 @@ class InputGradientKernel:
                     d = np.matmul(d, m.weights[i], out=s.deltas[i - 1])
             self.grad += np.matmul(d, m.weights[0], out=s.grad_term)
         return self.grad, self.loss
-
-
-def finetune_variant(
-    net: Network, data: Dataset, epochs: int, seed: int, lr: float = 0.01, batch_size: int = 32
-) -> Network:
-    """Fine-tune a deep copy; the original network is untouched."""
-    return train(net, data, TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed))
 
 
 def prune_variant(net: Network, layer_name: str, fraction: float) -> Network:

@@ -25,15 +25,7 @@ import jsonschema
 import numpy as np
 
 from .align import align_to_matrix, alignment_accuracy, verify_with_alignment
-from .attacks import (
-    attack_ftp,
-    attack_npp,
-    attack_rescale,
-    permute_neurons,
-    random_permutation,
-    random_scales,
-    PermutationSpec,
-)
+from .attacks import attack_rescale, permute_neurons, random_permutation, random_scales
 from .coding import (
     Codebook,
     CentroidSet,
@@ -45,9 +37,9 @@ from .coding import (
     nearest_centroid,
     save_codebook,
 )
-from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config
+from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config, validate_config
 from .data import make_blobs, split_dataset
-from .network import Dataset, Network, TrainConfig, accuracy, forward, init_network, train
+from .network import Dataset, TrainConfig, accuracy, forward, init_network, prune_variant, train
 from .parallel import pool_size, run_blocks
 from .serialize import file_sha256, load_model, save_model
 from .triggers import (
@@ -189,9 +181,11 @@ def attack_spec_for(cfg: ExperimentConfig, kind: str):
 def stage_train(cfg: ExperimentConfig, out) -> dict:
     """Train the task model, embed the watermark, write model + record.
 
-    Refuses a run directory that holds artifacts of an earlier run, which
-    would otherwise sit next to the new config echo and mix runs in a report.
+    Validates the config before writing anything. Refuses a run directory
+    that holds artifacts of an earlier run, which would otherwise sit next to
+    the new config echo and mix runs in a report.
     """
+    validate_config(cfg)
     out = Path(out)
     stale = next((p for pattern in RUN_ARTIFACTS for p in sorted(out.glob(pattern))), None)
     if stale is not None:
@@ -384,28 +378,23 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     return summary
 
 
-def _forge_suspect(cfg, kind, model, layer, spec, attacker_data, trial_seed):
-    a = attack_spec_for(cfg, kind)
-    if kind == "np":
-        return permute_neurons(model, spec)
-    if kind == "ftp":
-        return attack_ftp(
-            model, attacker_data, a.epochs, spec,
-            seed=derive_seed(trial_seed, "finetune"),
-            lr=a.lr, batch_size=cfg.model.batch_size,
-        )
-    if kind == "npp":
-        return attack_npp(model, a.fraction, spec)
-    if kind == "rescale":
-        scales = random_scales(
-            spec.n, derive_seed(trial_seed, "scales"), a.scale_low, a.scale_high
-        )
-        return permute_neurons(attack_rescale(model, layer, scales), spec)
-    raise ValueError(f"unknown attack kind {kind!r}")
+def _forge_suspect(cfg, a, model, layer, spec, held, trial_seed):
+    """Attack `a`'s transform of the marked model (np has none), then the
+    trial's permutation of the watermarked layer."""
+    if a.kind == "ftp":
+        hp = TrainConfig(epochs=a.epochs, lr=a.lr, batch_size=cfg.model.batch_size,
+                         seed=derive_seed(trial_seed, "finetune"))
+        model = train(model, held, hp)
+    elif a.kind == "npp":
+        model = prune_variant(model, layer, a.fraction)
+    elif a.kind == "rescale":
+        scales = random_scales(spec.n, derive_seed(trial_seed, "scales"), a.scale_low, a.scale_high)
+        model = attack_rescale(model, layer, scales)
+    return permute_neurons(model, spec)
 
 
-def _attack_trials(lo, hi, cfg, out, kind, model, held) -> list:
-    """Trials [lo, hi) of an attack stage, in trial order: forge and save each
+def _attack_trials(lo, hi, cfg, out, a, model, held) -> list:
+    """Trials [lo, hi) of attack `a`, in trial order: forge and save each
     suspect, and read its drift and task accuracy off one forward pass over
     `held` (the values `functional_drift` and `accuracy` give)."""
     layer = cfg.model.watermarked_layer
@@ -413,10 +402,10 @@ def _attack_trials(lo, hi, cfg, out, kind, model, held) -> list:
     marked = forward(model, held.inputs)
     records = []
     for i in range(lo, hi):
-        trial_seed = derive_seed(cfg.seed, "attack", kind, i)
+        trial_seed = derive_seed(cfg.seed, "attack", a.kind, i)
         spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
-        suspect = _forge_suspect(cfg, kind, model, layer, spec, held, trial_seed)
-        save_model(suspect, suspect_file(out, kind, i))
+        suspect = _forge_suspect(cfg, a, model, layer, spec, held, trial_seed)
+        save_model(suspect, suspect_file(out, a.kind, i))
         scores = forward(suspect, held.inputs)
         records.append({
             "trial": i,
@@ -451,11 +440,11 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
         start = time.perf_counter()
         workers = pool_size(trials)
         if workers > 1:
-            futures = run_blocks(_attack_trials, trials, workers, cfg, out, kind, model, held)
+            futures = run_blocks(_attack_trials, trials, workers, cfg, out, a, model, held)
             # result() raises the first failed block's error: the lowest trial's
             records = [r for f in futures for r in f.result()]
         else:
-            records = _attack_trials(0, trials, cfg, out, kind, model, held)
+            records = _attack_trials(0, trials, cfg, out, a, model, held)
         timer.spans["trials"] = {
             "workers": workers, "trials": trials, "seconds": time.perf_counter() - start,
         }

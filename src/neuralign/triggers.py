@@ -36,10 +36,11 @@ from .network import (
     InputGradientKernel,
     Network,
     ShapeError,
+    TrainConfig,
     _as_batch,
     _forward_layers,
-    finetune_variant,
     prune_variant,
+    train,
 )
 from .parallel import pool_size, run_blocks
 from .serialize import (
@@ -102,9 +103,8 @@ def make_variant_ensemble(
     provenance = ["original"]
     half = j // 2
     for i in range(1, half + 1):
-        nets.append(
-            finetune_variant(net, data, epochs=i, seed=seed + i, lr=finetune_lr, batch_size=batch_size)
-        )
+        hp = TrainConfig(epochs=i, lr=finetune_lr, batch_size=batch_size, seed=seed + i)
+        nets.append(train(net, data, hp))
         provenance.append(f"finetune:epochs={i}:lr={finetune_lr}:seed={seed + i}")
     for i in range(1, half + 1):
         frac = prune_step * i

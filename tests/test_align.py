@@ -389,7 +389,7 @@ def test_moderate_rescale_plus_permutation_verifies(marked):
     assert alignment_accuracy(out.alignment, spec.perm) == 1.0
 
 
-def test_extreme_rescale_normalization_recovers_order(marked):
+def test_extreme_rescale_recovers_order(marked):
     """Scales far outside the fold tolerance push half the neurons' activations
     into other folds, yet the cosine cost ignores each row's scale: the shipped
     triggers recover the exact order, with the same margins as unscaled. The

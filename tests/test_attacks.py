@@ -6,8 +6,6 @@ import scipy.stats
 
 from neuralign.attacks import (
     PermutationSpec,
-    attack_ftp,
-    attack_npp,
     attack_rescale,
     functional_drift,
     inverse_permutation,
@@ -15,6 +13,7 @@ from neuralign.attacks import (
     random_permutation,
     random_scales,
 )
+from neuralign.config import AttackSpec, ExperimentConfig
 from neuralign.data import make_blobs
 from neuralign.network import (
     TrainConfig,
@@ -23,6 +22,7 @@ from neuralign.network import (
     networks_equal,
     train,
 )
+from neuralign.pipeline import _forge_suspect
 from neuralign.triggers import layer_outputs
 
 
@@ -109,10 +109,17 @@ def test_random_permutations_are_uniform():
     assert p > 0.01
 
 
+def forge(net, data, spec, trial_seed, **attack):
+    """The attack stage's suspect for one trial of AttackSpec(**attack):
+    its transform of `net`, then `spec`."""
+    return _forge_suspect(ExperimentConfig(), AttackSpec(**attack), net, spec.layer_name, spec,
+                          data, trial_seed)
+
+
 def test_ftp_drifts_but_keeps_accuracy(victim):
     net, data, probes = victim
     spec = random_permutation(10, seed=5, layer_name="dense1")
-    suspect = attack_ftp(net, data, epochs=1, spec=spec, seed=5)
+    suspect = forge(net, data, spec, 5, kind="ftp", epochs=1)
     assert functional_drift(net, suspect, probes) > 0.0
     assert abs(accuracy(net, data) - accuracy(suspect, data)) <= 0.05
 
@@ -121,15 +128,15 @@ def test_ftp_zero_epochs_is_pure_permutation(victim):
     net, data, _ = victim
     spec = random_permutation(10, seed=6, layer_name="dense1")
     assert networks_equal(
-        attack_ftp(net, data, epochs=0, spec=spec, seed=6),
+        forge(net, data, spec, 6, kind="ftp", epochs=0),
         permute_neurons(net, spec),
     )
 
 
 def test_npp_prunes_then_permutes(victim):
-    net, _, probes = victim
+    net, data, probes = victim
     spec = random_permutation(10, seed=7, layer_name="dense1")
-    suspect = attack_npp(net, 0.3, spec)
+    suspect = forge(net, data, spec, 7, kind="npp", fraction=0.3)
     rows = np.abs(suspect.layer("dense1").weights).sum(axis=1)
     assert int((rows == 0).sum()) == 3  # floor(0.3 * 10)
     # live neurons still compute their original outputs, permuted
@@ -141,9 +148,10 @@ def test_npp_prunes_then_permutes(victim):
 
 
 def test_npp_zero_fraction_equals_np(victim):
-    net, _, _ = victim
+    net, data, _ = victim
     spec = random_permutation(10, seed=8, layer_name="dense1")
-    assert networks_equal(attack_npp(net, 0.0, spec), permute_neurons(net, spec))
+    assert networks_equal(forge(net, data, spec, 8, kind="npp", fraction=0.0),
+                          permute_neurons(net, spec))
 
 
 def test_random_scales_bounds_and_determinism():

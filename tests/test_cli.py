@@ -1,6 +1,7 @@
 """Command line behavior: stage chaining, exit codes, verify output."""
 
 import argparse
+import dataclasses
 import json
 import shutil
 import struct
@@ -11,6 +12,7 @@ import pytest
 from neuralign.cli import (
     EXIT_INTEGRITY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, build_parser, main,
 )
+from neuralign.coding import CentroidSet
 from neuralign.config import ATTACK_KINDS, load_config, save_config
 from neuralign.network import init_network
 from neuralign.pipeline import (
@@ -19,6 +21,7 @@ from neuralign.pipeline import (
 from neuralign.serialize import (
     MAGIC_CODEBOOK, MAGIC_MODEL, MAGIC_TRIGGERS, read_container, save_model, write_container,
 )
+from neuralign.triggers import load_trigger_set, save_trigger_set
 
 
 @pytest.fixture()
@@ -180,6 +183,26 @@ def test_invalid_field_in_a_valid_container_exits_2(tiny_run, tmp_path, capsys, 
     assert "integrity error" in err and str(copy / name) in err and complaint in err
 
 
+@pytest.mark.parametrize("centroids", [[0.5], [0.1, 0.5, 0.9]], ids=["fewer", "more"])
+def test_trigger_set_of_another_symbol_count_exits_2(tiny_run, tmp_path, capsys, centroids):
+    """A valid trigger file pinned to the run's codebook whose centroid count
+    is not the codebook's symbol count is mismatched owner evidence: fewer
+    centroids cannot map every symbol, and more would align against a
+    subset of them."""
+    _, out, _ = tiny_run
+    ts = load_trigger_set(out / trigger_file("t1"))
+    path = tmp_path / "triggers.nat"
+    save_trigger_set(dataclasses.replace(ts, centroid_set=CentroidSet(np.array(centroids))), path)
+    code = main([
+        "verify", "--model", str(out / "suspects" / "np" / "trial_000.naf"),
+        "--record", str(out / RECORD_FILE), "--triggers", str(path),
+        "--codebook", str(out / CODEBOOK_FILE),
+    ])
+    err = capsys.readouterr().err
+    assert code == EXIT_INTEGRITY
+    assert f"{len(centroids)} centroids" in err and "2 symbols" in err
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     code = main(["verify", "--model", str(tmp_path / "nope.naf"),
                  "--record", str(tmp_path / "nope.nar")])
@@ -243,7 +266,7 @@ def test_align_without_triggers_exits_1(cfg_file, tmp_path, capsys):
     assert "forge first" in capsys.readouterr().err
 
 
-def test_normalized_chain_reads_settings_from_echo(tiny_config_factory, tmp_path, capsys):
+def test_stage_chain_reads_settings_from_echo(tiny_config_factory, tmp_path, capsys):
     """--seed is given to train only; every later stage reads it from the
     echo and the chain reproduces run_all's report."""
     cfg_path = tmp_path / "cfg.json"

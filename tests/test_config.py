@@ -95,12 +95,10 @@ def test_invalid_json_file(tmp_path):
         (lambda c: setattr(c.data, "classes", 1), "data.classes"),
         (lambda c: setattr(c.data, "holdout", 99999), "data.holdout"),
         (lambda c: setattr(c.model, "widths", []), "model.widths"),
-        pytest.param(lambda c: setattr(c.model, "widths", [16]), "model.widths",
-                     id="no-hidden-layer"),
         (lambda c: setattr(c.model, "watermarked_layer", "conv1"), "model.watermarked_layer"),
         (lambda c: setattr(c.model, "watermarked_layer", "dense9"), "model.watermarked_layer"),
-        # the softmax output layer has no successor
-        (lambda c: setattr(c.model, "watermarked_layer", "dense2"), "model.watermarked_layer"),
+        # widths lists the hidden layers: dense3 is the softmax output, with no successor
+        (lambda c: setattr(c.model, "watermarked_layer", "dense3"), "model.watermarked_layer"),
         (lambda c: setattr(c.coding, "k", 1), "coding.k"),
         (lambda c: setattr(c.coding, "k_corrupted", 0), "coding.k_corrupted"),
         (lambda c: setattr(c.coding, "k_corrupted", 2), "coding.k_corrupted"),
@@ -117,6 +115,19 @@ def test_validation_reports_dotted_path(mutate, path_fragment):
     cfg = ExperimentConfig()
     mutate(cfg)
     with pytest.raises(ConfigError, match=path_fragment):
+        validate_config(cfg)
+
+
+@pytest.mark.parametrize("widths, layer", [([128, 32, 16], "dense2"), ([32], "dense0")],
+                         ids=["last-hidden-layer", "one-hidden-layer"])
+def test_every_hidden_layer_can_be_watermarked(widths, layer):
+    """widths names only the hidden layers (the output layer is appended from
+    data.classes), so the last of them still has a successor."""
+    cfg = ExperimentConfig()
+    cfg.model.widths, cfg.model.watermarked_layer = widths, layer
+    validate_config(cfg)
+    cfg.model.watermarked_layer = f"dense{len(widths)}"
+    with pytest.raises(ConfigError, match=rf"dense0\.\.dense{len(widths) - 1}\)"):
         validate_config(cfg)
 
 

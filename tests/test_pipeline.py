@@ -15,10 +15,26 @@ import pytest
 import neuralign
 from neuralign import parallel, pipeline, triggers
 from neuralign.align import align_to_matrix, alignment_accuracy, verify_with_alignment
-from neuralign.attacks import functional_drift, permute_neurons, random_permutation
+from neuralign.attacks import (
+    PermutationSpec,
+    attack_rescale,
+    functional_drift,
+    permute_neurons,
+    random_permutation,
+    random_scales,
+)
 from neuralign.coding import load_codebook, nearest_centroid
-from neuralign.config import ATTACK_KINDS, ExperimentConfig
-from neuralign.network import DenseLayer, Network, TrainConfig, accuracy, init_network, train
+from neuralign.config import ATTACK_KINDS, ConfigError, ExperimentConfig
+from neuralign.network import (
+    DenseLayer,
+    Network,
+    TrainConfig,
+    accuracy,
+    init_network,
+    networks_equal,
+    prune_variant,
+    train,
+)
 from neuralign.pipeline import (
     CODEBOOK_FILE,
     ENCODE_SUMMARY,
@@ -277,6 +293,18 @@ def test_train_refuses_a_directory_with_run_artifacts(tiny_run, tmp_path):
     (only_suspects / "suspects" / "np").mkdir(parents=True)
     with pytest.raises(ValueError, match=r"\(suspects\)"):
         pipeline.stage_train(cfg, only_suspects)
+
+
+def test_run_all_validates_the_config_before_writing(tiny_config_factory, tmp_path):
+    """An API run refuses an invalid config as the CLI does, before train
+    writes its first file, instead of failing stages later in forge_t2."""
+    cfg = tiny_config_factory()
+    cfg.triggers.j = 3
+    run = tmp_path / "run"
+    run.mkdir()
+    with pytest.raises(ConfigError, match=r"triggers\.j"):
+        run_all(cfg, run)
+    assert list(run.iterdir()) == []
 
 
 def test_csv_tables(tiny_run):
@@ -571,10 +599,10 @@ def test_attack_split_raises_what_one_process_raises(tiny_run, tmp_path, monkeyp
     forge = pipeline._forge_suspect
     failing_seeds = {derive_seed(cfg.seed, "attack", "np", i): i for i in failing}
 
-    def failing_forge(cfg, kind, model, layer, spec, data, trial_seed):
+    def failing_forge(cfg, a, model, layer, spec, data, trial_seed):
         if trial_seed in failing_seeds:
             raise ValueError(f"trial {failing_seeds[trial_seed]} failed")
-        return forge(cfg, kind, model, layer, spec, data, trial_seed)
+        return forge(cfg, a, model, layer, spec, data, trial_seed)
 
     monkeypatch.setattr(pipeline, "_forge_suspect", failing_forge)
     raised = []
@@ -624,6 +652,39 @@ def test_attack_records_read_drift_and_accuracy_of_each_suspect(tiny_run):
             suspect = load_model(suspect_file(out, kind, rec["trial"]))
             assert rec["drift"] == functional_drift(model, suspect, held.inputs)
             assert rec["accuracy"] == accuracy(suspect, held)
+
+
+def test_every_suspect_is_one_transform_then_the_trial_permutation(tiny_run):
+    """Each kind's suspect is its transform of the marked model, with the
+    trial's derived seeds, then the recorded permutation of the watermarked
+    layer, which is the trial's derived one."""
+    cfg, out, _ = tiny_run
+    model = load_model(out / MODEL_FILE)
+    _, held = make_experiment_data(cfg)
+    layer = cfg.model.watermarked_layer
+    n = model.layer(layer).out_dim
+    for a in cfg.attacks:
+        for rec in read_json(out / pipeline.attack_summary_file(a.kind))["records"]:
+            trial_seed = derive_seed(cfg.seed, "attack", a.kind, rec["trial"])
+            spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
+            assert rec["perm"] == spec.perm.tolist()
+            if a.kind == "np":
+                transformed = model
+            elif a.kind == "ftp":
+                transformed = train(model, held, TrainConfig(
+                    epochs=a.epochs, lr=a.lr, batch_size=cfg.model.batch_size,
+                    seed=derive_seed(trial_seed, "finetune"),
+                ))
+            elif a.kind == "npp":
+                transformed = prune_variant(model, layer, a.fraction)
+            else:
+                scales = random_scales(n, derive_seed(trial_seed, "scales"),
+                                       a.scale_low, a.scale_high)
+                transformed = attack_rescale(model, layer, scales)
+            expected = permute_neurons(transformed, PermutationSpec(layer, rec["perm"]))
+            suspect = load_model(suspect_file(out, a.kind, rec["trial"]))
+            assert networks_equal(suspect, expected), (a.kind, rec["trial"])
+    assert {a.kind for a in cfg.attacks} == set(ATTACK_KINDS)
 
 
 def test_attack_timings_carry_the_trial_span(tiny_run):
