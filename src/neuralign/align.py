@@ -12,14 +12,27 @@ noisy rows collide on the same target.
 The aligned verdict reads the suspect's watermarked-layer rows in the
 estimated original order, in place: it builds no permuted copy of the
 suspect, and `apply_alignment`, which does, is the reference it must match.
+
+The assignment is scipy's `linear_sum_assignment` (Crouse's rectangular
+shortest-augmenting-path solver), the only part of scipy the program runs. It
+is bound at import straight from its compiled module `scipy.optimize._lsap`,
+because importing `scipy.optimize` runs the whole package's set-up (linprog,
+minimize, `scipy.linalg`, the array-API shims): about two thirds of a fresh
+import's time and some 40 MiB of its peak resident memory. The module is
+registered under its own name, so a later `import scipy.optimize` reuses it.
+Where the compiled module is missing or does not load (scipy releases that
+lay the solver out differently), the public import is used instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .attacks import PermutationSpec, inverse_permutation, permute_neurons
 from .coding import Codebook, codebook_digest
@@ -27,6 +40,47 @@ from .network import Network
 from .serialize import IntegrityError
 from .triggers import TriggerSet, dead_neurons, layer_outputs
 from .watermark import OVResult, TamperError, WatermarkRecord, verify
+
+_SOLVER_MODULE = "scipy.optimize._lsap"
+
+
+def _solver_extension() -> Path | None:
+    """The file of scipy's compiled assignment module, found without
+    importing `scipy.optimize`; None where scipy lays it out otherwise."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = Path(root, "optimize", f"_lsap{suffix}")
+            if path.is_file():
+                return path
+    return None
+
+
+def _bind_solver():
+    """scipy's `linear_sum_assignment`, loaded from its compiled module alone
+    where possible and through `scipy.optimize` otherwise."""
+    module = sys.modules.get(_SOLVER_MODULE)
+    path = None if module is not None else _solver_extension()
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_SOLVER_MODULE, str(path))
+        spec = importlib.util.spec_from_file_location(_SOLVER_MODULE, path, loader=loader)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            loader.exec_module(module)
+        except ImportError:
+            module = None
+        else:
+            # a single-phase extension module, as scipy builds this one,
+            # registers itself while it loads; a multi-phase one would not
+            sys.modules[_SOLVER_MODULE] = module
+    solver = getattr(module, "linear_sum_assignment", None)
+    if solver is None:
+        from scipy.optimize import linear_sum_assignment as solver
+    return solver
+
+
+linear_sum_assignment = _bind_solver()
 
 
 @dataclass(frozen=True)

@@ -106,14 +106,40 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(f"{path}: {message}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_types(spec, path: str) -> None:
+    """A JSON file can put any type in any field: an int field must hold an
+    integer, a float field a number and a str field a string (bools are
+    neither integers nor numbers)."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        sub = f"{path}.{f.name}" if path else f.name
+        if f.type == "int":
+            _require(_is_int(value), sub, f"must be an integer, got {value!r}")
+        elif f.type == "float":
+            _require(_is_int(value) or isinstance(value, float), sub,
+                     f"must be a number, got {value!r}")
+        elif f.type == "str":
+            _require(isinstance(value, str), sub, f"must be a string, got {value!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     d, m, c, t, w = cfg.data, cfg.model, cfg.coding, cfg.triggers, cfg.watermark
+    specs = [(cfg, ""), (d, "data"), (m, "model"), (c, "coding"), (t, "triggers"),
+             (w, "watermark")]
+    for spec, path in specs + [(a, f"attacks[{i}]") for i, a in enumerate(cfg.attacks)]:
+        _require_types(spec, path)
     _require(d.classes >= 2, "data.classes", "need at least two classes")
     _require(d.input_dim >= 2, "data.input_dim", "need at least two dimensions")
+    _require(d.samples >= d.classes, "data.samples", "need at least one sample per class")
     _require(d.samples > d.holdout >= 1, "data.holdout", "holdout must leave training data")
     _require(d.spread > 0, "data.spread", "must be positive")
-    _require(len(m.widths) >= 1 and all(int(x) >= 1 for x in m.widths), "model.widths",
-             "need positive widths for at least one hidden layer")
+    _require(isinstance(m.widths, list) and len(m.widths) >= 1
+             and all(_is_int(x) and x >= 1 for x in m.widths), "model.widths",
+             "need positive integer widths for at least one hidden layer")
     _require(m.epochs >= 0 and m.lr > 0 and m.batch_size >= 1, "model.epochs",
              "need epochs >= 0, lr > 0, batch_size >= 1")
     name = m.watermarked_layer

@@ -1,7 +1,12 @@
 """Neuron-order recovery: cosine assignment, margins, aligned verify."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +234,83 @@ def test_cost_matrix_matches_broadcast_reference(k, n, t):
     assert cos[rows, assign].sum() == pytest.approx(cos[rows, best].sum(), abs=1e-9)
     rival = np.where(np.arange(n) == assign[:, None], -1.0, cos).max(axis=1)
     np.testing.assert_allclose(res.per_neuron_margin, cos[rows, assign] - rival, atol=1e-12)
+
+
+# -------------------------------------------------------- the bound solver
+
+def _cost_matrices():
+    rng = np.random.default_rng(17)
+    tied = rng.integers(0, 3, size=(12, 12)).astype(np.float64)
+    dead = rng.uniform(0.0, 2.0, size=(10, 10))
+    dead[[1, 4, 5]] = 1.0  # a silent neuron has cosine 0, so cost 1, to every word
+    return {
+        "square": rng.uniform(size=(32, 32)),
+        "wide": rng.uniform(size=(24, 32)),
+        "tall": rng.uniform(size=(32, 24)),
+        "tied": tied,
+        "all-tied": np.ones((8, 8)),
+        "constant-rows": dead,
+        "constant-rows-tall": np.vstack([dead, np.ones((3, 10))]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cost_matrices()))
+def test_bound_solver_answers_as_scipy(name):
+    """align's solver returns scipy's own (row, col) arrays, ties and
+    rectangular shapes included."""
+    cost = _cost_matrices()[name]
+    got = align.linear_sum_assignment(cost)
+    want = linear_sum_assignment(cost)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+        assert g.dtype == w.dtype
+
+
+def test_bound_solver_is_the_registered_module(monkeypatch):
+    """With scipy's compiled module already registered, binding takes it
+    without looking for its file."""
+    def locate():
+        raise AssertionError("looked for the file of a registered module")
+
+    monkeypatch.setattr(align, "_solver_extension", locate)
+    assert align._bind_solver() is sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+
+
+@pytest.mark.parametrize("found", ["nothing", "an unloadable file"])
+def test_bound_solver_falls_back_to_the_public_import(found, monkeypatch, tmp_path):
+    bogus = tmp_path / "_lsap.so"
+    bogus.write_bytes(b"not a shared object")
+    monkeypatch.setattr(align, "_solver_extension",
+                        lambda: None if found == "nothing" else bogus)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lsap")
+    assert align._bind_solver() is linear_sum_assignment
+    assert "scipy.optimize._lsap" not in sys.modules  # the unloadable file was not registered
+
+
+def test_import_loads_only_the_assignment_solver():
+    """A fresh interpreter that imports the package and its command line and
+    then aligns never loads scipy.optimize, scipy.linalg or scipy.sparse; a
+    later import of scipy.optimize reuses the loaded module and function."""
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import neuralign, neuralign.cli\n"
+        "neuralign.align_to_matrix(np.eye(4), np.eye(4)[::-1])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "lsap = sys.modules['scipy.optimize._lsap']\n"
+        "import scipy.optimize\n"
+        "print(json.dumps({'loaded': loaded,\n"
+        "    'same_module': sys.modules['scipy.optimize._lsap'] is lsap,\n"
+        "    'same_function': scipy.optimize.linear_sum_assignment\n"
+        "        is neuralign.align.linear_sum_assignment}))\n"
+    )
+    src = str(Path(align.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=120)
+    seen = json.loads(proc.stdout)
+    for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
+        assert name not in seen["loaded"]
+    assert seen["same_module"] and seen["same_function"]
 
 
 # ------------------------------------------------------------ dead neurons

@@ -3,12 +3,17 @@
 import argparse
 import dataclasses
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import neuralign
 from neuralign.cli import (
     EXIT_INTEGRITY, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, build_parser, main,
 )
@@ -107,6 +112,28 @@ def test_verify_plain_and_aligned(tiny_run, capsys):
     assert aligned["accepted"] and aligned["aligned"] and aligned["ber"] == 0.0
     record_0 = json.loads((out / "align_summary_np_t1.json").read_text())["records"][0]
     assert aligned["margin"] == record_0["margin"] > 0
+
+
+@pytest.mark.parametrize("suspect", ["rescale/trial_000.naf", "stranger.naf"])
+def test_verify_as_a_program_answers_as_main(suspect, tiny_run, tmp_path, capsys):
+    """`python -m neuralign.cli verify` in a fresh interpreter, which binds the
+    assignment solver on its own, prints what an in-process main() prints and
+    exits with its code: a verdict, and a refusal (exit 2)."""
+    cfg, out, _ = tiny_run
+    model = out / "suspects" / suspect
+    if suspect == "stranger.naf":
+        model = tmp_path / suspect
+        save_model(init_network(cfg.data.input_dim, [8, 5, cfg.data.classes], seed=0), model)
+    argv = ["verify", "--model", str(model), "--record", str(out / RECORD_FILE),
+            "--triggers", str(out / trigger_file("t2")), "--codebook", str(out / CODEBOOK_FILE)]
+    code = main(argv)
+    printed = capsys.readouterr().out
+    src = str(Path(neuralign.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "neuralign.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, printed)
+    assert code == (EXIT_OK if suspect.startswith("rescale") else EXIT_INTEGRITY)
 
 
 def test_verify_needs_both_alignment_files(tiny_run, capsys):
@@ -216,6 +243,26 @@ def test_bad_config_exits_1(tmp_path, capsys):
     code = main(["train", "--config", str(bad), "--out", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     assert "coding.k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw, path",
+    [
+        ({"data": {"samples": 10, "classes": 20, "holdout": 1}}, "data.samples"),
+        ({"model": {"widths": [128.5, 32, 16]}}, "model.widths"),
+    ],
+    ids=["fewer-samples-than-classes", "fractional-width"],
+)
+def test_bad_config_refused_before_train_writes(raw, path, tmp_path, capsys):
+    """A refused config leaves the run directory empty, so the next train
+    into it is not turned away as an earlier run."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
+    assert f"invalid input: {path}:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_train_over_an_earlier_run_exits_1(cfg_file, tmp_path, capsys):

@@ -94,6 +94,21 @@ def test_invalid_json_file(tmp_path):
     [
         (lambda c: setattr(c.data, "classes", 1), "data.classes"),
         (lambda c: setattr(c.data, "holdout", 99999), "data.holdout"),
+        pytest.param(lambda c: setattr(c.data, "samples", 3), "data.samples",
+                     id="fewer-samples-than-classes"),
+        pytest.param(lambda c: setattr(c.data, "samples", 2400.0), "data.samples",
+                     id="float-count"),
+        pytest.param(lambda c: setattr(c.data, "holdout", True), "data.holdout", id="bool-count"),
+        pytest.param(lambda c: setattr(c, "seed", 0.5), "seed", id="float-seed"),
+        pytest.param(lambda c: setattr(c.model, "widths", [128.5, 32, 16]), "model.widths",
+                     id="float-width"),
+        pytest.param(lambda c: setattr(c.model, "widths", [128, True, 16]), "model.widths",
+                     id="bool-width"),
+        pytest.param(lambda c: setattr(c.model, "lr", "0.1"), "model.lr", id="string-number"),
+        pytest.param(lambda c: setattr(c.model, "watermarked_layer", 1),
+                     "model.watermarked_layer", id="integer-layer-name"),
+        pytest.param(lambda c: setattr(c.attacks[1], "epochs", 2.0), r"attacks\[1\].epochs",
+                     id="float-attack-count"),
         (lambda c: setattr(c.model, "widths", []), "model.widths"),
         (lambda c: setattr(c.model, "watermarked_layer", "conv1"), "model.watermarked_layer"),
         (lambda c: setattr(c.model, "watermarked_layer", "dense9"), "model.watermarked_layer"),
@@ -154,3 +169,8 @@ def test_saved_file_is_plain_json(tmp_path):
     raw = json.loads(path.read_text())
     assert raw["watermark"]["bits"] == 32
     assert isinstance(raw["attacks"], list) and len(raw["attacks"]) == 4
+
+
+def test_whole_numbers_accepted_where_a_number_is_expected():
+    cfg = config_from_dict({"model": {"lr": 1}, "triggers": {"box_low": -4, "box_high": 4}})
+    assert cfg.model.lr == 1 and cfg.triggers.box_low == -4
