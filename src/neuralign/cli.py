@@ -18,8 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
-
 from .coding import CapacityError, load_codebook
 from .config import ATTACK_KINDS, ConfigError, ExperimentConfig, load_config, validate_config
 from .network import ShapeError, TrainingDivergenceError, UnknownLayerError
@@ -179,7 +177,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = stage_report(_run_cfg(args), args.out)
+    import jsonschema  # stage_report loads it to validate the report
+
+    try:
+        report = stage_report(_run_cfg(args), args.out)
+    except jsonschema.ValidationError as exc:
+        print(f"invalid report: {exc.message}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(f"report written to {Path(args.out) / 'report.json'}")
     for row in report["attacks"]:
         print(
@@ -268,9 +272,6 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except jsonschema.ValidationError as exc:
-        print(f"invalid report: {exc.message}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

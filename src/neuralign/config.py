@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,16 +113,17 @@ def _is_int(value) -> bool:
 
 def _require_types(spec, path: str) -> None:
     """A JSON file can put any type in any field: an int field must hold an
-    integer, a float field a number and a str field a string (bools are
-    neither integers nor numbers)."""
+    integer, a float field a finite number (JSON's Infinity and NaN parse as
+    floats) and a str field a string (bools are neither integers nor
+    numbers)."""
     for f in dataclasses.fields(spec):
         value = getattr(spec, f.name)
         sub = f"{path}.{f.name}" if path else f.name
         if f.type == "int":
             _require(_is_int(value), sub, f"must be an integer, got {value!r}")
         elif f.type == "float":
-            _require(_is_int(value) or isinstance(value, float), sub,
-                     f"must be a number, got {value!r}")
+            _require(_is_int(value) or (isinstance(value, float) and math.isfinite(value)),
+                     sub, f"must be a finite number, got {value!r}")
         elif f.type == "str":
             _require(isinstance(value, str), sub, f"must be a string, got {value!r}")
 
@@ -154,6 +156,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              f"(dense0..dense{len(m.widths) - 1})")
     _require(2 <= c.k <= 256, "coding.k", "symbol count must be in [2, 256]")
     _require(c.t >= 1, "coding.t", "need at least one trigger position")
+    # the report's normal baseline probes with the first coding.t heldout samples
+    _require(d.holdout >= c.t, "data.holdout",
+             f"need at least coding.t = {c.t} heldout samples, got {d.holdout}")
     _require(1 <= c.k_corrupted <= c.k - 1, "coding.k_corrupted",
              "corrupted alternatives per position lie in [1, k-1]")
     _require(t.j >= 2 and t.j % 2 == 0, "triggers.j",

@@ -13,15 +13,15 @@ on the cores the workers need. For the same reason the forking process stops
 the server its restore started, leaving it as the fork left it: down until
 the next threaded BLAS call. The finished blocks come back in block order. A
 process with one core, or a numpy without a bundled OpenBLAS, starts no
-pool: the caller runs the loop itself.
+pool: the caller runs the loop itself. `multiprocessing` and
+`concurrent.futures` are imported in `run_blocks`, at the first split, so a
+process that never splits a loop never loads them.
 """
 
 from __future__ import annotations
 
 import ctypes
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -73,6 +73,9 @@ def run_blocks(fn, total: int, workers: int, *args) -> list:
     own count back after the join, also when a block raised, with no server
     thread left spinning. Returns the finished futures in block order; the
     caller decides which error to raise."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, total, workers + 1).astype(int)
     get_threads, set_threads, stop_server = _blas_threads()
     threads = get_threads()

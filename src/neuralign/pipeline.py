@@ -7,21 +7,22 @@ so deleting any intermediate file and re-running just that stage reproduces it
 bit for bit. Wall-clock timings go to separate `timings_*.json` files that are
 deliberately excluded from that guarantee; the final report folds them into a
 single top-level "timings" object and is otherwise reproducible.
+
+`jsonschema`, `csv` and `platform` serve only the report stage and are
+imported there (`validate_report`, `stage_report`, `_write_csvs`), so a
+process that writes no report does not pay for `jsonschema`.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
 import math
-import platform
 import shutil
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .align import align_to_matrix, alignment_accuracy, verify_with_alignment
@@ -637,6 +638,8 @@ REPORT_SCHEMA = {
 
 
 def validate_report(report: dict) -> dict:
+    import jsonschema
+
     jsonschema.validate(report, REPORT_SCHEMA)
     return report
 
@@ -771,6 +774,8 @@ def stage_report(cfg: ExperimentConfig, out) -> dict:
                 ),
             })
 
+        import platform
+
         import scipy
 
         report = {
@@ -798,6 +803,8 @@ def stage_report(cfg: ExperimentConfig, out) -> dict:
 
 
 def _write_csvs(out: Path, report: dict) -> None:
+    import csv
+
     grid = report["capacity"]["grid"]
     with (out / "capacity_table.csv").open("w", newline="") as fh:
         w = csv.writer(fh)

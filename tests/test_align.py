@@ -289,17 +289,20 @@ def test_bound_solver_falls_back_to_the_public_import(found, monkeypatch, tmp_pa
 
 def test_import_loads_only_the_assignment_solver():
     """A fresh interpreter that imports the package and its command line and
-    then aligns never loads scipy.optimize, scipy.linalg or scipy.sparse; a
-    later import of scipy.optimize reuses the loaded module and function."""
+    then aligns never loads scipy.optimize, scipy.linalg or scipy.sparse, nor
+    the report's jsonschema or the worker pool's modules; a later import of
+    scipy.optimize reuses the loaded module and function."""
     script = (
         "import json, sys\n"
         "import numpy as np\n"
         "import neuralign, neuralign.cli\n"
+        "deferred = [m for m in ('jsonschema', 'multiprocessing', 'concurrent.futures')\n"
+        "            if m in sys.modules]\n"
         "neuralign.align_to_matrix(np.eye(4), np.eye(4)[::-1])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "lsap = sys.modules['scipy.optimize._lsap']\n"
         "import scipy.optimize\n"
-        "print(json.dumps({'loaded': loaded,\n"
+        "print(json.dumps({'loaded': loaded, 'deferred': deferred,\n"
         "    'same_module': sys.modules['scipy.optimize._lsap'] is lsap,\n"
         "    'same_function': scipy.optimize.linear_sum_assignment\n"
         "        is neuralign.align.linear_sum_assignment}))\n"
@@ -310,6 +313,7 @@ def test_import_loads_only_the_assignment_solver():
     seen = json.loads(proc.stdout)
     for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
         assert name not in seen["loaded"]
+    assert seen["deferred"] == []
     assert seen["same_module"] and seen["same_function"]
 
 

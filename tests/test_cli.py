@@ -21,7 +21,8 @@ from neuralign.coding import CentroidSet
 from neuralign.config import ATTACK_KINDS, load_config, save_config
 from neuralign.network import init_network
 from neuralign.pipeline import (
-    CODEBOOK_FILE, CONFIG_FILE, MODEL_FILE, RECORD_FILE, REPORT_FILE, run_all, trigger_file,
+    CODEBOOK_FILE, CONFIG_FILE, MODEL_FILE, RECORD_FILE, REPORT_FILE, TRAIN_SUMMARY, run_all,
+    trigger_file,
 )
 from neuralign.serialize import (
     MAGIC_CODEBOOK, MAGIC_MODEL, MAGIC_TRIGGERS, read_container, save_model, write_container,
@@ -250,8 +251,11 @@ def test_bad_config_exits_1(tmp_path, capsys):
     [
         ({"data": {"samples": 10, "classes": 20, "holdout": 1}}, "data.samples"),
         ({"model": {"widths": [128.5, 32, 16]}}, "model.widths"),
+        ({"triggers": {"box_low": -float("inf")}}, "triggers.box_low"),
+        ({"attacks": [{"kind": "rescale", "trials": 2, "scale_high": float("inf")}]},
+         "attacks[0].scale_high"),
     ],
-    ids=["fewer-samples-than-classes", "fractional-width"],
+    ids=["fewer-samples-than-classes", "fractional-width", "infinite-box", "infinite-scale"],
 )
 def test_bad_config_refused_before_train_writes(raw, path, tmp_path, capsys):
     """A refused config leaves the run directory empty, so the next train
@@ -290,6 +294,20 @@ def test_unsatisfiable_codebook_exits_3(tiny_run, tmp_path, capsys):
     code = main(["encode", "--out", str(copy)])
     assert code == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_invalid_report_exits_1(tiny_run, tmp_path, capsys):
+    """A stage summary that breaks the report schema is named and leaves the
+    earlier report in place."""
+    _, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    summary = json.loads((copy / TRAIN_SUMMARY).read_text())
+    del summary["bits"]
+    (copy / TRAIN_SUMMARY).write_text(json.dumps(summary))
+    assert main(["report", "--out", str(copy)]) == EXIT_VALIDATION
+    assert "invalid report: 'bits' is a required property" in capsys.readouterr().err
+    assert (copy / REPORT_FILE).read_bytes() == (out / REPORT_FILE).read_bytes()
 
 
 def test_config_echo_with_unknown_key_exits_1(cfg_file, tmp_path, capsys):

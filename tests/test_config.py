@@ -1,6 +1,7 @@
 """Config tree: defaults, dotted-path validation, JSON round-trips."""
 
 import json
+import math
 
 import pytest
 
@@ -89,6 +90,14 @@ def test_invalid_json_file(tmp_path):
         load_config(path)
 
 
+NON_FINITE_FIELDS = [  # (the spec holding the field, field name, dotted path)
+    (lambda c: c.triggers, "box_low", r"triggers\.box_low"),
+    (lambda c: c.attacks[3], "scale_high", r"attacks\[3\]\.scale_high"),
+    (lambda c: c.model, "lr", r"model\.lr"),
+    (lambda c: c.data, "spread", r"data\.spread"),
+]
+
+
 @pytest.mark.parametrize(
     "mutate, path_fragment",
     [
@@ -124,6 +133,12 @@ def test_invalid_json_file(tmp_path):
         (lambda c: setattr(c.attacks[0], "kind", "steal"), r"attacks\[0\].kind"),
         (lambda c: setattr(c.attacks[0], "trials", 0), r"attacks\[0\].trials"),
         (lambda c: setattr(c.attacks[3], "scale_low", 0.0), r"attacks\[3\].scale_low"),
+        *(pytest.param(lambda c, spec=spec, name=name, v=v: setattr(spec(c), name, v),
+                       f"{path}: must be a finite number", id=f"{name}={v}")
+          for spec, name, path in NON_FINITE_FIELDS for v in (-math.inf, math.inf, math.nan)),
+        # the report's normal baseline probes with the first coding.t = 60 heldout samples
+        pytest.param(lambda c: setattr(c.data, "holdout", 59),
+                     r"data\.holdout: need at least coding\.t", id="holdout-below-t"),
     ],
 )
 def test_validation_reports_dotted_path(mutate, path_fragment):

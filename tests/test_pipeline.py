@@ -1,5 +1,6 @@
 """End-to-end pipeline: stage isolation, determinism, report shape."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -627,7 +628,7 @@ def test_attack_without_a_pool_starts_no_child(case, tiny_run, tmp_path, monkeyp
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     if case == "one core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif case == "no blas setter":

@@ -1,5 +1,6 @@
 """Trigger synthesis: descent behavior, separation statistics, ensembles."""
 
+import concurrent.futures
 import os
 import pickle
 
@@ -332,7 +333,7 @@ def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
     alone = triggers._descend([net], targets, "dense1", opt)
     assert alone[2].workers == 1
