@@ -102,6 +102,13 @@ class ExperimentConfig:
         return int(self.model.widths[self.watermarked_index()])
 
 
+# the config's object sections: field name -> type
+_SECTIONS = {
+    "data": DataSpec, "model": ModelSpec, "coding": CodingSpec,
+    "triggers": TriggerSpec, "watermark": WatermarkSpec,
+}
+
+
 def _require(cond: bool, path: str, message: str):
     if not cond:
         raise ConfigError(f"{path}: {message}")
@@ -130,8 +137,7 @@ def _require_types(spec, path: str) -> None:
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     d, m, c, t, w = cfg.data, cfg.model, cfg.coding, cfg.triggers, cfg.watermark
-    specs = [(cfg, ""), (d, "data"), (m, "model"), (c, "coding"), (t, "triggers"),
-             (w, "watermark")]
+    specs = [(cfg, ""), *((getattr(cfg, name), name) for name in _SECTIONS)]
     for spec, path in specs + [(a, f"attacks[{i}]") for i, a in enumerate(cfg.attacks)]:
         _require_types(spec, path)
     _require(d.classes >= 2, "data.classes", "need at least two classes")
@@ -204,10 +210,8 @@ def _build(dc_type, value, path: str):
             if not isinstance(val, list):
                 raise ConfigError(f"{sub}: expected a list")
             kwargs[key] = [_build(AttackSpec, item, f"{sub}[{i}]") for i, item in enumerate(val)]
-        elif key in ("data", "model", "coding", "triggers", "watermark"):
-            kwargs[key] = _build(
-                {"data": DataSpec, "model": ModelSpec, "coding": CodingSpec,
-                 "triggers": TriggerSpec, "watermark": WatermarkSpec}[key], val, sub)
+        elif key in _SECTIONS:
+            kwargs[key] = _build(_SECTIONS[key], val, sub)
         else:
             kwargs[key] = val
     try:

@@ -9,7 +9,7 @@ deliberately excluded from that guarantee; the final report folds them into a
 single top-level "timings" object and is otherwise reproducible.
 
 `jsonschema`, `csv` and `platform` serve only the report stage and are
-imported there (`validate_report`, `stage_report`, `_write_csvs`), so a
+imported there (`validate_report`, `stage_report`, `_write_csv`), so a
 process that writes no report does not pay for `jsonschema`.
 """
 
@@ -317,6 +317,23 @@ def load_centroids(out) -> CentroidSet:
     return CentroidSet(np.array(summary["centroids"], dtype=np.float64))
 
 
+def _probe_separation(model, layer: str, probes: np.ndarray, cs: CentroidSet):
+    """A probe set's codes on `model`'s `layer` (nearest centroids) and the
+    separation fields a forge summary records for it."""
+    raw = layer_outputs(model, layer, probes)
+    codes = nearest_centroid(raw, cs)
+    stats = separation_stats(raw, codes)
+    return codes, {
+        "separation": {
+            "mean_inter": _jsonable(stats["mean_inter"]),
+            "mean_intra": stats["mean_intra"],
+            "dead_neurons": stats["dead_neurons"],
+        },
+        "separation_bound": cs.separation_bound,
+        "passes_separation": bool(stats["mean_intra"] <= cs.separation_bound),
+    }
+
+
 def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     """Synthesize the trigger set for one scheme (single model or ensemble)."""
     if mode not in TRIGGER_MODES:
@@ -347,9 +364,7 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
         timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
-        raw = layer_outputs(model, layer, ts.inputs)
-        codes = nearest_centroid(raw, cs)
-        stats = separation_stats(raw, codes)
+        codes, separation = _probe_separation(model, layer, ts.inputs, cs)
         neuron_errors = np.sum(codes != cb.codewords, axis=1)
         radius = (cb.d_min - 1) // 2
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))
@@ -362,13 +377,7 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
             "loss_budget": budget,
             "mean_loss": float(ts.final_losses.mean()),
             "max_loss": float(ts.final_losses.max()),
-            "separation": {
-                "mean_inter": _jsonable(stats["mean_inter"]),
-                "mean_intra": stats["mean_intra"],
-                "dead_neurons": stats["dead_neurons"],
-            },
-            "separation_bound": cs.separation_bound,
-            "passes_separation": bool(stats["mean_intra"] <= cs.separation_bound),
+            **separation,
             "residual_symbol_errors": int(neuron_errors.sum()),
             # how well the triggers fit their codewords on the owner's own
             # model, in quantized symbols; alignment reads the raw activations
@@ -519,6 +528,7 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
                 "ber": av.ov.ber if av.ov is not None else None,
             }
             if av.alignment is not None:
+                entry["perm_estimate"] = av.alignment.perm_estimate.tolist()
                 entry["neuron_accuracy"] = _jsonable(
                     alignment_accuracy(av.alignment, true_perm)
                 )
@@ -528,6 +538,7 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
                 # the one the assignment gave it
                 entry["margin"] = av.alignment.margin
             else:
+                entry["perm_estimate"] = None
                 entry["neuron_accuracy"] = None
                 entry["collisions_resolved"] = None
                 entry["dead"] = None
@@ -558,21 +569,40 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
 
 # ---------------------------------------------------------------- report
 
+# One tuple per report table: the keys its schema requires of each row and,
+# where the table has a CSV, that CSV's header and cell order (`_write_csv`).
+TRIGGER_COLUMNS = (
+    "scheme", "mean_inter", "mean_intra", "separation_bound",
+    "passes_separation", "dead_neurons", "shuffle_accuracy",
+)
+ATTACK_COLUMNS = (
+    "kind", "mode", "trials", "no_align_accept_rate", "accept_rate", "accept_ci",
+    "mean_neuron_accuracy",
+)
+ORDERING_COLUMNS = ("kind", "accept_rate_t1", "accept_rate_t2", "confidence_t2_ge_t1")
+
+
+def _requires(*keys) -> dict:
+    return {"type": "object", "required": list(keys)}
+
+
+def _table(columns) -> dict:
+    return {"type": "array", "items": _requires(*columns)}
+
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": [
+    **_requires(
         "schema_version", "generator", "versions", "config", "artifacts",
         "watermark", "capacity", "codebook", "triggers", "attacks",
         "orderings", "timings",
-    ],
+    ),
     "additionalProperties": False,
     "properties": {
         "schema_version": {"const": REPORT_SCHEMA_VERSION},
         "generator": {"type": "string"},
         "versions": {
-            "type": "object",
-            "required": ["python", "numpy", "scipy"],
+            **_requires("python", "numpy", "scipy"),
             "additionalProperties": {"type": "string"},
         },
         "config": {"type": "object"},
@@ -580,55 +610,15 @@ REPORT_SCHEMA = {
             "type": "object",
             "additionalProperties": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
         },
-        "watermark": {
-            "type": "object",
-            "required": [
-                "bits", "threshold", "ber_after_embed", "accuracy_drop_heldout",
-            ],
-        },
+        "watermark": _requires("bits", "threshold", "ber_after_embed", "accuracy_drop_heldout"),
         "capacity": {
-            "type": "object",
-            "required": ["configured", "grid"],
-            "properties": {
-                "grid": {
-                    "type": "object",
-                    "required": ["n_values", "t_values", "bounds"],
-                },
-            },
+            **_requires("configured", "grid"),
+            "properties": {"grid": _requires("n_values", "t_values", "bounds")},
         },
-        "codebook": {
-            "type": "object",
-            "required": ["digest", "n", "t", "k", "min_distance", "guaranteed_radius"],
-        },
-        "triggers": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "scheme", "mean_inter", "mean_intra", "separation_bound",
-                    "passes_separation", "dead_neurons", "shuffle_accuracy",
-                ],
-            },
-        },
-        "attacks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "kind", "mode", "trials", "accept_rate", "accept_ci",
-                    "no_align_accept_rate", "mean_neuron_accuracy",
-                ],
-            },
-        },
-        "orderings": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "kind", "accept_rate_t1", "accept_rate_t2", "confidence_t2_ge_t1",
-                ],
-            },
-        },
+        "codebook": _requires("digest", "n", "t", "k", "min_distance", "guaranteed_radius"),
+        "triggers": _table(TRIGGER_COLUMNS),
+        "attacks": _table(ATTACK_COLUMNS),
+        "orderings": _table(ORDERING_COLUMNS),
         "timings": {
             "type": "object",
             "additionalProperties": {"type": "number"},
@@ -644,6 +634,22 @@ def validate_report(report: dict) -> dict:
     return report
 
 
+def _trigger_row(scheme: str, fields: dict, shuffle_accuracy, **extra) -> dict:
+    """A trigger-table row from a probe set's separation fields (as
+    `_probe_separation` gives them), plus `extra` report-only columns."""
+    separation = fields["separation"]
+    return {
+        "scheme": scheme,
+        "mean_inter": separation["mean_inter"],
+        "mean_intra": separation["mean_intra"],
+        "separation_bound": fields["separation_bound"],
+        "passes_separation": fields["passes_separation"],
+        "dead_neurons": len(separation["dead_neurons"]),
+        "shuffle_accuracy": shuffle_accuracy,
+        **extra,
+    }
+
+
 def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: CentroidSet) -> dict:
     """Transcription scheme: plain heldout samples as probes, the marked
     model's codes on them (mapped to their centroids) as the reference,
@@ -654,9 +660,7 @@ def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: Centroi
     _, held = make_experiment_data(cfg)
     # stored like trigger inputs, so normal probes read out as T1 and T2 do
     probes = held.inputs[: cb.t].astype(np.float32)
-    raw = layer_outputs(model, layer, probes)
-    codes = nearest_centroid(raw, cs)
-    stats = separation_stats(raw, codes)
+    codes, separation = _probe_separation(model, layer, probes, cs)
     targets = cs.centroids[codes]
     accs = []
     n = model.layer(layer).out_dim
@@ -664,16 +668,9 @@ def _normal_baseline(cfg: ExperimentConfig, out: Path, cb: Codebook, cs: Centroi
         spec = random_permutation(n, derive_seed(cfg.seed, "baseline", s), layer)
         observed = layer_outputs(permute_neurons(model, spec), layer, probes)
         accs.append(alignment_accuracy(align_to_matrix(observed, targets, layer), spec.perm))
-    return {
-        "scheme": "normal",
-        "mean_inter": _jsonable(stats["mean_inter"]),
-        "mean_intra": stats["mean_intra"],
-        "separation_bound": cs.separation_bound,
-        "passes_separation": bool(stats["mean_intra"] <= cs.separation_bound),
-        "dead_neurons": len(stats["dead_neurons"]),
-        "shuffle_accuracy": _jsonable(np.nanmean(accs)),
-        "shuffles": BASELINE_SHUFFLES,
-    }
+    return _trigger_row(
+        "normal", separation, _jsonable(np.nanmean(accs)), shuffles=BASELINE_SHUFFLES
+    )
 
 
 def _collect_timings(out: Path) -> dict:
@@ -717,41 +714,24 @@ def stage_report(cfg: ExperimentConfig, out) -> dict:
             if not path.exists():
                 continue
             forge = read_json(path)
-            row = {
-                "scheme": mode,
-                "mean_inter": forge["separation"]["mean_inter"],
-                "mean_intra": forge["separation"]["mean_intra"],
-                "separation_bound": forge["separation_bound"],
-                "passes_separation": forge["passes_separation"],
-                "dead_neurons": len(forge["separation"]["dead_neurons"]),
-                "shuffle_accuracy": None,
-                "converged": forge["converged"],
-                "t": forge["t"],
-                "residual_symbol_errors": forge["residual_symbol_errors"],
-            }
             np_path = out / align_summary_file("np", mode)
-            if np_path.exists():
-                row["shuffle_accuracy"] = read_json(np_path)["mean_neuron_accuracy"]
-            triggers.append(row)
+            shuffle = read_json(np_path)["mean_neuron_accuracy"] if np_path.exists() else None
+            triggers.append(_trigger_row(
+                mode, forge, shuffle, converged=forge["converged"], t=forge["t"],
+                residual_symbol_errors=forge["residual_symbol_errors"],
+            ))
 
         attacks = []
         accept_by = {}
         for kind in ATTACK_KINDS:
-            for mode in TRIGGER_MODES:
-                path = out / align_summary_file(kind, mode)
-                if not path.exists():
-                    continue
-                s = read_json(path)
-                attack_meta = read_json(out / attack_summary_file(kind))
+            modes = [m for m in TRIGGER_MODES if (out / align_summary_file(kind, m)).exists()]
+            if not modes:
+                continue
+            attack_meta = read_json(out / attack_summary_file(kind))
+            for mode in modes:
+                s = read_json(out / align_summary_file(kind, mode))
                 attacks.append({
-                    "kind": kind,
-                    "mode": mode,
-                    "trials": s["trials"],
-                    "accept_rate": s["accept_rate"],
-                    "accept_ci": s["accept_ci"],
-                    "no_align_accept_rate": s["no_align_accept_rate"],
-                    "mean_neuron_accuracy": s["mean_neuron_accuracy"],
-                    "mean_ber": s["mean_ber"],
+                    **{c: s[c] for c in (*ATTACK_COLUMNS, "mean_ber")},
                     "mean_drift": attack_meta["mean_drift"],
                     "mean_task_accuracy": attack_meta["mean_accuracy"],
                 })
@@ -798,47 +778,31 @@ def stage_report(cfg: ExperimentConfig, out) -> dict:
         }
         validate_report(report)
         write_json(out / REPORT_FILE, report)
-        _write_csvs(out, report)
+        grid = encode_summary["capacity"]["grid"]
+        columns = ["t", *(f"n{n}" for n in grid["n_values"])]
+        _write_csv(out / "capacity_table.csv", columns, [
+            dict(zip(columns, (t, *bounds)))
+            for t, bounds in zip(grid["t_values"], zip(*grid["bounds"]))
+        ])
+        _write_csv(out / "trigger_table.csv", TRIGGER_COLUMNS, triggers)
+        _write_csv(out / "attack_table.csv", ATTACK_COLUMNS, attacks)
     return report
 
 
-def _write_csvs(out: Path, report: dict) -> None:
+def _write_csv(path: Path, columns, rows) -> None:
+    """One table: header `columns`, then each row's values in that order; a
+    `*_ci` column's [low, high] pair fills two cells."""
     import csv
 
-    grid = report["capacity"]["grid"]
-    with (out / "capacity_table.csv").open("w", newline="") as fh:
+    with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["t"] + [f"n{n}" for n in grid["n_values"]])
-        for j, t in enumerate(grid["t_values"]):
-            w.writerow([t] + [grid["bounds"][i][j] for i in range(len(grid["n_values"]))])
-    with (out / "trigger_table.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([
-            "scheme", "mean_inter", "mean_intra", "separation_bound",
-            "passes_separation", "dead_neurons", "shuffle_accuracy",
-        ])
-        for row in report["triggers"]:
-            w.writerow([
-                row["scheme"], row["mean_inter"], row["mean_intra"],
-                row["separation_bound"], row["passes_separation"],
-                row["dead_neurons"], row["shuffle_accuracy"],
-            ])
-    with (out / "attack_table.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([
-            "kind", "mode", "trials", "no_align_accept_rate", "accept_rate",
-            "accept_ci_low", "accept_ci_high", "mean_neuron_accuracy",
-        ])
-        for row in report["attacks"]:
-            w.writerow([
-                row["kind"], row["mode"], row["trials"],
-                row["no_align_accept_rate"], row["accept_rate"],
-                row["accept_ci"][0], row["accept_ci"][1],
-                row["mean_neuron_accuracy"],
-            ])
+        w.writerow([h for c in columns
+                    for h in ((f"{c}_low", f"{c}_high") if c.endswith("_ci") else (c,))])
+        w.writerows([v for c in columns for v in (row[c] if c.endswith("_ci") else (row[c],))]
+                    for row in rows)
 
 
-def run_all(cfg: ExperimentConfig, out, trials: int | None = None) -> dict:
+def run_all(cfg: ExperimentConfig, out) -> dict:
     """Every stage in order: both trigger schemes, all configured attacks."""
     out = Path(out)
     stage_train(cfg, out)
@@ -847,7 +811,7 @@ def run_all(cfg: ExperimentConfig, out, trials: int | None = None) -> dict:
         stage_forge(cfg, out, mode)
     kinds = [a.kind for a in cfg.attacks]
     for kind in kinds:
-        stage_attack(cfg, out, kind, trials=trials)
+        stage_attack(cfg, out, kind)
     for kind in kinds:
         for mode in TRIGGER_MODES:
             stage_align(cfg, out, kind, mode)

@@ -315,11 +315,26 @@ def test_csv_tables(tiny_run):
     assert rows[0] == ["t", "n64", "n128"]
     assert [int(r[0]) for r in rows[1:]] == list(GRID_T)
     assert [int(r[1]) for r in rows[1:]] == PUBLISHED_GRID[64]
+    # the other two tables hold the report's rows, each cell as `csv` writes
+    # the row's value (None as an empty cell), accept_ci as its two bounds
+    def cells(row, columns):
+        values = [v for c in columns for v in (row[c] if c == "accept_ci" else [row[c]])]
+        return ["" if v is None else str(v) for v in values]
+
     with (out / "trigger_table.csv").open() as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 4 and rows[1][0] == "normal"
+    columns = ["scheme", "mean_inter", "mean_intra", "separation_bound",
+               "passes_separation", "dead_neurons", "shuffle_accuracy"]
+    assert rows[0] == columns
+    assert rows[1:] == [cells(r, columns) for r in report["triggers"]]
+    assert [r[0] for r in rows[1:]] == ["normal", "t1", "t2"]
     with (out / "attack_table.csv").open() as fh:
         rows = list(csv.reader(fh))
+    assert rows[0] == ["kind", "mode", "trials", "no_align_accept_rate", "accept_rate",
+                       "accept_ci_low", "accept_ci_high", "mean_neuron_accuracy"]
+    columns = ["kind", "mode", "trials", "no_align_accept_rate", "accept_rate", "accept_ci",
+               "mean_neuron_accuracy"]
+    assert rows[1:] == [cells(r, columns) for r in report["attacks"]]
     assert len(rows) == 9
 
 
@@ -476,13 +491,34 @@ def test_align_records_carry_decode_margin(tiny_run, tmp_path):
     for rec in summary["records"]:
         av = verify_with_alignment(load_model(suspect_file(copy, "np", rec["trial"])), ts, cb, record)
         if av.alignment is None:
-            assert rec["trial"] == 0 and rec["margin"] is None
+            assert rec["trial"] == 0 and rec["margin"] is None and rec["perm_estimate"] is None
             continue
         live = np.delete(av.alignment.per_neuron_margin, av.alignment.dead)
         assert rec["margin"] == live.min() == av.alignment.margin
         margins.append(rec["margin"])
     assert len(margins) == len(summary["records"]) - 1
     assert summary["min_margin"] == min(margins)
+
+
+def test_align_records_carry_the_estimated_order(tiny_run):
+    """Each align record keeps the order verify_with_alignment estimates for
+    its suspect, and its neuron_accuracy is that order's agreement with the
+    attack's permutation over the live neurons."""
+    cfg, out, _ = tiny_run
+    cb = load_codebook(out / CODEBOOK_FILE)
+    record = load_record(out / RECORD_FILE)
+    for mode in TRIGGER_MODES:
+        ts = load_trigger_set(out / trigger_file(mode))
+        for kind in ATTACK_KINDS:
+            perms = [r["perm"] for r in read_json(out / pipeline.attack_summary_file(kind))["records"]]
+            for rec in read_json(out / align_summary_file(kind, mode))["records"]:
+                suspect = load_model(suspect_file(out, kind, rec["trial"]))
+                alignment = verify_with_alignment(suspect, ts, cb, record).alignment
+                assert rec["perm_estimate"] == alignment.perm_estimate.tolist()
+                perm = np.array(perms[rec["trial"]])
+                live = ~np.isin(perm, alignment.dead)
+                correct = np.array(rec["perm_estimate"]) == perm
+                assert rec["neuron_accuracy"] == float(correct[live].mean())
 
 
 def test_benchmark_tracer_reads_the_align_stage(tiny_run, tmp_path, perfbench_module):
