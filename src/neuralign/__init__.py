@@ -93,7 +93,6 @@ from .serialize import (
     save_model,
 )
 from .triggers import (
-    OptConfig,
     OptimizationError,
     TriggerSet,
     VariantEnsemble,
@@ -108,7 +107,6 @@ from .triggers import (
     synthesize_trigger_set,
 )
 from .watermark import (
-    EmbedConfig,
     EmbedFailure,
     OVResult,
     TamperError,

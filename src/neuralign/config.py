@@ -150,12 +150,13 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "need positive integer widths for at least one hidden layer")
     _require(m.epochs >= 0 and m.lr > 0 and m.batch_size >= 1, "model.epochs",
              "need epochs >= 0, lr > 0, batch_size >= 1")
-    name = m.watermarked_layer
+    name, digits = m.watermarked_layer, m.watermarked_layer.removeprefix("dense")
+    # layers are named dense0, dense1, ...: no leading zero, no non-ASCII digit
     _require(
-        name.startswith("dense") and name.removeprefix("dense").isdigit(),
+        digits.isdecimal() and name == f"dense{int(digits)}",
         "model.watermarked_layer", f"unknown layer name {name!r}",
     )
-    idx = int(name.removeprefix("dense"))
+    idx = int(digits)
     # widths lists the hidden layers; the softmax output dense{len(widths)} follows them
     _require(idx < len(m.widths), "model.watermarked_layer",
              f"layer {name!r} must be a hidden layer with a successor "

@@ -13,15 +13,8 @@ neurons in the named layer (the pruned T2 variants) into the first network's
 pass as per-neuron weights, so each distinct network costs one pass.
 
 No row of the kernel's batch reads another row, which lets trigger descent
-split its rows into blocks, one per usable core (`os.sched_getaffinity`), and
-run each block in a forked worker (Linux `fork`) with one BLAS thread: the
-forking process pins BLAS before it forks and restores it after the join,
-because the setter, called in a forked child, restarts OpenBLAS's thread
-server. Numpy's bundled OpenBLAS computes a GEMM row the same way at any
-thread count and any row count above the sizes it sends to its small-matrix
-kernels, so the blocks' rows are the whole batch's bit for bit. The descent
-checks this on its first step and descends in one process when a block's bits
-differ.
+split its rows into blocks, each run in a forked worker (`parallel.py` tells
+how the workers are forked and BLAS is pinned).
 """
 
 from __future__ import annotations
@@ -32,10 +25,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 ACTIVATIONS = ("identity", "relu", "softmax")
-
-# activation name -> tag byte used by the model file format
-ACTIVATION_TAGS = {"identity": 0, "relu": 1, "softmax": 2}
-TAG_ACTIVATIONS = {v: k for k, v in ACTIVATION_TAGS.items()}
 
 
 class ShapeError(ValueError):

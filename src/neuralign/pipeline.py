@@ -46,7 +46,6 @@ from .serialize import file_sha256, load_model, save_model
 from .triggers import (
     MODE_ENSEMBLE,
     MODE_SINGLE,
-    OptConfig,
     layer_outputs,
     load_trigger_set,
     loss_budget,
@@ -55,7 +54,7 @@ from .triggers import (
     separation_stats,
     synthesize_trigger_set,
 )
-from .watermark import EmbedConfig, TamperError, embed, load_record, make_record, save_record, verify
+from .watermark import TamperError, embed, load_record, make_record, save_record, verify
 
 TRIGGER_MODES = (MODE_SINGLE, MODE_ENSEMBLE)
 
@@ -182,9 +181,11 @@ def attack_spec_for(cfg: ExperimentConfig, kind: str):
 def stage_train(cfg: ExperimentConfig, out) -> dict:
     """Train the task model, embed the watermark, write model + record.
 
-    Validates the config before writing anything. Refuses a run directory
-    that holds artifacts of an earlier run, which would otherwise sit next to
-    the new config echo and mix runs in a report.
+    Validates the config before writing anything, and writes the config echo
+    with the models and the record once the embedding has succeeded, so a
+    failed train leaves the run directory empty. Refuses a run directory that
+    holds artifacts of an earlier run, which would otherwise sit next to the
+    new config echo and mix runs in a report.
     """
     validate_config(cfg)
     out = Path(out)
@@ -196,7 +197,6 @@ def stage_train(cfg: ExperimentConfig, out) -> dict:
         )
     out.mkdir(parents=True, exist_ok=True)
     with _StageTimer(out, "train"):
-        save_config(cfg, out / CONFIG_FILE)
         train_ds, held = make_experiment_data(cfg)
         net0 = init_network(
             cfg.data.input_dim, [*cfg.model.widths, cfg.data.classes],
@@ -209,18 +209,17 @@ def stage_train(cfg: ExperimentConfig, out) -> dict:
                 batch_size=cfg.model.batch_size, seed=derive_seed(cfg.seed, "train"),
             ),
         )
+        w = cfg.watermark
         record = make_record(
-            base, cfg.model.watermarked_layer, bits=cfg.watermark.bits,
-            threshold=cfg.watermark.threshold, seed=derive_seed(cfg.seed, "record"),
+            base, cfg.model.watermarked_layer, bits=w.bits,
+            threshold=w.threshold, seed=derive_seed(cfg.seed, "record"),
         )
-        marked = embed(
-            base, record, train_ds,
-            EmbedConfig(
-                epochs=cfg.watermark.embed_epochs, lr=cfg.watermark.embed_lr,
-                batch_size=cfg.model.batch_size, strength=cfg.watermark.strength,
-                max_rounds=cfg.watermark.max_rounds, seed=derive_seed(cfg.seed, "embed"),
-            ),
+        embed_hp = TrainConfig(
+            epochs=w.embed_epochs, lr=w.embed_lr, batch_size=cfg.model.batch_size,
+            seed=derive_seed(cfg.seed, "embed"),
         )
+        marked = embed(base, record, train_ds, embed_hp, w.strength, w.max_rounds)
+        save_config(cfg, out / CONFIG_FILE)
         save_model(base, out / MODEL_BASE_FILE)
         save_model(marked, out / MODEL_FILE)
         save_record(record, out / RECORD_FILE)
@@ -355,13 +354,9 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
             batch_size=cfg.model.batch_size,
             prune_step=cfg.triggers.prune_step,
         )
-        opt = OptConfig(
-            steps=cfg.triggers.steps, lr=cfg.triggers.lr,
-            seed=derive_seed(cfg.seed, "forge", mode),
-            box_low=cfg.triggers.box_low, box_high=cfg.triggers.box_high,
-            restarts=cfg.triggers.restarts,
+        ts = synthesize_trigger_set(
+            ensemble, layer, cs, cb, cfg.triggers, derive_seed(cfg.seed, "forge", mode)
         )
-        ts = synthesize_trigger_set(ensemble, layer, cs, cb, opt)
         timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
         codes, separation = _probe_separation(model, layer, ts.inputs, cs)

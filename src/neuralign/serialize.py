@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import ACTIVATION_TAGS, TAG_ACTIVATIONS, DenseLayer, Network
+from .network import DenseLayer, Network
 
 MAGIC_MODEL = b"NAF1"
 MAGIC_RECORD = b"NAR1"
@@ -28,6 +28,10 @@ MAGIC_TRIGGERS = b"NAT1"
 FORMAT_VERSION = 1
 
 _HEADER_LEN = 6  # magic + version
+
+# activation name -> tag byte used by the model file format
+ACTIVATION_TAGS = {"identity": 0, "relu": 1, "softmax": 2}
+TAG_ACTIVATIONS = {v: k for k, v in ACTIVATION_TAGS.items()}
 
 
 class FormatError(ValueError):
@@ -69,6 +73,10 @@ class PayloadWriter:
 
     def f64_array(self, arr: np.ndarray):
         self.buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+
+    def bits(self, flags: np.ndarray):
+        """A bit vector, eight to a byte, least significant bit first."""
+        self.buf += np.packbits(flags, bitorder="little").tobytes()
 
     def raw(self, data: bytes):
         self.buf += data
@@ -131,6 +139,11 @@ class PayloadReader:
 
     def f64_array(self, count: int) -> np.ndarray:
         return self._array("<f8", count)
+
+    def bits(self, count: int) -> np.ndarray:
+        """`count` bits as written by `PayloadWriter.bits`, as uint8 0/1."""
+        packed = np.frombuffer(self.raw((count + 7) // 8), dtype=np.uint8)
+        return np.unpackbits(packed, count=count, bitorder="little")
 
     def raw(self, n: int) -> memoryview:
         """The next n bytes as a view into the payload, not a copy."""

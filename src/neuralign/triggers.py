@@ -9,18 +9,18 @@ makes the readout survive those attacks at the price of a harder objective.
 All T positions are optimized as one batch; each row keeps its best-so-far
 input so a late bad step cannot lose a good solution.
 
-The rows never interact, so a large descent runs on every core through
-`parallel.run_blocks`: one contiguous block of rows per usable core, each
-descended in a forked worker that inherits one BLAS thread (the forking
-process pins and later restores its own count; the setter, called in a forked
-child, would restart OpenBLAS's spinning thread server), the per-row results
-concatenated in row order. OpenBLAS computes each GEMM row the same way at
-any thread count and at any row count above the sizes its small-matrix
-kernels take, so the triggers are byte-identical to a one-process descent;
-the first step of every block is compared with the whole batch's, and any
-differing bit sends the descent back into one process. A descent below
-`SPLIT_FLOOR_MACS`, or one the pool helper keeps in-process (one core, no
-bundled OpenBLAS), runs in this process.
+The descent takes the run's `TriggerSpec` (steps, step size, restarts, clamp
+box) and the seed its starting points are drawn from.
+
+The rows never interact, so a large descent runs in one block of rows per
+usable core through `parallel.run_blocks`, whose docstring tells how it forks
+and pins BLAS. OpenBLAS computes each GEMM row the same way at any thread
+count and at any row count above the sizes its small-matrix kernels take, so
+the triggers are byte-identical to a one-process descent; the first step of
+every block is compared with the whole batch's, and any differing bit sends
+the descent back into one process. A descent below `SPLIT_FLOOR_MACS`, or one
+the pool helper keeps in-process (one core, no bundled OpenBLAS), runs in
+this process.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import CentroidSet, Codebook, codebook_digest
+from .config import TriggerSpec
 from .network import (
     Dataset,
     InputGradientKernel,
@@ -114,24 +115,6 @@ def make_variant_ensemble(
 
 
 @dataclass(frozen=True)
-class OptConfig:
-    steps: int = 2000
-    lr: float = 0.05
-    seed: int = 0
-    box_low: float = -4.0
-    box_high: float = 4.0
-    restarts: int = 8  # independent seeded starts per trigger; best one wins
-
-    def __post_init__(self):
-        if self.steps < 0 or self.lr <= 0:
-            raise ValueError("need steps >= 0 and lr > 0")
-        if self.restarts < 1:
-            raise ValueError("need at least one start")
-        if not self.box_low < self.box_high:
-            raise ValueError("clamp box must be non-empty")
-
-
-@dataclass(frozen=True)
 class DescentSpan:
     """How one descent ran: worker processes (1: in-process), descended rows
     (triggers x restarts), steps, kernel members and wall seconds."""
@@ -209,7 +192,7 @@ def _worker_count(nets, layer_name: str, rows: int, steps: int) -> int:
     return 1 if rows * (steps + 1) * macs < SPLIT_FLOOR_MACS else workers
 
 
-def _descend_rows(lo, hi, nets, targets, layer_name, opt: OptConfig, x, first_step=None):
+def _descend_rows(lo, hi, nets, targets, layer_name, opt: TriggerSpec, x, first_step=None):
     """Projected descent of rows [lo, hi), starting at x[lo:hi] (overwritten).
     Returns per-row best (inputs, losses) and the kernel's member count, or
     None when first_step (the whole batch's step-0 grads and losses) differs
@@ -239,7 +222,7 @@ def _descend_rows(lo, hi, nets, targets, layer_name, opt: OptConfig, x, first_st
     return best_x, best_loss, len(kernel.members)
 
 
-def _split_descent(nets, targets, layer_name, opt: OptConfig, x, workers: int):
+def _split_descent(nets, targets, layer_name, opt: TriggerSpec, x, workers: int):
     """`_descend_rows` on row blocks through `run_blocks`, concatenated in row
     order; None when a block's first step is not the whole batch's bit for
     bit (a BLAS that rounds a block's GEMMs differently), so the caller
@@ -264,13 +247,14 @@ def _split_descent(nets, targets, layer_name, opt: OptConfig, x, workers: int):
     )
 
 
-def _descend(nets, targets, layer_name, opt: OptConfig):
-    """Batched projected descent; returns per-row best (inputs, losses) and
-    the run's DescentSpan. Split over worker processes when that pays (see
-    the module docstring); the result is the same either way."""
+def _descend(nets, targets, layer_name, opt: TriggerSpec, seed: int):
+    """Batched projected descent from seeded uniform starts in the clamp box;
+    returns per-row best (inputs, losses) and the run's DescentSpan. Split
+    over worker processes when that pays (see the module docstring); the
+    result is the same either way."""
     start = time.perf_counter()
     rows = targets.shape[0]
-    rng = np.random.default_rng(opt.seed)
+    rng = np.random.default_rng(seed)
     x = rng.uniform(opt.box_low, opt.box_high, size=(rows, nets[0].input_dim))
     workers = _worker_count(nets, layer_name, rows, opt.steps)
     result = _split_descent(nets, targets, layer_name, opt, x, workers) if workers > 1 else None
@@ -287,9 +271,22 @@ def synthesize_trigger_set(
     layer_name: str,
     cs: CentroidSet,
     cb: Codebook,
-    opt: OptConfig,
+    opt: TriggerSpec,
+    seed: int,
 ) -> TriggerSet:
-    """Optimize all T trigger positions as one batch against the ensemble."""
+    """Optimize all T trigger positions as one batch against the ensemble.
+
+    `opt` is the run's `TriggerSpec`: the descent reads its steps, step size,
+    restarts and clamp box. `seed` draws the starting points. A library
+    caller's settings are checked here, since only a run's config passes
+    through `validate_config`.
+    """
+    if opt.steps < 0 or opt.lr <= 0:
+        raise ValueError("need steps >= 0 and lr > 0")
+    if opt.restarts < 1:
+        raise ValueError("need at least one start")
+    if not opt.box_low < opt.box_high:
+        raise ValueError("clamp box must be non-empty")
     nets = ensemble.networks
     width = nets[0].layer(layer_name).out_dim
     if width != cb.n:
@@ -298,7 +295,8 @@ def synthesize_trigger_set(
         raise ValueError(f"centroid set has {cs.k} folds, codebook uses {cb.k} symbols")
     t = cb.t
     targets = cs.centroids[cb.codewords.T.astype(np.int64)]  # (T, N)
-    all_x, all_loss, span = _descend(nets, np.tile(targets, (opt.restarts, 1)), layer_name, opt)
+    rows = np.tile(targets, (opt.restarts, 1))
+    all_x, all_loss, span = _descend(nets, rows, layer_name, opt, seed)
     pick = all_loss.reshape(opt.restarts, t).argmin(axis=0)
     best_x = all_x.reshape(opt.restarts, t, -1)[pick, np.arange(t)]
     best_loss = all_loss.reshape(opt.restarts, t)[pick, np.arange(t)]
@@ -389,7 +387,7 @@ def save_trigger_set(ts: TriggerSet, path) -> None:
     w.text(ts.codebook_ref)
     w.f32_array(ts.inputs)
     w.f32_array(ts.final_losses)
-    w.raw(np.packbits(ts.converged.astype(np.uint8), bitorder="little").tobytes())
+    w.bits(ts.converged)
     write_container(path, MAGIC_TRIGGERS, w.bytes_value())
 
 
@@ -407,9 +405,7 @@ def load_trigger_set(path) -> TriggerSet:
         codebook_ref = r.text()
         inputs = r.f32_array(t * in_dim).reshape(t, in_dim)
         losses = r.f32_array(t)
-        conv = np.unpackbits(
-            np.frombuffer(r.raw((t + 7) // 8), dtype=np.uint8), count=t, bitorder="little"
-        ).astype(bool)
+        conv = r.bits(t)
         r.expect_end()
         return TriggerSet(
             inputs=inputs,

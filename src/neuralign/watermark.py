@@ -16,7 +16,7 @@ permuted copy of it. Each record casts its key to float64 once, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -132,23 +132,21 @@ def verify(net: Network, record: WatermarkRecord, order: np.ndarray | None = Non
     return OVResult(accepted=ber <= record.threshold, ber=ber, bits_extracted=bits)
 
 
-@dataclass(frozen=True)
-class EmbedConfig:
-    epochs: int
-    lr: float
-    batch_size: int
-    strength: float
-    max_rounds: int
-    seed: int
+def embed(
+    net: Network, record: WatermarkRecord, data, hp: TrainConfig, strength: float,
+    max_rounds: int,
+) -> Network:
+    """Train with the sign penalty, weighted by `strength`, until extraction
+    is error free.
 
-
-def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig) -> Network:
-    """Train with the sign penalty until extraction is error free.
-
-    Runs up to max_rounds training passes, stopping at the first with zero
-    bit-error rate; later rounds keep growing the projection margins only if
-    the first pass leaves residual errors.
+    Runs up to max_rounds training passes with `hp`, round r seeded
+    hp.seed + r, stopping at the first with zero bit-error rate; later rounds
+    keep growing the projection margins only if the first pass leaves
+    residual errors. `hp` carries no regularizer of its own: the sign penalty
+    is the one `extra_loss` the rounds train with.
     """
+    if hp.extra_loss is not None:
+        raise ValueError("embedding adds its own extra_loss; hp must carry none")
     layer = net.layer(record.layer_name)
     if layer.weights.size != record.key.shape[1]:
         raise TamperError(
@@ -168,38 +166,21 @@ def embed(net: Network, record: WatermarkRecord, data, hp: EmbedConfig) -> Netwo
         p = 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
         dz = (p - target) / b
         grad = (key64.T @ dz).reshape(shape)
-        return hp.strength * loss, {record.layer_name: hp.strength * grad}
+        return strength * loss, {record.layer_name: strength * grad}
 
     current = net
-    for round_idx in range(hp.max_rounds):
-        current = train(
-            current,
-            data,
-            TrainConfig(
-                epochs=hp.epochs,
-                lr=hp.lr,
-                batch_size=hp.batch_size,
-                seed=hp.seed + round_idx,
-                extra_loss=sign_penalty,
-            ),
-        )
+    for round_idx in range(max_rounds):
+        round_hp = replace(hp, seed=hp.seed + round_idx, extra_loss=sign_penalty)
+        current = train(current, data, round_hp)
         if verify(current, record).ber == 0.0:
             break
     else:
         final = verify(current, record).ber
         raise EmbedFailure(
-            f"bit-error rate still {final:.3f} after {hp.max_rounds} rounds; "
+            f"bit-error rate still {final:.3f} after {max_rounds} rounds; "
             f"raise strength or epochs"
         )
     return current
-
-
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def _unpack_bits(raw: bytes, count: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
 
 
 def save_record(record: WatermarkRecord, path) -> None:
@@ -210,7 +191,7 @@ def save_record(record: WatermarkRecord, path) -> None:
     w.f64(record.threshold)
     w.u64(record.seed & 0xFFFFFFFFFFFFFFFF)
     w.f32_array(record.key)
-    w.raw(_pack_bits(record.payload))
+    w.bits(record.payload)
     write_container(path, MAGIC_RECORD, w.bytes_value())
 
 
@@ -223,7 +204,7 @@ def load_record(path) -> WatermarkRecord:
         threshold = r.f64()
         seed = r.u64()
         key = r.f32_array(bits * width).reshape(bits, width)
-        payload = _unpack_bits(r.raw((bits + 7) // 8), bits)
+        payload = r.bits(bits)
         r.expect_end()
         return WatermarkRecord(layer_name, key, payload, threshold, seed)
     except ValueError as exc:

@@ -28,12 +28,12 @@ from neuralign.attacks import (
     random_permutation,
 )
 from neuralign.coding import compute_centroids, default_codebook, load_codebook
+from neuralign.config import TriggerSpec
 from neuralign.data import make_blobs
 from neuralign.network import Network, TrainConfig, forward, init_network, train
 from neuralign.pipeline import CODEBOOK_FILE, RECORD_FILE, TRIGGER_MODES, suspect_file, trigger_file
 from neuralign.serialize import IntegrityError, load_model
 from neuralign.triggers import (
-    OptConfig,
     layer_outputs,
     load_trigger_set,
     make_variant_ensemble,
@@ -43,7 +43,7 @@ from neuralign.triggers import (
 # fold centroids for the synthetic cases: the lowest sits just above zero, as
 # a trained layer's does, so no codeword maps to a zero row
 CENTROIDS = np.array([0.1, 1.0, 2.0])
-from neuralign.watermark import EmbedConfig, TamperError, embed, load_record, make_record, verify
+from neuralign.watermark import TamperError, embed, load_record, make_record, verify
 
 
 @pytest.fixture(scope="module")
@@ -53,14 +53,14 @@ def marked():
     net = train(init_network(16, [32, 10, 4], seed=2), data,
                 TrainConfig(epochs=8, lr=0.1, seed=2))
     record = make_record(net, "dense1", bits=16, seed=5)
-    net = embed(net, record, data, EmbedConfig(epochs=3, lr=0.05, batch_size=32,
-                                                strength=2.0, max_rounds=4, seed=5))
+    net = embed(net, record, data, TrainConfig(epochs=3, lr=0.05, batch_size=32, seed=5),
+                strength=2.0, max_rounds=4)
     pooled = layer_outputs(net, "dense1", data.inputs)
     cs = compute_centroids(pooled, 2)
     cb = default_codebook(10, 16, 2, 1, seed=6)
     ens = make_variant_ensemble(net, data, "dense1", j=0, seed=6)
     ts = synthesize_trigger_set(ens, "dense1", cs, cb,
-                                OptConfig(steps=800, lr=0.05, seed=6, restarts=6))
+                                TriggerSpec(steps=800, lr=0.05, restarts=6), 6)
     return net, data, record, cs, cb, ts
 
 

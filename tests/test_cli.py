@@ -254,8 +254,12 @@ def test_bad_config_exits_1(tmp_path, capsys):
         ({"triggers": {"box_low": -float("inf")}}, "triggers.box_low"),
         ({"attacks": [{"kind": "rescale", "trials": 2, "scale_high": float("inf")}]},
          "attacks[0].scale_high"),
+        # str.isdigit and int take these, but no layer is named so
+        ({"model": {"watermarked_layer": "dense01"}}, "model.watermarked_layer"),
+        ({"model": {"watermarked_layer": "dense\u0661"}}, "model.watermarked_layer"),
     ],
-    ids=["fewer-samples-than-classes", "fractional-width", "infinite-box", "infinite-scale"],
+    ids=["fewer-samples-than-classes", "fractional-width", "infinite-box", "infinite-scale",
+         "leading-zero-layer", "arabic-indic-digit-layer"],
 )
 def test_bad_config_refused_before_train_writes(raw, path, tmp_path, capsys):
     """A refused config leaves the run directory empty, so the next train
@@ -267,6 +271,33 @@ def test_bad_config_refused_before_train_writes(raw, path, tmp_path, capsys):
     assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_VALIDATION
     assert f"invalid input: {path}:" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "section, values, cause",
+    [
+        ("watermark", {"strength": 1e-9, "max_rounds": 1}, "raise strength or epochs"),
+        ("model", {"lr": 1e6}, "non-finite training loss"),
+    ],
+    ids=["embedding-fails", "training-diverges"],
+)
+def test_failed_train_leaves_its_directory_empty(
+    section, values, cause, tiny_config_factory, cfg_file, tmp_path, capsys
+):
+    """A train that fails in its arithmetic writes nothing, not even the
+    config echo, so a retry into the same directory is not refused."""
+    cfg = tiny_config_factory()
+    for key, value in values.items():
+        setattr(getattr(cfg, section), key, value)
+    bad = tmp_path / "bad.json"
+    save_config(cfg, bad)
+    out = tmp_path / "run"
+    out.mkdir()
+    with np.errstate(all="ignore"):  # the diverging case overflows on its way
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == EXIT_NUMERIC
+    assert cause in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
 
 
 def test_train_over_an_earlier_run_exits_1(cfg_file, tmp_path, capsys):

@@ -121,6 +121,14 @@ NON_FINITE_FIELDS = [  # (the spec holding the field, field name, dotted path)
         (lambda c: setattr(c.model, "widths", []), "model.widths"),
         (lambda c: setattr(c.model, "watermarked_layer", "conv1"), "model.watermarked_layer"),
         (lambda c: setattr(c.model, "watermarked_layer", "dense9"), "model.watermarked_layer"),
+        # str.isdigit and int take these, but layers are named dense0, dense1, ...
+        pytest.param(lambda c: setattr(c.model, "watermarked_layer", "dense01"),
+                     "model.watermarked_layer", id="leading-zero-layer"),
+        pytest.param(lambda c: setattr(c.model, "watermarked_layer", "dense\u0661"),
+                     "model.watermarked_layer", id="arabic-indic-digit-layer"),
+        # str.isdigit takes a superscript two, int does not
+        pytest.param(lambda c: setattr(c.model, "watermarked_layer", "dense\u00b2"),
+                     "model.watermarked_layer", id="superscript-digit-layer"),
         # widths lists the hidden layers: dense3 is the softmax output, with no successor
         (lambda c: setattr(c.model, "watermarked_layer", "dense3"), "model.watermarked_layer"),
         (lambda c: setattr(c.coding, "k", 1), "coding.k"),

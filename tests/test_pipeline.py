@@ -545,6 +545,22 @@ def test_benchmark_tracer_reads_the_align_stage(tiny_run, tmp_path, perfbench_mo
     assert tracer.counts["bytes_read"] == read + suspects[0].stat().st_size
 
 
+def test_benchmark_tracer_counts_the_forge_stage(tiny_run, tmp_path, perfbench_module):
+    """The benchmark's tracer, run around a forge stage, still finds what its
+    forge counters read: the descent settings passed fifth to
+    synthesize_trigger_set and the converged flags it returns."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    tracer = perfbench_module("spans").Tracer()
+    with tracer:
+        summary = pipeline.stage_forge(cfg, copy, "t1")
+    _, _, calls = tracer.totals()
+    assert calls["triggers.synthesize_trigger_set"] == 1
+    assert tracer.counts["descent_steps"] == cfg.triggers.steps
+    assert tracer.counts["converged"] == summary["converged"]
+
+
 def test_align_refuses_a_suspect_of_another_width(tiny_run, tmp_path):
     """A suspect whose watermarked layer lost a neuron is recorded as refused,
     plainly and aligned, instead of aborting the align stage."""

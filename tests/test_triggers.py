@@ -15,6 +15,7 @@ from neuralign.coding import (
     load_codebook,
     nearest_centroid,
 )
+from neuralign.config import TriggerSpec
 from neuralign.data import make_blobs
 from neuralign import parallel, triggers
 from neuralign.network import (
@@ -32,7 +33,6 @@ from neuralign.serialize import load_model
 from neuralign.triggers import (
     MODE_ENSEMBLE,
     MODE_SINGLE,
-    OptConfig,
     OptimizationError,
     TriggerSet,
     VariantEnsemble,
@@ -99,17 +99,6 @@ def test_variant_ensemble_empty_and_odd(trained):
         VariantEnsemble([], [])
 
 
-def test_opt_config_validation():
-    with pytest.raises(ValueError):
-        OptConfig(steps=-1)
-    with pytest.raises(ValueError):
-        OptConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        OptConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptConfig(box_low=1.0, box_high=1.0)
-
-
 @pytest.fixture(scope="module")
 def single(trained):
     """The marked model alone, with a fold frame and a 10-word codebook."""
@@ -119,21 +108,35 @@ def single(trained):
     return make_variant_ensemble(net, data, "dense1", j=0, seed=2), cs, cb
 
 
+def test_synthesis_refuses_invalid_settings(single):
+    """Settings a library caller passes skip validate_config, so the descent
+    refuses them itself."""
+    ens, cs, cb = single
+    for bad, message in [
+        (TriggerSpec(steps=-1), "steps >= 0"),
+        (TriggerSpec(lr=0.0), "lr > 0"),
+        (TriggerSpec(restarts=0), "at least one start"),
+        (TriggerSpec(box_low=1.0, box_high=1.0), "clamp box must be non-empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            synthesize_trigger_set(ens, "dense1", cs, cb, bad, 0)
+
+
 def test_descent_improves_over_initialization(single):
     ens, cs, cb = single
-    frozen = OptConfig(steps=0, lr=0.05, seed=2, restarts=1)
-    moved = OptConfig(steps=150, lr=0.05, seed=2, restarts=1)
-    loss0 = synthesize_trigger_set(ens, "dense1", cs, cb, frozen).final_losses
-    loss1 = synthesize_trigger_set(ens, "dense1", cs, cb, moved).final_losses
+    frozen = TriggerSpec(steps=0, lr=0.05, restarts=1)
+    moved = TriggerSpec(steps=150, lr=0.05, restarts=1)
+    loss0 = synthesize_trigger_set(ens, "dense1", cs, cb, frozen, 2).final_losses
+    loss1 = synthesize_trigger_set(ens, "dense1", cs, cb, moved, 2).final_losses
     assert loss1.sum() < loss0.sum()
     assert (loss1 <= loss0).all()  # each row keeps its best input
 
 
 def test_synthesis_is_seed_deterministic(single):
     ens, cs, cb = single
-    opt = OptConfig(steps=50, lr=0.05, seed=3, restarts=2)
-    first = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
-    second = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
+    opt = TriggerSpec(steps=50, lr=0.05, restarts=2)
+    first = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 3)
+    second = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 3)
     np.testing.assert_array_equal(first.inputs, second.inputs)
     np.testing.assert_array_equal(first.final_losses, second.final_losses)
 
@@ -151,7 +154,7 @@ def test_descent_builds_its_kernel_once(trained, monkeypatch):
 
     kernel_class = triggers.InputGradientKernel
     monkeypatch.setattr(triggers, "InputGradientKernel", counted)
-    synthesize_trigger_set(ens, "dense1", cs, cb, OptConfig(steps=50, seed=1, restarts=2))
+    synthesize_trigger_set(ens, "dense1", cs, cb, TriggerSpec(steps=50, restarts=2), 1)
     assert len(built) == 1
 
 
@@ -161,9 +164,9 @@ def test_descent_equals_allocating_updates(trained):
     net, data = trained
     nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
     targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 10))
-    opt = OptConfig(steps=30, lr=0.05, seed=4)
-    best_x, best_loss, _ = triggers._descend(nets, targets, "dense1", opt)
-    x = np.random.default_rng(opt.seed).uniform(opt.box_low, opt.box_high, size=(6, 16))
+    opt = TriggerSpec(steps=30, lr=0.05)
+    best_x, best_loss, _ = triggers._descend(nets, targets, "dense1", opt, 4)
+    x = np.random.default_rng(4).uniform(opt.box_low, opt.box_high, size=(6, 16))
     ref_x, ref_loss = x.copy(), np.full(6, np.inf)
     for _ in range(opt.steps + 1):
         grad, loss = InputGradientKernel(nets, targets, "dense1")(x)
@@ -176,8 +179,8 @@ def test_descent_equals_allocating_updates(trained):
 def test_descent_stays_in_clamp_box(single):
     ens, _, cb = single
     unreachable = CentroidSet(np.array([50.0, 51.0]))
-    opt = OptConfig(steps=100, lr=1.0, seed=1, box_low=-1.5, box_high=1.5, restarts=1)
-    ts = synthesize_trigger_set(ens, "dense1", unreachable, cb, opt)
+    opt = TriggerSpec(steps=100, lr=1.0, box_low=-1.5, box_high=1.5, restarts=1)
+    ts = synthesize_trigger_set(ens, "dense1", unreachable, cb, opt, 1)
     assert (ts.inputs >= -1.5).all() and (ts.inputs <= 1.5).all()
 
 
@@ -193,9 +196,9 @@ def test_overflowing_loss_raises_with_step():
     ens = VariantEnsemble([Network(layers)], ["original"])
     cs = CentroidSet(np.array([0.0, 1.0]))
     cb = default_codebook(8, 8, 2, 1, seed=0)
-    opt = OptConfig(steps=5, lr=0.01, seed=0, restarts=1, box_low=1.0, box_high=2.0)
+    opt = TriggerSpec(steps=5, lr=0.01, restarts=1, box_low=1.0, box_high=2.0)
     with np.errstate(all="ignore"), pytest.raises(OptimizationError) as info:
-        synthesize_trigger_set(ens, "dense3", cs, cb, opt)
+        synthesize_trigger_set(ens, "dense3", cs, cb, opt, 0)
     assert info.value.step == 0
 
 
@@ -210,11 +213,11 @@ def test_optimization_error_survives_pickling():
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _in_process_and_split(nets, targets, layer_name, opt, monkeypatch):
+def _in_process_and_split(nets, targets, layer_name, opt, seed, monkeypatch):
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
-    whole = triggers._descend(nets, targets, layer_name, opt)
+    whole = triggers._descend(nets, targets, layer_name, opt, seed)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
-    split = triggers._descend(nets, targets, layer_name, opt)
+    split = triggers._descend(nets, targets, layer_name, opt, seed)
     assert whole[2].workers == 1
     return whole, split
 
@@ -237,8 +240,8 @@ def test_split_descent_equals_in_process_on_tiny_config(tiny_run, monkeypatch):
         prune_step=cfg.triggers.prune_step,
     )
     targets = np.tile(cs.centroids[cb.codewords.T.astype(np.int64)], (cfg.triggers.restarts, 1))
-    opt = OptConfig(steps=cfg.triggers.steps, seed=9)
-    whole, split = _in_process_and_split(ens.networks, targets, layer, opt, monkeypatch)
+    opt = TriggerSpec(steps=cfg.triggers.steps)
+    whole, split = _in_process_and_split(ens.networks, targets, layer, opt, 9, monkeypatch)
     _assert_same_descent(whole, split)
     # the blocks' GEMMs round as the whole batch's, so the split really ran
     assert split[2].workers == CORES
@@ -252,7 +255,7 @@ def test_split_descent_equals_in_process_at_default_shapes(j, monkeypatch):
                 TrainConfig(epochs=1, lr=0.05, seed=1))
     nets = make_variant_ensemble(net, data, "dense1", j=j, seed=2).networks
     targets = np.random.default_rng(4).uniform(0.0, 2.0, size=(480, 32))
-    whole, split = _in_process_and_split(nets, targets, "dense1", OptConfig(steps=20, seed=3),
+    whole, split = _in_process_and_split(nets, targets, "dense1", TriggerSpec(steps=20), 3,
                                          monkeypatch)
     _assert_same_descent(whole, split)
     assert split[2].workers == min(CORES, 480)
@@ -287,12 +290,12 @@ def test_split_descent_raises_what_one_process_raises(failures, row, step, monke
     targets = np.column_stack([np.arange(8.0), np.zeros((8, 4))])  # column 0 names the row
     monkeypatch.setattr(_FailingKernel, "failures", failures)
     monkeypatch.setattr(triggers, "InputGradientKernel", _FailingKernel)
-    opt = OptConfig(steps=10, seed=1)
+    opt = TriggerSpec(steps=10)
     raised = []
     for floor in (float("inf"), 0.0):
         monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", floor)
         with pytest.raises(OptimizationError) as info:
-            triggers._descend(nets, targets, "dense1", opt)
+            triggers._descend(nets, targets, "dense1", opt, 1)
         raised.append((str(info.value), info.value.step))
     assert raised[0] == raised[1] == (f"non-finite loss for row {row} at step {step}", step)
     # the split's error came back from a worker, carrying its traceback
@@ -312,12 +315,12 @@ def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
 
     nets = [init_network(6, [10, 5, 2], seed=1)]
     targets = np.random.default_rng(2).uniform(0.0, 1.0, size=(8, 5))
-    opt = OptConfig(steps=10, seed=1)
+    opt = TriggerSpec(steps=10)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
-    whole = triggers._descend(nets, targets, "dense1", opt)
+    whole = triggers._descend(nets, targets, "dense1", opt, 1)
     monkeypatch.setattr(triggers, "InputGradientKernel", Skewed)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
-    fallback = triggers._descend(nets, targets, "dense1", opt)
+    fallback = triggers._descend(nets, targets, "dense1", opt, 1)
     assert fallback[2].workers == 1
     assert np.array_equal(fallback[0], whole[0])
 
@@ -325,9 +328,9 @@ def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
 def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
     net, data = trained
     targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(40, 10))
-    opt = OptConfig(steps=30, seed=2)
+    opt = TriggerSpec(steps=30)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
-    whole = triggers._descend([net], targets, "dense1", opt)
+    whole = triggers._descend([net], targets, "dense1", opt, 2)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
@@ -335,7 +338,7 @@ def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
     monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
-    alone = triggers._descend([net], targets, "dense1", opt)
+    alone = triggers._descend([net], targets, "dense1", opt, 2)
     assert alone[2].workers == 1
     _assert_same_descent(whole, alone)
 
@@ -347,8 +350,8 @@ def forged(trained):
     cs = compute_centroids(pooled, 2)
     cb = default_codebook(10, 16, 2, 1, seed=6)
     ens = make_variant_ensemble(net, data, "dense1", j=0, seed=6)
-    opt = OptConfig(steps=800, lr=0.05, seed=6, restarts=6)
-    ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
+    opt = TriggerSpec(steps=800, lr=0.05, restarts=6)
+    ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 6)
     return net, cs, cb, ts, ens, opt
 
 
@@ -368,8 +371,8 @@ def test_more_restarts_never_hurt(forged):
     net, cs, cb, _, ens, opt = forged
     import dataclasses
 
-    one = synthesize_trigger_set(ens, "dense1", cs, cb, dataclasses.replace(opt, restarts=1))
-    three = synthesize_trigger_set(ens, "dense1", cs, cb, dataclasses.replace(opt, restarts=3))
+    one = synthesize_trigger_set(ens, "dense1", cs, cb, dataclasses.replace(opt, restarts=1), 6)
+    three = synthesize_trigger_set(ens, "dense1", cs, cb, dataclasses.replace(opt, restarts=3), 6)
     assert (three.final_losses <= one.final_losses + 1e-7).all()
 
 
@@ -387,7 +390,7 @@ def test_ensemble_mode_flags(trained, forged):
     net, data = trained
     _, cs, cb, _, _, opt = forged
     ens = make_variant_ensemble(net, data, "dense1", j=2, seed=7)
-    ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt)
+    ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 6)
     assert ts.mode == MODE_ENSEMBLE and ts.variant_count == 2
 
 
@@ -396,10 +399,10 @@ def test_trigger_set_rejects_mismatched_codebook(trained, forged):
     _, cs, cb, _, ens, opt = forged
     wide = default_codebook(12, 16, 2, 1, seed=1)  # 12 words vs 10 neurons
     with pytest.raises(ShapeError):
-        synthesize_trigger_set(ens, "dense1", cs, wide, opt)
+        synthesize_trigger_set(ens, "dense1", cs, wide, opt, 6)
     three_fold = CentroidSet(np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="folds"):
-        synthesize_trigger_set(ens, "dense1", three_fold, cb, opt)
+        synthesize_trigger_set(ens, "dense1", three_fold, cb, opt, 6)
 
 
 def test_trigger_set_mode_validation():

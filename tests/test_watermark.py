@@ -9,7 +9,6 @@ from neuralign.attacks import inverse_permutation, permute_neurons, random_permu
 from neuralign.data import make_blobs
 from neuralign.network import DenseLayer, Network, TrainConfig, accuracy, init_network, train
 from neuralign.watermark import (
-    EmbedConfig,
     TamperError,
     WatermarkRecord,
     embed,
@@ -111,7 +110,7 @@ def test_make_record_is_seeded():
     assert not np.array_equal(a.key, c.key)
 
 
-EMBED = EmbedConfig(epochs=3, lr=0.05, batch_size=32, strength=2.0, max_rounds=4, seed=3)
+EMBED_HP = TrainConfig(epochs=3, lr=0.05, batch_size=32, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +119,7 @@ def marked_setup():
     net = train(init_network(8, [24, 12, 3], seed=3), data,
                 TrainConfig(epochs=15, lr=0.1, seed=3))
     record = make_record(net, "dense1", bits=32, seed=3)
-    marked = embed(net, record, data, EMBED)
+    marked = embed(net, record, data, EMBED_HP, strength=2.0, max_rounds=4)
     return net, marked, record, data
 
 
@@ -137,10 +136,19 @@ def test_embedding_keeps_task_accuracy(marked_setup):
 
 def test_embedding_is_deterministic(marked_setup):
     net, marked, record, data = marked_setup
-    again = embed(net, record, data, EMBED)
+    again = embed(net, record, data, EMBED_HP, strength=2.0, max_rounds=4)
     np.testing.assert_array_equal(
         again.layer("dense1").weights, marked.layer("dense1").weights
     )
+
+
+def test_embedding_refuses_a_regularizer_of_its_own(marked_setup):
+    """The sign penalty is the rounds' one extra_loss; another in hp would be
+    dropped without a word, so embed refuses it."""
+    net, _, record, data = marked_setup
+    hp = dataclasses.replace(EMBED_HP, extra_loss=lambda model: (0.0, {}))
+    with pytest.raises(ValueError, match="extra_loss"):
+        embed(net, record, data, hp, strength=2.0, max_rounds=4)
 
 
 def test_unwatermarked_nets_read_as_coin_flips():
