@@ -29,7 +29,6 @@ from .coding import (
     CapacityError,
     CentroidSet,
     Codebook,
-    codebook_digest,
     compute_centroids,
     default_codebook,
     generate_codebook,

@@ -13,6 +13,14 @@ The aligned verdict reads the suspect's watermarked-layer rows in the
 estimated original order, in place: it builds no permuted copy of the
 suspect, and `apply_alignment`, which does, is the reference it must match.
 
+A verdict recomputes nothing that depends only on the owner's artifacts:
+the codebook's digest, the trigger inputs in float64 and the record's key in
+float64 are each computed once per artifact and kept read-only. What each
+suspect costs is its own: one float64 cast of each layer's weights up to the
+watermarked one with the forward GEMMs on the triggers, the targets' and the
+observed rows' unit rows, the N x N cosine and its assignment, and the key's
+projection of the reordered rows.
+
 The assignment is scipy's `linear_sum_assignment` (Crouse's rectangular
 shortest-augmenting-path solver), the only part of scipy the program runs. It
 is bound at import straight from its compiled module `scipy.optimize._lsap`,
@@ -35,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .attacks import PermutationSpec, inverse_permutation, permute_neurons
-from .coding import Codebook, codebook_digest
+from .coding import Codebook
 from .network import Network
 from .serialize import IntegrityError
 from .triggers import TriggerSet, dead_neurons, layer_outputs
@@ -147,19 +155,20 @@ def align_to_matrix(
             f"observed rows have length {obs.shape[1]}, reference rows {ref.shape[1]}"
         )
     cos = _unit_rows(obs) @ _unit_rows(ref).T
-    _, assign = linear_sum_assignment(1.0 - cos)
+    rows, assign = linear_sum_assignment(1.0 - cos)
     dead = dead_neurons(obs)
-    live = np.ones(cos.shape[0], dtype=bool)
-    live[dead] = False
+    # each live position's nearest reference row
     greedy = cos.argmax(axis=1)
-    hits = np.bincount(greedy[live], minlength=cos.shape[0])
-    rows = np.arange(cos.shape[0])
-    assigned = cos[rows, assign]
+    if dead:
+        greedy = np.delete(greedy, dead)
+    hits = np.bincount(greedy, minlength=len(cos))
+    margin = cos[rows, assign]
     cos[rows, assign] = -1.0  # the lowest cosine: a lone row has no rival
+    np.subtract(margin, cos.max(axis=1), out=margin)
     return AlignmentResult(
         perm_estimate=inverse_permutation(assign),
-        per_neuron_margin=assigned - cos.max(axis=1),
-        collisions_resolved=int(np.sum(hits[greedy[live]] > 1)),
+        per_neuron_margin=margin,
+        collisions_resolved=int(np.count_nonzero(hits[greedy] > 1)),
         dead=dead,
         layer_name=layer_name,
     )
@@ -217,7 +226,7 @@ def verify_with_alignment(
     rather than an exception; owner artifacts that disagree raise
     `IntegrityError`.
     """
-    if codebook_digest(cb) != triggers.codebook_ref:
+    if cb.digest != triggers.codebook_ref:
         raise IntegrityError("trigger set was built for a different codebook")
     if triggers.layer_name != record.layer_name:
         raise IntegrityError(
@@ -231,7 +240,7 @@ def verify_with_alignment(
         )
     targets = triggers.centroid_set.centroids[cb.codewords]
     try:
-        observed = _read_outputs(net, triggers.layer_name, triggers.inputs)
+        observed = _read_outputs(net, triggers.layer_name, triggers.inputs64)
         result = align_to_matrix(observed, targets, triggers.layer_name)
     except TamperError as exc:
         return AlignedVerification(ov=None, alignment=None, tamper_cause=str(exc))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -22,6 +22,7 @@ from .serialize import (
     FormatError,
     PayloadReader,
     PayloadWriter,
+    _frozen,
     read_container,
     write_container,
 )
@@ -137,7 +138,7 @@ class Codebook:
             raise ValueError("codeword symbol out of range")
         if len({w.tobytes() for w in cw}) != cw.shape[0]:
             raise ValueError("codewords must be pairwise distinct")
-        object.__setattr__(self, "codewords", cw)
+        object.__setattr__(self, "codewords", _frozen(cw))
 
     @property
     def n(self) -> int:
@@ -146,6 +147,14 @@ class Codebook:
     @property
     def t(self) -> int:
         return int(self.codewords.shape[1])
+
+    @cached_property
+    def digest(self) -> str:
+        """Hex SHA-256 of the serialized form, which pins trigger sets to
+        their book; computed once per codebook:
+        every field is frozen (the codewords are a copy no one can write to),
+        so the bytes it hashes cannot change."""
+        return hashlib.sha256(_codebook_payload(self)).hexdigest()
 
 
 def min_pairwise_distance(codewords: np.ndarray) -> int:
@@ -252,11 +261,6 @@ def _codebook_payload(cb: Codebook) -> bytes:
     w.u64(cb.seed & 0xFFFFFFFFFFFFFFFF)
     w.raw(cb.codewords.tobytes())
     return w.bytes_value()
-
-
-def codebook_digest(cb: Codebook) -> str:
-    """Hex digest of the serialized form, used to pin trigger sets to books."""
-    return hashlib.sha256(_codebook_payload(cb)).hexdigest()
 
 
 def save_codebook(cb: Codebook, path) -> None:

@@ -173,7 +173,7 @@ def init_network(input_dim: int, widths: Sequence[int], seed: int) -> Network:
 
 def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if activation == "softmax":
         shifted = z - z.max(axis=1, keepdims=True)
         e = np.exp(shifted)
@@ -182,11 +182,16 @@ def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
 
 
 def _forward_layers(layers: Sequence[DenseLayer], batch: np.ndarray) -> list[np.ndarray]:
-    """Post-activation outputs for each layer, computed in float64."""
+    """Post-activation outputs for each layer, computed in float64.
+
+    Each layer's weights are cast once; the float32 biases are added to the
+    product in place, which adds their exact float64 values, and ReLU is
+    taken in place, so the outputs are those of a @ W.T + b, then max."""
     a = np.asarray(batch, dtype=np.float64)
     outputs = []
     for layer in layers:
-        z = a @ layer.weights.astype(np.float64).T + layer.biases.astype(np.float64)
+        z = a @ layer.weights.astype(np.float64).T
+        z += layer.biases
         a = _apply_activation(z, layer.activation)
         outputs.append(a)
     return outputs
@@ -264,10 +269,16 @@ def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
     for epoch in range(hp.epochs):
         order = rng.permutation(n)
         losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss = _sgd_step(out, data.inputs[idx], data.labels[idx], hp)
-            losses.append(loss)
+        # a step whose float64 update overflows float32, or that computes a
+        # NaN, stops the run there, before an infinite parameter is stored
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                for start in range(0, n, batch_size):
+                    idx = order[start : start + batch_size]
+                    loss = _sgd_step(out, data.inputs[idx], data.labels[idx], hp)
+                    losses.append(loss)
+            except FloatingPointError:
+                raise TrainingDivergenceError(epoch) from None
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
             raise TrainingDivergenceError(epoch)

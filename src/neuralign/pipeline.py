@@ -30,7 +30,6 @@ from .attacks import attack_rescale, permute_neurons, random_permutation, random
 from .coding import (
     Codebook,
     CentroidSet,
-    codebook_digest,
     compute_centroids,
     default_codebook,
     load_codebook,
@@ -289,7 +288,7 @@ def stage_encode(cfg: ExperimentConfig, out) -> dict:
             "separation_bound": cs.separation_bound,
             "pooled_count": int(pooled.size),
             "codebook": {
-                "digest": codebook_digest(cb),
+                "digest": cb.digest,
                 "n": cb.n,
                 "t": cb.t,
                 "k": cb.k,

@@ -6,13 +6,18 @@ payload. Model files use magic "NAF1"; watermark records, codebooks and
 trigger sets use sibling magics so a reader can tell artifacts apart.
 
 Readers parse fields in place, copying each array once out of the payload.
-A container whose checksum holds but whose fields fail their type's own
-validation is as corrupt as one that is cut short: each `load_*` reports it
-as a `FormatError` naming the file.
+The file is read in one unbuffered call, and fixed-size fields go through
+precompiled little-endian `struct.Struct`s, shared by the writer; a model
+layer's header (in and out widths, activation tag) is one struct, and its
+weights and the biases that follow them are one copy. A container whose
+checksum holds but whose fields fail their type's own validation is as
+corrupt as one that is cut short: each `load_*` reports it as a
+`FormatError` naming the file, whatever count, width or tag it carries.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -34,6 +39,18 @@ ACTIVATION_TAGS = {"identity": 0, "relu": 1, "softmax": 2}
 TAG_ACTIVATIONS = {v: k for k, v in ACTIVATION_TAGS.items()}
 
 
+# little-endian field layouts, compiled once
+_U8, _U16, _U32, _U64, _F64 = map(struct.Struct, ("<B", "<H", "<I", "<Q", "<d"))
+_LAYER_HEAD = struct.Struct("<IIB")  # in_dim, out_dim, activation tag
+_F4_ARRAY, _F8_ARRAY = np.dtype("<f4"), np.dtype("<f8")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A copy of `arr` backed by an immutable bytes object: no one can write
+    to it, nor make it writeable again, so values cached from it stay true."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+
+
 class FormatError(ValueError):
     """Malformed, truncated, or corrupt artifact file."""
 
@@ -47,19 +64,19 @@ class PayloadWriter:
         self.buf = bytearray()
 
     def u8(self, v: int):
-        self.buf += struct.pack("<B", v)
+        self.buf += _U8.pack(v)
 
     def u16(self, v: int):
-        self.buf += struct.pack("<H", v)
+        self.buf += _U16.pack(v)
 
     def u32(self, v: int):
-        self.buf += struct.pack("<I", v)
+        self.buf += _U32.pack(v)
 
     def u64(self, v: int):
-        self.buf += struct.pack("<Q", v)
+        self.buf += _U64.pack(v)
 
     def f64(self, v: float):
-        self.buf += struct.pack("<d", v)
+        self.buf += _F64.pack(v)
 
     def text(self, s: str):
         raw = s.encode("utf-8")
@@ -88,7 +105,10 @@ class PayloadWriter:
 class PayloadReader:
     """Sequential reader that parses each field in place at its offset, so an
     array costs one copy out of the payload; truncation and negative lengths
-    are reported at absolute byte offsets."""
+    are reported at absolute byte offsets.
+
+    Fixed-size fields are read through precompiled `struct.Struct`s, several
+    adjacent ones at a time where a layout groups them."""
 
     def __init__(self, data: bytes, base_offset: int = _HEADER_LEN):
         self.data = memoryview(data)
@@ -108,37 +128,38 @@ class PayloadReader:
         self.off += n
         return start
 
-    def _scalar(self, fmt: str):
-        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))[0]
+    def _fields(self, layout: struct.Struct) -> tuple:
+        """The next `layout.size` bytes unpacked by one precompiled struct."""
+        return layout.unpack_from(self.data, self._advance(layout.size))
 
-    def _array(self, dtype: str, count: int) -> np.ndarray:
-        start = self._advance(np.dtype(dtype).itemsize * count)
+    def _array(self, dtype: np.dtype, count: int) -> np.ndarray:
+        start = self._advance(dtype.itemsize * count)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start).copy()
 
     def u8(self) -> int:
-        return self._scalar("<B")
+        return self._fields(_U8)[0]
 
     def u16(self) -> int:
-        return self._scalar("<H")
+        return self._fields(_U16)[0]
 
     def u32(self) -> int:
-        return self._scalar("<I")
+        return self._fields(_U32)[0]
 
     def u64(self) -> int:
-        return self._scalar("<Q")
+        return self._fields(_U64)[0]
 
     def f64(self) -> float:
-        return self._scalar("<d")
+        return self._fields(_F64)[0]
 
     def text(self) -> str:
         n = self.u16()
         return str(self.raw(n), "utf-8")
 
     def f32_array(self, count: int) -> np.ndarray:
-        return self._array("<f4", count)
+        return self._array(_F4_ARRAY, count)
 
     def f64_array(self, count: int) -> np.ndarray:
-        return self._array("<f8", count)
+        return self._array(_F8_ARRAY, count)
 
     def bits(self, count: int) -> np.ndarray:
         """`count` bits as written by `PayloadWriter.bits`, as uint8 0/1."""
@@ -156,23 +177,25 @@ class PayloadReader:
 
 
 def write_container(path, magic: bytes, payload: bytes) -> None:
-    data = magic + struct.pack("<H", FORMAT_VERSION) + payload + struct.pack("<I", zlib.crc32(payload))
+    data = magic + _U16.pack(FORMAT_VERSION) + payload + _U32.pack(zlib.crc32(payload))
     Path(path).write_bytes(data)
 
 
 def read_container(path, magic: bytes) -> bytes:
-    raw = Path(path).read_bytes()
+    # unbuffered: one read of the whole file, and no Path object to build
+    with open(os.fspath(path), "rb", buffering=0) as fh:
+        raw = fh.read()
     if len(raw) < 4 or raw[:4] != magic:
         raise FormatError(f"bad magic at byte 0: expected {magic!r}, got {raw[:4]!r}")
     if len(raw) < _HEADER_LEN:
         raise FormatError(f"file truncated at byte {len(raw)} (no format version)")
-    version = struct.unpack_from("<H", raw, 4)[0]
+    (version,) = _U16.unpack_from(raw, 4)
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version} at byte 4")
     if len(raw) < _HEADER_LEN + 4:
         raise FormatError(f"file truncated at byte {len(raw)} (no checksum)")
     payload = raw[_HEADER_LEN:-4]
-    (stored_crc,) = struct.unpack_from("<I", raw, len(raw) - 4)
+    (stored_crc,) = _U32.unpack_from(raw, len(raw) - 4)
     if zlib.crc32(payload) != stored_crc:
         raise IntegrityError(f"payload checksum mismatch at byte {len(raw) - 4}")
     return payload
@@ -182,9 +205,7 @@ def _model_payload(net: Network) -> bytes:
     w = PayloadWriter()
     w.u16(len(net.layers))
     for layer in net.layers:
-        w.u32(layer.in_dim)
-        w.u32(layer.out_dim)
-        w.u8(ACTIVATION_TAGS[layer.activation])
+        w.buf += _LAYER_HEAD.pack(layer.in_dim, layer.out_dim, ACTIVATION_TAGS[layer.activation])
         w.f32_array(layer.weights)
         w.f32_array(layer.biases)
     return w.bytes_value()
@@ -200,14 +221,15 @@ def load_model(path) -> Network:
         n_layers = r.u16()
         layers = []
         for i in range(n_layers):
-            in_dim = r.u32()
-            out_dim = r.u32()
-            tag = r.u8()
-            if tag not in TAG_ACTIVATIONS:
+            in_dim, out_dim, tag = r._fields(_LAYER_HEAD)
+            activation = TAG_ACTIVATIONS.get(tag)
+            if activation is None:
                 raise FormatError(f"unknown activation tag {tag} at byte {r.base + r.off - 1}")
-            weights = r.f32_array(out_dim * in_dim).reshape(out_dim, in_dim)
-            biases = r.f32_array(out_dim)
-            layers.append(DenseLayer(f"dense{i}", weights, biases, TAG_ACTIVATIONS[tag]))
+            # the weights and the biases that follow them, in one copy
+            params = r.f32_array(out_dim * (in_dim + 1))
+            cut = out_dim * in_dim
+            weights = params[:cut].reshape(out_dim, in_dim)
+            layers.append(DenseLayer(f"dense{i}", weights, params[cut:], activation))
         r.expect_end()
         return Network(layers)
     except ValueError as exc:

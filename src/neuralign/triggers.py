@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .coding import CentroidSet, Codebook, codebook_digest
+from .coding import CentroidSet, Codebook
 from .config import TriggerSpec
 from .network import (
     Dataset,
@@ -49,6 +50,7 @@ from .serialize import (
     FormatError,
     PayloadReader,
     PayloadWriter,
+    _frozen,
     read_container,
     write_container,
 )
@@ -155,13 +157,21 @@ class TriggerSet:
             raise ValueError("ensemble mode requires at least one variant")
         if self.mode == MODE_SINGLE and self.variant_count != 0:
             raise ValueError("single mode carries no variants")
-        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "inputs", _frozen(inputs))
         object.__setattr__(self, "final_losses", losses)
         object.__setattr__(self, "converged", conv)
 
     @property
     def t(self) -> int:
         return int(self.inputs.shape[0])
+
+    @cached_property
+    def inputs64(self) -> np.ndarray:
+        """The frozen inputs cast to float64 once per trigger set, read-only:
+        every suspect is read on this batch."""
+        inputs = self.inputs.astype(np.float64)
+        inputs.flags.writeable = False
+        return inputs
 
 
 def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
@@ -304,7 +314,7 @@ def synthesize_trigger_set(
     return TriggerSet(
         inputs=best_x.astype(np.float32),
         centroid_set=cs,
-        codebook_ref=codebook_digest(cb),
+        codebook_ref=cb.digest,
         mode=MODE_SINGLE if ensemble.j == 0 else MODE_ENSEMBLE,
         variant_count=ensemble.j,
         layer_name=layer_name,
@@ -326,7 +336,7 @@ DEAD_TOL = 1e-12  # largest activation a row may reach and still count as silent
 
 def dead_neurons(outputs: np.ndarray) -> list:
     """Rows that never leave zero across all columns."""
-    return [int(i) for i in np.flatnonzero(np.max(np.abs(outputs), axis=1) <= DEAD_TOL)]
+    return np.flatnonzero(np.abs(outputs).max(axis=1) <= DEAD_TOL).tolist()
 
 
 @dataclass(frozen=True)

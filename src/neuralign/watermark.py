@@ -126,9 +126,10 @@ def extract_bits(
 
 def verify(net: Network, record: WatermarkRecord, order: np.ndarray | None = None) -> OVResult:
     """Accept when the bit-error rate is within the record's threshold; `order`
-    as in `extract_bits`."""
+    as in `extract_bits`. The rate is errors / bits, the value the mean of
+    the error flags takes."""
     bits = extract_bits(net, record, order)
-    ber = float(np.mean(bits != record.payload))
+    ber = int(np.count_nonzero(bits != record.payload)) / bits.size
     return OVResult(accepted=ber <= record.threshold, ber=ber, bits_extracted=bits)
 
 

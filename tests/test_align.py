@@ -378,6 +378,80 @@ def test_codebook_digest_mismatch_is_integrity_error(marked):
         verify_with_alignment(net, ts, other, record)
 
 
+def test_cached_digest_still_refuses_another_codebook(marked):
+    """The codebook's digest is computed once, yet a trigger set that has
+    passed the check with its own codebook is still refused with another."""
+    net, _, record, _, cb, ts = marked
+    assert verify_with_alignment(net, ts, cb, record).accepted
+    for other in (default_codebook(10, 16, 2, 1, seed=99),
+                  dataclasses.replace(cb, seed=cb.seed + 1)):
+        with pytest.raises(IntegrityError, match="codebook"):
+            verify_with_alignment(net, ts, other, record)
+    assert verify_with_alignment(net, ts, cb, record).accepted
+
+
+def test_cached_owner_arrays_are_read_only(marked):
+    """Every array a cached value is computed from or stored in refuses
+    writes, so no cache can fall out of step with its source; the codewords
+    cannot even be made writeable again."""
+    net, _, record, _, cb, ts = marked
+    verify_with_alignment(net, ts, cb, record)
+    for arr in (cb.codewords, ts.inputs, ts.inputs64, record.key64):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    for arr in (cb.codewords, ts.inputs):
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+    np.testing.assert_array_equal(ts.inputs64, ts.inputs.astype(np.float64))
+
+
+_FRESH_VERDICTS = """
+import json, sys
+from pathlib import Path
+from neuralign import (load_codebook, load_model, load_record, load_trigger_set,
+                       verify_with_alignment)
+from neuralign.pipeline import CODEBOOK_FILE, RECORD_FILE, suspect_file, trigger_file
+out, mode, suspects = Path(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
+verdicts = []
+for kind, trial in suspects:
+    av = verify_with_alignment(
+        load_model(suspect_file(out, kind, trial)), load_trigger_set(out / trigger_file(mode)),
+        load_codebook(out / CODEBOOK_FILE), load_record(out / RECORD_FILE))
+    verdicts.append([av.alignment.perm_estimate.tolist(),
+                     av.alignment.per_neuron_margin.tobytes().hex(), av.ov.ber, av.accepted])
+print(json.dumps(verdicts))
+"""
+
+
+def test_alternating_trigger_sets_match_fresh_loads(tiny_run):
+    """T1 and T2 share a codebook and a layer. Kept in one process and read
+    in turn on every suspect, each gives the verdicts a fresh interpreter
+    gives when it loads every artifact anew, so no value cached for one
+    trigger set reaches the other."""
+    cfg, out, _ = tiny_run
+    suspects = [(a.kind, trial) for a in cfg.attacks for trial in range(a.trials)]
+    src = str(Path(align.__file__).resolve().parents[1])
+    fresh = {
+        mode: json.loads(subprocess.run(
+            [sys.executable, "-c", _FRESH_VERDICTS, str(out), mode, json.dumps(suspects)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout)
+        for mode in TRIGGER_MODES
+    }
+    record = load_record(out / RECORD_FILE)
+    cb = load_codebook(out / CODEBOOK_FILE)
+    sets = {mode: load_trigger_set(out / trigger_file(mode)) for mode in TRIGGER_MODES}
+    for i, (kind, trial) in enumerate(suspects):
+        net = load_model(suspect_file(out, kind, trial))
+        modes = TRIGGER_MODES if i % 2 == 0 else TRIGGER_MODES[::-1]
+        for mode in modes:
+            av = verify_with_alignment(net, sets[mode], cb, record)
+            kept = [av.alignment.perm_estimate.tolist(),
+                    av.alignment.per_neuron_margin.tobytes().hex(), av.ov.ber, av.accepted]
+            assert kept == fresh[mode][i], (kind, trial, mode)
+
+
 def test_destroyed_layer_refused_not_raised(marked):
     _, _, record, _, cb, ts = marked
     wrong_width = init_network(16, [32, 12, 4], seed=0)
@@ -436,9 +510,39 @@ def test_aligned_verdict_copies_no_network(marked, monkeypatch):
     assert out.accepted and calls == Counter()
 
 
+def _slow_verdict(net, ts, cb, record):
+    """The aligned verdict by its definition, one plain step at a time: a
+    float64 forward (a @ W.T + b, then max), a broadcast cosine to the
+    targets, scipy's assignment, and verify on the copy apply_alignment
+    restores. Returns (alignment, verdict)."""
+    a = ts.inputs.astype(np.float64)
+    for layer in net.layers[: net.layer_index(ts.layer_name) + 1]:
+        a = a @ layer.weights.astype(np.float64).T + layer.biases.astype(np.float64)
+        a = np.maximum(a, 0.0)
+    obs, ref = a.T, ts.centroid_set.centroids[cb.codewords]
+    norms = np.linalg.norm(obs, axis=1)[:, None] * np.linalg.norm(ref, axis=1)[None, :]
+    dots = (obs[:, None, :] * ref[None, :, :]).sum(axis=2)
+    cos = np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0)
+    _, assign = linear_sum_assignment(1.0 - cos)
+    dead = [p for p in range(len(obs)) if np.abs(obs[p]).max() <= 1e-12]
+    live = [p for p in range(len(obs)) if p not in dead]
+    picks = Counter(int(cos[p].argmax()) for p in live)
+    rival = np.where(np.arange(len(cos)) == assign[:, None], -1.0, cos).max(axis=1)
+    alignment = AlignmentResult(
+        perm_estimate=inverse_permutation(assign),
+        per_neuron_margin=cos[np.arange(len(cos)), assign] - rival,
+        collisions_resolved=sum(picks[int(cos[p].argmax())] > 1 for p in live),
+        dead=dead,
+        layer_name=ts.layer_name,
+    )
+    return alignment, verify(apply_alignment(net, alignment), record)
+
+
 def test_aligned_verdict_equals_verdict_on_restored_copy(tiny_run):
     """On every tiny-run suspect of every attack and both schemes, the verdict
-    read in place equals verifying the copy apply_alignment restores."""
+    read in place equals the slow verdict by definition: the same order, dead
+    rows, collisions, bits, error rate and acceptance, and the same margins
+    up to rounding."""
     cfg, out, _ = tiny_run
     record = load_record(out / RECORD_FILE)
     cb = load_codebook(out / CODEBOOK_FILE)
@@ -449,7 +553,13 @@ def test_aligned_verdict_equals_verdict_on_restored_copy(tiny_run):
             for trial in range(attack.trials):
                 net = load_model(suspect_file(out, attack.kind, trial))
                 av = verify_with_alignment(net, ts, cb, record)
-                ref = verify(apply_alignment(net, av.alignment), record)
+                alignment, ref = _slow_verdict(net, ts, cb, record)
+                np.testing.assert_array_equal(av.alignment.perm_estimate,
+                                              alignment.perm_estimate)
+                assert av.alignment.dead == alignment.dead
+                assert av.alignment.collisions_resolved == alignment.collisions_resolved
+                np.testing.assert_allclose(av.alignment.per_neuron_margin,
+                                           alignment.per_neuron_margin, rtol=0, atol=1e-12)
                 assert (av.ov.ber, av.ov.accepted) == (ref.ber, ref.accepted)
                 np.testing.assert_array_equal(av.ov.bits_extracted, ref.bits_extracted)
                 checked += 1

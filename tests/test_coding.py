@@ -11,7 +11,6 @@ from neuralign.align import align_to_matrix
 from neuralign.coding import (
     CapacityError,
     CentroidSet,
-    codebook_digest,
     compute_centroids,
     default_codebook,
     generate_codebook,
@@ -284,7 +283,7 @@ def test_digest_tracks_codewords():
     flipped = a.codewords.copy()
     flipped[0, 0] = 1 - flipped[0, 0]
     b = Codebook(flipped, a.k, min_pairwise_distance(flipped), a.seed)
-    assert codebook_digest(a) != codebook_digest(b)
+    assert a.digest != b.digest
 
 
 def test_codebook_validation():

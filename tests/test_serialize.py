@@ -8,12 +8,11 @@ import pytest
 
 from neuralign.coding import (
     MAGIC_CODEBOOK,
-    codebook_digest,
     default_codebook,
     load_codebook,
     save_codebook,
 )
-from neuralign.network import init_network, networks_equal
+from neuralign.network import ShapeError, init_network, networks_equal
 from neuralign.serialize import (
     MAGIC_MODEL,
     MAGIC_RECORD,
@@ -70,7 +69,7 @@ def test_codebook_round_trip(tmp_path):
     back = load_codebook(path)
     np.testing.assert_array_equal(back.codewords, cb.codewords)
     assert back.k == cb.k and back.d_min == cb.d_min and back.seed == cb.seed
-    assert codebook_digest(back) == codebook_digest(cb)
+    assert back.digest == cb.digest
 
 
 def test_trigger_round_trip(tmp_path, tiny_run):
@@ -114,7 +113,7 @@ def test_benchmark_readers_parse_every_container(tmp_path, net, tiny_run, perfbe
     save_codebook(cb, tmp_path / "c.nac")
     book = pb.read_codebook(tmp_path / "c.nac")
     np.testing.assert_array_equal(book.words, cb.codewords)
-    assert (book.k, book.d_min, book.digest) == (cb.k, cb.d_min, codebook_digest(cb))
+    assert (book.k, book.d_min, book.digest) == (cb.k, cb.d_min, cb.digest)
     raw = (tmp_path / "c.nac").read_bytes()
     assert raw[book.words_offset : book.words_offset + cb.codewords.size] == cb.codewords.tobytes()
 
@@ -281,3 +280,35 @@ def test_reader_refuses_negative_lengths():
     with pytest.raises(FormatError, match="negative field length -4 at byte 10"):
         r.raw(-4)
     assert r.off == 4
+
+
+def _model_field_cases():
+    """(id, payload offset, packed value) for every count, dimension and tag
+    field of the `net` fixture's model file, each set to values that do not
+    describe the weights that follow."""
+    dims = [(5, 8), (8, 4), (4, 3)]  # init_network(5, [8, 4, 3]): (in_dim, out_dim)
+    cases = [(f"layer-count-{v}", 0, struct.pack("<H", v)) for v in (0, 0xFFFF)]
+    offset = 2
+    for i, (in_dim, out_dim) in enumerate(dims):
+        for field, at in (("in_dim", 0), ("out_dim", 4)):
+            cases += [(f"dense{i}-{field}-{v}", offset + at, struct.pack("<I", v))
+                      for v in (0, 0xFFFFFFFF)]
+        cases += [(f"dense{i}-tag-{v}", offset + 8, struct.pack("<B", v)) for v in (3, 255)]
+        offset += 9 + 4 * out_dim * (in_dim + 1)
+    return cases
+
+
+@pytest.mark.parametrize("offset, value", [c[1:] for c in _model_field_cases()],
+                         ids=[c[0] for c in _model_field_cases()])
+def test_corrupt_model_fields_with_a_valid_checksum_are_format_errors(
+    offset, value, tmp_path, net, rewrite_payload
+):
+    """A layer count, dimension or activation tag that passes the checksum
+    but not the layout fails as a FormatError naming the file, never as a
+    struct, index, memory or numpy error."""
+    path = _saved_model(tmp_path, net)
+    rewrite_payload(path, MAGIC_MODEL, offset, value)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ")) as info:
+        load_model(path)
+    # the complaint is the reader's or the network's own, not a library's
+    assert isinstance(info.value.__cause__, (FormatError, ShapeError)), repr(info.value.__cause__)

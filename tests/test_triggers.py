@@ -9,7 +9,6 @@ import pytest
 
 from neuralign.coding import (
     CentroidSet,
-    codebook_digest,
     compute_centroids,
     default_codebook,
     load_codebook,
@@ -361,7 +360,7 @@ def test_trigger_set_shape_and_mode(forged):
     assert ts.t == cb.t
     assert ts.mode == MODE_SINGLE and ts.variant_count == 0
     assert ts.layer_name == "dense1"
-    assert ts.codebook_ref == codebook_digest(cb)
+    assert ts.codebook_ref == cb.digest
     assert ts.inputs.dtype == np.float32
 
 
