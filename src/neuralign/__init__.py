@@ -63,7 +63,6 @@ from .network import (
     TrainingDivergenceError,
     UnknownLayerError,
     accuracy,
-    cross_entropy,
     forward,
     init_network,
     train,

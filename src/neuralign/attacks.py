@@ -84,17 +84,17 @@ def random_scales(n: int, seed: int, low: float = 0.5, high: float = 2.0) -> np.
 
 
 def attack_rescale(net: Network, layer_name: str, scales: np.ndarray) -> Network:
-    """Scale each relu neuron by s > 0 and divide the successor column by s.
+    """Scale each neuron of a hidden layer by s > 0 and divide the successor
+    column by s.
 
-    Positive homogeneity of relu makes the composition exact up to float
-    rounding, so the function is preserved while every weight changes.
+    Every hidden layer is relu, whose positive homogeneity makes the
+    composition exact up to float rounding, so the function is preserved
+    while every weight changes.
     """
     idx = net.layer_index(layer_name)
     if idx == len(net.layers) - 1:
         raise ValueError("cannot rescale the output layer: no successor to compensate")
     layer = net.layers[idx]
-    if layer.activation != "relu":
-        raise ValueError("rescaling preserves the function only through relu")
     s = np.asarray(scales, dtype=np.float64)
     if s.shape != (layer.out_dim,):
         raise ValueError(f"need {layer.out_dim} scales, got shape {s.shape}")

@@ -1,5 +1,9 @@
 """Minimal dense feedforward network engine.
 
+Every network has one form, checked when it is built: ReLU on each hidden
+layer, softmax on the last. ReLU's positive homogeneity is what makes the
+rescaling attack, like the reordering one, leave the function unchanged.
+
 Construction, deterministic SGD training of a copy (which is also how
 variants and suspects are fine-tuned), forward passes to the final outputs,
 gradients with respect to the input, and magnitude-based neuron pruning.
@@ -23,9 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-ACTIVATIONS = ("identity", "relu", "softmax")
-
 
 class ShapeError(ValueError):
     """Batch or layer dimensions do not line up."""
@@ -65,8 +66,6 @@ class DenseLayer:
                 f"layer {self.name}: biases shape {self.biases.shape} does not "
                 f"match out_dim {self.weights.shape[0]}"
             )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"layer {self.name}: unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError(f"layer {self.name}: non-finite parameters")
 
@@ -97,9 +96,9 @@ class Network:
                     f"layer {a.name} out_dim {a.out_dim} does not chain into "
                     f"layer {b.name} in_dim {b.in_dim}"
                 )
-        for layer in self.layers[:-1]:
-            if layer.activation == "softmax":
-                raise ValueError(f"layer {layer.name}: softmax is only allowed at the output")
+        for i, layer in enumerate(self.layers):
+            if layer.activation != ("softmax" if i == len(self.layers) - 1 else "relu"):
+                raise ValueError(f"layer {layer.name}: hidden layers are relu, the last softmax")
 
     @property
     def input_dim(self) -> int:
@@ -171,28 +170,25 @@ def init_network(input_dim: int, widths: Sequence[int], seed: int) -> Network:
     return Network(layers)
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0, out=z)
-    if activation == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-    return z
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_layers(layers: Sequence[DenseLayer], batch: np.ndarray) -> list[np.ndarray]:
-    """Post-activation outputs for each layer, computed in float64.
+def _forward_layers(net: Network, batch: np.ndarray, stop: Optional[int] = None) -> list:
+    """Post-activation outputs of the first `stop` layers (default: all), in float64.
 
     Each layer's weights are cast once; the float32 biases are added to the
     product in place, which adds their exact float64 values, and ReLU is
-    taken in place, so the outputs are those of a @ W.T + b, then max."""
+    taken in place, so a hidden layer's outputs are those of a @ W.T + b,
+    then max. The network's last layer takes softmax instead."""
+    head = len(net.layers) - 1
     a = np.asarray(batch, dtype=np.float64)
     outputs = []
-    for layer in layers:
+    for i, layer in enumerate(net.layers[:stop]):
         z = a @ layer.weights.astype(np.float64).T
         z += layer.biases
-        a = _apply_activation(z, layer.activation)
+        a = _softmax(z) if i == head else np.maximum(z, 0.0, out=z)
         outputs.append(a)
     return outputs
 
@@ -213,38 +209,17 @@ def _as_batch(net: Network, batch: np.ndarray) -> np.ndarray:
 def forward(net: Network, batch: np.ndarray) -> np.ndarray:
     """Run a batch through the network: the last layer's (batch, out_dim)
     outputs, in float64."""
-    return _forward_layers(net.layers, _as_batch(net, batch))[-1]
+    return _forward_layers(net, _as_batch(net, batch))[-1]
 
 
-def _activation_grad_mask(post: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return (post > 0.0).astype(np.float64)
-    if activation == "identity":
-        return np.ones_like(post)
-    raise ValueError(f"no elementwise derivative for activation {activation!r}")
-
-
-def _softmax_cross_entropy(final_post: np.ndarray, activation: str, labels: np.ndarray):
-    """Mean cross-entropy and d(loss)/d(final pre-activation)."""
+def _softmax_cross_entropy(probs: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy of the softmax outputs and d(loss)/d(logits)."""
     n = len(labels)
-    if activation == "softmax":
-        probs = final_post
-    else:
-        probs = _apply_activation(final_post, "softmax")
-    eps = 1e-12
-    loss = -np.log(probs[np.arange(n), labels] + eps).mean()
+    loss = -np.log(probs[np.arange(n), labels] + 1e-12).mean()
     d = probs.copy()
     d[np.arange(n), labels] -= 1.0
     d /= n
-    if activation == "relu":
-        d *= _activation_grad_mask(final_post, "relu")
     return loss, d
-
-
-def cross_entropy(net: Network, data: Dataset) -> float:
-    outputs = forward(net, data.inputs)
-    loss, _ = _softmax_cross_entropy(outputs, net.layers[-1].activation, data.labels)
-    return float(loss)
 
 
 def accuracy(net: Network, data: Dataset) -> float:
@@ -286,8 +261,8 @@ def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
 
 
 def _sgd_step(net: Network, x: np.ndarray, y: np.ndarray, hp: TrainConfig) -> float:
-    posts = _forward_layers(net.layers, x)
-    loss, delta = _softmax_cross_entropy(posts[-1], net.layers[-1].activation, y)
+    posts = _forward_layers(net, x)
+    loss, delta = _softmax_cross_entropy(posts[-1], y)
 
     extra_grads: dict[str, np.ndarray] = {}
     if hp.extra_loss is not None:
@@ -303,7 +278,7 @@ def _sgd_step(net: Network, x: np.ndarray, y: np.ndarray, hp: TrainConfig) -> fl
             dw += np.asarray(extra_grads[layer.name], dtype=np.float64)
         db = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ w64) * _activation_grad_mask(posts[i - 1], net.layers[i - 1].activation)
+            delta = (delta @ w64) * (posts[i - 1] > 0.0)  # the ReLU below
         layer.weights = (w64 - hp.lr * dw).astype(np.float32)
         layer.biases = (layer.biases.astype(np.float64) - hp.lr * db).astype(np.float32)
     return float(loss)
@@ -320,21 +295,17 @@ def _kept_neurons(
     """The named (last) layer's neurons a network keeps, when it is the first
     network with some of them zeroed; None when it is not.
 
-    Every earlier layer must equal the first's in activation and bits. Each row
+    Every earlier layer must equal the first's bit for bit. Each row
     of the named layer must equal the first's row, weights and bias, or be
     +0.0 throughout, so that the neuron's output is exactly 0.
     """
     if len(first) != len(layers):
         return None
     for a, b in zip(first[:-1], layers[:-1]):
-        if not (
-            a.activation == b.activation
-            and _bitwise_equal(a.weights, b.weights)
-            and _bitwise_equal(a.biases, b.biases)
-        ):
+        if not (_bitwise_equal(a.weights, b.weights) and _bitwise_equal(a.biases, b.biases)):
             return None
     a, b = first[-1], layers[-1]
-    if a.activation != b.activation or a.weights.shape != b.weights.shape:
+    if a.weights.shape != b.weights.shape:
         return None
     wa, wb = a.weights.view(np.uint32), b.weights.view(np.uint32)
     ba, bb = a.biases.view(np.uint32), b.biases.view(np.uint32)
@@ -363,7 +334,6 @@ class _Member:
 
     def __init__(self, layers: Sequence[DenseLayer], space: _Workspace):
         self.layers, self.space = layers, space
-        self.relu = [layer.activation == "relu" for layer in layers]
         self.weights = [layer.weights.astype(np.float64) for layer in layers]
         self.biases = [layer.biases.astype(np.float64) for layer in layers]
         self.count = 1  # networks this member stands for
@@ -382,7 +352,8 @@ class _Member:
 
 class InputGradientKernel:
     """Input gradient and per-row loss of the summed squared deviation of the
-    named layer's outputs from fixed per-row targets, over an ensemble.
+    named layer's outputs from fixed per-row targets, over an ensemble. The
+    named layer is a hidden one, so every layer the kernel runs is ReLU.
 
     Built once per descent: it casts each network's parameters up to the named
     layer to float64 once, allocates its work buffers once and fills them in
@@ -408,6 +379,8 @@ class InputGradientKernel:
     def __init__(self, nets: Sequence[Network], targets: np.ndarray, layer_name: str):
         if not nets:
             raise ValueError("need at least one network")
+        if any(net.layer_index(layer_name) == len(net.layers) - 1 for net in nets):
+            raise ValueError(f"layer {layer_name} is the softmax output, not a hidden layer")
         if len({net.input_dim for net in nets}) != 1:
             raise ShapeError("ensemble networks disagree on input_dim")
         targets = np.asarray(targets, dtype=np.float64)
@@ -424,11 +397,6 @@ class InputGradientKernel:
                     f"layer {layer_name} width {layers[-1].out_dim} != targets width "
                     f"{targets.shape[1]}"
                 )
-            for layer in layers:
-                if layer.activation not in ("relu", "identity"):
-                    raise ValueError(
-                        f"no elementwise derivative for activation {layer.activation!r}"
-                    )
             if self.members:
                 kept = _kept_neurons(self.members[0].layers, layers)
                 if kept is not None:
@@ -456,9 +424,8 @@ class InputGradientKernel:
                 # _forward_layers' order (a @ w.T, + b, max), which bit-identity relies on
                 a = np.matmul(a, m.weights[i].T, out=s.posts[i])
                 np.add(a, m.biases[i], out=a)
-                if m.relu[i]:
-                    np.maximum(a, 0.0, out=a)
-                    np.greater(a, 0.0, out=s.masks[i])
+                np.maximum(a, 0.0, out=a)
+                np.greater(a, 0.0, out=s.masks[i])
             d = np.subtract(a, self.targets, out=s.resid)
             squares = np.square(d, out=s.squares)
             np.multiply(squares, m.keep, out=squares)
@@ -466,8 +433,7 @@ class InputGradientKernel:
             self.loss += np.add(term, m.loss_const, out=term)
             np.multiply(d, m.twice_keep, out=d)
             for i in range(len(m.layers) - 1, -1, -1):
-                if m.relu[i]:
-                    np.multiply(d, s.masks[i], out=d)
+                np.multiply(d, s.masks[i], out=d)
                 if i > 0:
                     d = np.matmul(d, m.weights[i], out=s.deltas[i - 1])
             self.grad += np.matmul(d, m.weights[0], out=s.grad_term)
@@ -496,11 +462,7 @@ def prune_variant(net: Network, layer_name: str, fraction: float) -> Network:
 
 def networks_equal(a: Network, b: Network) -> bool:
     """Bit-level equality of architecture and parameters."""
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.activation != lb.activation or la.weights.shape != lb.weights.shape:
-            return False
-        if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.biases, lb.biases)):
-            return False
-    return True
+    return len(a.layers) == len(b.layers) and all(
+        np.array_equal(la.weights, lb.weights) and np.array_equal(la.biases, lb.biases)
+        for la, lb in zip(a.layers, b.layers)
+    )

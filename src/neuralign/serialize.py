@@ -12,7 +12,9 @@ layer's header (in and out widths, activation tag) is one struct, and its
 weights and the biases that follow them are one copy. A container whose
 checksum holds but whose fields fail their type's own validation is as
 corrupt as one that is cut short: each `load_*` reports it as a
-`FormatError` naming the file, whatever count, width or tag it carries.
+`FormatError` naming the file, whatever count, width or tag it carries. A
+model layer's tag must be the one its position requires, relu (1) for a
+hidden layer and softmax (2) for the last.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ FORMAT_VERSION = 1
 _HEADER_LEN = 6  # magic + version
 
 # activation name -> tag byte used by the model file format
-ACTIVATION_TAGS = {"identity": 0, "relu": 1, "softmax": 2}
-TAG_ACTIVATIONS = {v: k for k, v in ACTIVATION_TAGS.items()}
+ACTIVATION_TAGS = {"relu": 1, "softmax": 2}
 
 
 # little-endian field layouts, compiled once
@@ -222,9 +223,9 @@ def load_model(path) -> Network:
         layers = []
         for i in range(n_layers):
             in_dim, out_dim, tag = r._fields(_LAYER_HEAD)
-            activation = TAG_ACTIVATIONS.get(tag)
-            if activation is None:
-                raise FormatError(f"unknown activation tag {tag} at byte {r.base + r.off - 1}")
+            activation = "softmax" if i == n_layers - 1 else "relu"  # the one form
+            if tag != ACTIVATION_TAGS[activation]:
+                raise FormatError(f"unexpected activation tag {tag} at byte {r.base + r.off - 1}")
             # the weights and the biases that follow them, in one copy
             params = r.f32_array(out_dim * (in_dim + 1))
             cut = out_dim * in_dim

@@ -328,7 +328,7 @@ def layer_outputs(net: Network, layer_name: str, inputs: np.ndarray) -> np.ndarr
     """(N, T) matrix of the layer's activations, one column per input; the
     layers after the named one are not run."""
     idx = net.layer_index(layer_name)
-    return _forward_layers(net.layers[: idx + 1], _as_batch(net, inputs))[-1].T
+    return _forward_layers(net, _as_batch(net, inputs), idx + 1)[-1].T
 
 
 DEAD_TOL = 1e-12  # largest activation a row may reach and still count as silent

@@ -11,7 +11,8 @@ Because the projection mixes weight rows in a fixed order, reordering the
 layer's neurons scrambles the extracted bits; that is the failure the
 alignment stage exists to undo. The readout can take the layer's rows in a
 given order, which is how an aligned verdict reads a suspect without a
-permuted copy of it. Each record casts its key to float64 once, on first use.
+permuted copy of it. Each record keeps read-only copies of its key and
+payload, compares by value, and casts its key to float64 once, on first use.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .serialize import (
     FormatError,
     PayloadReader,
     PayloadWriter,
+    _frozen,
     read_container,
     write_container,
 )
@@ -61,8 +63,17 @@ class WatermarkRecord:
             raise ValueError("payload must be bits")
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must lie in (0, 1)")
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "payload", payload)
+        # read-only copies, so the caller's arrays cannot change the record or its key64
+        object.__setattr__(self, "key", _frozen(key))
+        object.__setattr__(self, "payload", _frozen(payload))
+
+    def __eq__(self, other) -> bool:
+        """By value, the key and payload by their bytes."""
+        if not isinstance(other, WatermarkRecord):
+            return NotImplemented
+        mine, theirs = ((r.layer_name, r.threshold, r.seed, r.key.tobytes(), r.payload.tobytes())
+                        for r in (self, other))
+        return mine == theirs
 
     @property
     def bits(self) -> int:

@@ -191,9 +191,11 @@ def test_corrupt_container_exits_2(tiny_run, tmp_path, capsys):
     (CODEBOOK_FILE, MAGIC_CODEBOOK, 8, struct.pack("<H", 1), "symbol count"),
     # dense0's first weight after u16 layer count, u32 in, u32 out and u8 tag
     (MODEL_FILE, MAGIC_MODEL, 11, struct.pack("<f", float("nan")), "non-finite"),
+    # dense0's tag set to 0, which no layer of the form carries
+    (MODEL_FILE, MAGIC_MODEL, 10, struct.pack("<B", 0), "activation tag 0"),
     # u16 centroid count after text "t1", u16 variants, text "dense1", u32 t, u32 width
     (trigger_file("t1"), MAGIC_TRIGGERS, 4 + 2 + 8 + 8, struct.pack("<H", 0), "negative field"),
-], ids=["codebook", "model", "triggers"])
+], ids=["codebook", "model", "model-tag", "triggers"])
 def test_invalid_field_in_a_valid_container_exits_2(tiny_run, tmp_path, capsys, rewrite_payload,
                                                     name, magic, offset, value, complaint):
     """Fields that fail their own validation behind a valid checksum make the

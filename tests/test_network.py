@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from neuralign import network
 from neuralign.network import (
     Dataset,
     DenseLayer,
@@ -14,8 +15,8 @@ from neuralign.network import (
     TrainConfig,
     TrainingDivergenceError,
     UnknownLayerError,
+    _softmax_cross_entropy,
     accuracy,
-    cross_entropy,
     forward,
     init_network,
     networks_equal,
@@ -68,12 +69,35 @@ def test_softmax_rows_normalize():
     assert (out >= 0).all()
 
 
+def mean_nll(net, data):
+    """Mean -log p of each sample's label, read from `forward`."""
+    probs = forward(net, data.inputs)
+    return float(-np.log(probs[np.arange(len(data)), data.labels]).mean())
+
+
 def test_cross_entropy_matches_log_probability():
     net = relu_net()
     x = np.array([[2.0, 1.0]])
-    probs = forward(net, x)[0]
+    logits = np.array([0.5 + 2.0, -0.5 + 4.0 + 0.25])  # as in the hand forward above
+    want = -(logits[1] - logits.max() - np.log(np.exp(logits - logits.max()).sum()))
     data = Dataset(x, np.array([1]))
-    assert cross_entropy(net, data) == pytest.approx(-np.log(probs[1]), rel=1e-9)
+    assert mean_nll(net, data) == pytest.approx(want, rel=1e-9)
+    # the loss training descends is the same -log p
+    loss, _ = _softmax_cross_entropy(forward(net, x), data.labels)
+    assert loss == pytest.approx(want, rel=1e-9)
+
+
+def test_networks_hold_one_form():
+    """relu on every hidden layer and softmax on the last, nothing else."""
+    def layer(name, activation, shape=(2, 2)):
+        return DenseLayer(name, np.ones(shape, dtype=np.float32),
+                          np.zeros(shape[0], dtype=np.float32), activation)
+
+    Network([layer("dense0", "relu"), layer("dense1", "softmax")])
+    for activations in (["relu", "relu"], ["softmax", "softmax"], ["identity", "softmax"],
+                        ["relu", "identity"], ["relu"]):
+        with pytest.raises(ValueError, match="hidden layers are relu"):
+            Network([layer(f"dense{i}", a) for i, a in enumerate(activations)])
 
 
 def test_accuracy_counts_argmax_hits():
@@ -134,9 +158,9 @@ def test_training_fits_separable_blobs():
     data = make_blobs(300, 6, 3, spread=0.2, seed=5)
     net = init_network(6, [16, 3], seed=5)
     snapshot = net.clone()
-    before = cross_entropy(net, data)
+    before = mean_nll(net, data)
     fitted = train(net, data, TrainConfig(epochs=20, lr=0.1, seed=5))
-    assert cross_entropy(fitted, data) < before
+    assert mean_nll(fitted, data) < before
     assert accuracy(fitted, data) > 0.95
     # the input network is never mutated: train fine-tunes a copy
     assert networks_equal(net, snapshot)
@@ -148,6 +172,75 @@ def test_training_is_deterministic():
     a = train(net, data, TrainConfig(epochs=3, lr=0.05, seed=9))
     b = train(net, data, TrainConfig(epochs=3, lr=0.05, seed=9))
     assert networks_equal(a, b)
+
+
+def generic_sgd_step(net, x, y, hp):
+    """The SGD step as it was written for any activation: float64 masks cast
+    from the relu comparison, and the cross-entropy that takes softmax itself
+    when the last layer is not softmax. The reference `train` must equal."""
+    def activate(z, activation):
+        if activation == "relu":
+            return np.maximum(z, 0.0, out=z)
+        if activation == "softmax":
+            shifted = z - z.max(axis=1, keepdims=True)
+            e = np.exp(shifted)
+            return e / e.sum(axis=1, keepdims=True)
+        return z
+
+    def mask(post, activation):
+        return (post > 0.0).astype(np.float64) if activation == "relu" else np.ones_like(post)
+
+    a, posts = np.asarray(x, dtype=np.float64), []
+    for layer in net.layers:
+        z = a @ layer.weights.astype(np.float64).T
+        z += layer.biases
+        a = activate(z, layer.activation)
+        posts.append(a)
+    last, n = net.layers[-1].activation, len(y)
+    probs = posts[-1] if last == "softmax" else activate(posts[-1], "softmax")
+    loss = -np.log(probs[np.arange(n), y] + 1e-12).mean()
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    if last == "relu":
+        delta *= mask(posts[-1], "relu")
+    extra_grads = {}
+    if hp.extra_loss is not None:
+        extra, extra_grads = hp.extra_loss(net)
+        loss += extra
+    acts = [np.asarray(x, dtype=np.float64)] + posts[:-1]
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        w64 = layer.weights.astype(np.float64)
+        dw = delta.T @ acts[i]
+        if layer.name in extra_grads:
+            dw += np.asarray(extra_grads[layer.name], dtype=np.float64)
+        db = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ w64) * mask(posts[i - 1], net.layers[i - 1].activation)
+        layer.weights = (w64 - hp.lr * dw).astype(np.float32)
+        layer.biases = (layer.biases.astype(np.float64) - hp.lr * db).astype(np.float32)
+    return float(loss)
+
+
+def l2_on_dense1(model):
+    w = model.layer("dense1").weights.astype(np.float64)
+    return 0.01 * float(np.square(w).sum()), {"dense1": 0.02 * w}
+
+
+@pytest.mark.parametrize("extra_loss", [None, l2_on_dense1], ids=["plain", "extra-loss"])
+def test_training_is_bit_identical_to_the_generic_step(extra_loss, monkeypatch):
+    data = make_blobs(120, 6, 3, seed=8)
+    net = init_network(6, [12, 8, 3], seed=8)
+    hp = TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=8, extra_loss=extra_loss)
+    fitted = train(net, data, hp)
+    monkeypatch.setattr(network, "_sgd_step", generic_sgd_step)
+    reference = train(net, data, hp)
+    assert not networks_equal(fitted, net)
+    assert networks_equal(fitted, reference)
+    for a, b in zip(fitted.layers, reference.layers):  # and +0.0 is not -0.0
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.biases.tobytes() == b.biases.tobytes()
 
 
 def test_training_zero_epochs_returns_copy():
@@ -256,10 +349,9 @@ def allocating_gradient(nets, x, targets, layer_name):
         a, posts = x, []
         for layer in sub:
             z = a @ layer.weights.astype(np.float64).T + layer.biases.astype(np.float64)
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            a = np.maximum(z, 0.0)
             posts.append(a)
-        masks = [(p > 0.0).astype(np.float64) if l.activation == "relu" else np.ones_like(p)
-                 for p, l in zip(posts, sub)]
+        masks = [(p > 0.0).astype(np.float64) for p in posts]
         resid = posts[-1] - targets
         total_loss += (resid**2).sum(axis=1)
         delta = 2.0 * resid * masks[li]
@@ -279,14 +371,11 @@ def kernel_ensemble():
 def test_kernel_is_bit_identical_to_allocating_loop():
     net, data, targets = kernel_ensemble()
     tuned = train(net, data, TrainConfig(epochs=1, lr=0.01, seed=6))
-    head = net.layers[0]
-    linear = Network([DenseLayer("dense0", head.weights, head.biases, "identity"),
-                      *net.clone().layers[1:]])  # same weights, other activation
     shifted = net.clone()
     shifted.layers[0].biases[0] += 0.125  # dense0 differs only in one bias
-    nets = [net, tuned, linear, shifted]
+    nets = [net, tuned, shifted]
     kernel = InputGradientKernel(nets, targets, "dense1")
-    assert len(kernel.members) == 4  # nothing folds
+    assert len(kernel.members) == 3  # nothing folds
     assert len({id(m.space) for m in kernel.members}) == 1  # one shape, one workspace
     rng = np.random.default_rng(6)
     for _ in range(2):  # a second call must not read state left by the first
@@ -298,10 +387,8 @@ def test_kernel_is_bit_identical_to_allocating_loop():
     assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
 
 
-@pytest.mark.parametrize("activation", ["relu", "identity"])
-def test_kernel_folds_pruned_copies_into_the_first_network(activation):
+def test_kernel_folds_pruned_copies_into_the_first_network():
     net, data, targets = kernel_ensemble()
-    net.layers[1].activation = activation  # the named layer
     tuned = train(net, data, TrainConfig(epochs=1, lr=0.01, seed=6))
     pruned = prune_variant(net, "dense1", 0.25)  # zeroes 2 of 8 neurons
     pruned_more = prune_variant(net, "dense1", 0.5)
@@ -322,6 +409,18 @@ def test_kernel_folds_pruned_copies_into_the_first_network(activation):
         ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+
+
+def test_kernel_refuses_the_output_layer():
+    """The softmax head is no hidden layer: the kernel refuses it up front,
+    whichever member of the ensemble has the named layer as its head."""
+    net, _, _ = kernel_ensemble()
+    with pytest.raises(ValueError, match="dense2 is the softmax output"):
+        InputGradientKernel([net], np.zeros((9, 3)), "dense2")
+    # a member whose dense1 is its head spoils an ensemble where dense1 is hidden
+    head = init_network(6, [12, 8], seed=0)
+    with pytest.raises(ValueError, match="dense1 is the softmax output"):
+        InputGradientKernel([net, head], np.zeros((9, 8)), "dense1")
 
 
 def zero_bias_set(net, zero, kept):

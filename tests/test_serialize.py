@@ -285,7 +285,8 @@ def test_reader_refuses_negative_lengths():
 def _model_field_cases():
     """(id, payload offset, packed value) for every count, dimension and tag
     field of the `net` fixture's model file, each set to values that do not
-    describe the weights that follow."""
+    describe the weights that follow, or a tag off the form: any tag but relu
+    (1) on a hidden layer, any but softmax (2) on the last."""
     dims = [(5, 8), (8, 4), (4, 3)]  # init_network(5, [8, 4, 3]): (in_dim, out_dim)
     cases = [(f"layer-count-{v}", 0, struct.pack("<H", v)) for v in (0, 0xFFFF)]
     offset = 2
@@ -293,7 +294,9 @@ def _model_field_cases():
         for field, at in (("in_dim", 0), ("out_dim", 4)):
             cases += [(f"dense{i}-{field}-{v}", offset + at, struct.pack("<I", v))
                       for v in (0, 0xFFFFFFFF)]
-        cases += [(f"dense{i}-tag-{v}", offset + 8, struct.pack("<B", v)) for v in (3, 255)]
+        off_form = (0, 1) if i == len(dims) - 1 else (0, 2)
+        cases += [(f"dense{i}-tag-{v}", offset + 8, struct.pack("<B", v))
+                  for v in (*off_form, 3, 255)]
         offset += 9 + 4 * out_dim * (in_dim + 1)
     return cases
 

@@ -121,6 +121,15 @@ def test_synthesis_refuses_invalid_settings(single):
             synthesize_trigger_set(ens, "dense1", cs, cb, bad, 0)
 
 
+def test_synthesis_refuses_the_output_layer(single):
+    """Triggers drive hidden neurons: the softmax head (dense2, 4 wide) is
+    refused even with a codebook of its width."""
+    ens, cs, _ = single
+    cb = default_codebook(4, 8, 2, 1, seed=2)
+    with pytest.raises(ValueError, match="dense2 is the softmax output"):
+        synthesize_trigger_set(ens, "dense2", cs, cb, TriggerSpec(steps=2, restarts=1), 0)
+
+
 def test_descent_improves_over_initialization(single):
     ens, cs, cb = single
     frozen = TriggerSpec(steps=0, lr=0.05, restarts=1)
@@ -192,6 +201,8 @@ def test_overflowing_loss_raises_with_step():
             f"dense{i}", np.full((b, a), 1e38, dtype=np.float32),
             np.zeros(b, dtype=np.float32), "relu",
         ))
+    layers.append(DenseLayer("dense4", np.zeros((2, 8), dtype=np.float32),
+                             np.zeros(2, dtype=np.float32), "softmax"))
     ens = VariantEnsemble([Network(layers)], ["original"])
     cs = CentroidSet(np.array([0.0, 1.0]))
     cb = default_codebook(8, 8, 2, 1, seed=0)
@@ -428,7 +439,7 @@ def test_layer_outputs_shape_and_values(trained):
     assert out.shape == (10, 7)
     from neuralign.network import _forward_layers
 
-    np.testing.assert_array_equal(out.T, _forward_layers(net.layers, x)[1])
+    np.testing.assert_array_equal(out.T, _forward_layers(net, x)[1])
     with pytest.raises(ShapeError):
         layer_outputs(net, "dense1", x[0])
     with pytest.raises(ShapeError):

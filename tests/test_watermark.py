@@ -76,7 +76,7 @@ def test_record_validation_and_tamper_errors():
     other = init_network(3, [5, 2], seed=0)
     with pytest.raises(TamperError, match="weights"):
         verify(other, record)
-    gone = Network([net.layers[0].clone()])
+    gone = net.clone()
     gone.layers[0].name = "dense7"
     with pytest.raises(TamperError, match="no layer"):
         verify(gone, record)
@@ -98,6 +98,27 @@ def test_float64_key_is_cast_once_outside_equality_and_bytes(tmp_path):
     assert record == twin  # only record has cast its key
     save_record(record, tmp_path / "after.nar")
     assert (tmp_path / "after.nar").read_bytes() == (tmp_path / "before.nar").read_bytes()
+
+
+def test_record_keeps_its_own_key_and_compares_by_value():
+    """A caller writing into the arrays it built a record from changes neither
+    the record nor its verdict, and records built from equal values are equal."""
+    net = init_network(5, [8, 4, 3], seed=7)
+    made = make_record(net, "dense1", bits=12, seed=4)
+    key, payload = np.array(made.key), extract_bits(net, made)  # the caller's own arrays
+    record = WatermarkRecord("dense1", key, payload, 0.15, 4)
+    before = verify(net, record)
+    key *= -1
+    payload ^= 1
+    after = verify(net, record)
+    np.testing.assert_array_equal(after.bits_extracted, before.bits_extracted)
+    assert after.ber == before.ber == 0.0
+    np.testing.assert_array_equal(record.key, -key)
+    assert not (record.key.flags.writeable or record.payload.flags.writeable)
+    assert made == make_record(net, "dense1", bits=12, seed=4)
+    assert record == WatermarkRecord("dense1", -key, payload ^ 1, 0.15, 4)
+    assert record != WatermarkRecord("dense1", key, payload ^ 1, 0.15, 4)
+    assert record != WatermarkRecord("dense1", -key, payload ^ 1, 0.15, 5)
 
 
 def test_make_record_is_seeded():
