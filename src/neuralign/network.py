@@ -7,10 +7,12 @@ rescaling attack, like the reordering one, leave the function unchanged.
 Construction, deterministic SGD training of a copy (which is also how
 variants and suspects are fine-tuned), forward passes to the final outputs,
 gradients with respect to the input, and magnitude-based neuron pruning.
-Parameters are stored as float32; all products and reductions run in float64.
+Parameters are stored as float32. Forward passes and training run all
+products and reductions in float64; the gradient kernel runs in the dtype it
+is built with, float64 unless the caller asks for float32.
 
 Input gradients come only from `InputGradientKernel`, which a descent builds
-once: it casts the weights to float64 once per descent instead of once per
+once: it casts the weights to its dtype once per descent instead of once per
 step, fills one set of buffers per layer shape instead of fresh temporaries on
 every step, and folds copies of the first network whose only change is zeroed
 neurons in the named layer (the pruned T2 variants) into the first network's
@@ -318,28 +320,29 @@ class _Workspace:
     """Work buffers for a member's step, sized by its layer widths. Members of
     the same widths share one: each writes every buffer before reading it."""
 
-    def __init__(self, rows: int, input_dim: int, widths: tuple):
-        self.posts = [np.empty((rows, w)) for w in widths]
+    def __init__(self, rows: int, input_dim: int, widths: tuple, dtype):
+        self.posts = [np.empty((rows, w), dtype) for w in widths]
         self.masks = [np.empty((rows, w), dtype=bool) for w in widths]
-        self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
-        self.resid = np.empty((rows, widths[-1]))  # becomes the named layer's delta
-        self.squares = np.empty((rows, widths[-1]))
-        self.loss_term = np.empty(rows)
-        self.grad_term = np.empty((rows, input_dim))
+        self.deltas = [np.empty((rows, w), dtype) for w in widths[:-1]]
+        self.resid = np.empty((rows, widths[-1]), dtype)  # becomes the named layer's delta
+        self.squares = np.empty((rows, widths[-1]), dtype)
+        self.loss_term = np.empty(rows, dtype)
+        self.grad_term = np.empty((rows, input_dim), dtype)
 
 
 class _Member:
-    """One network's float64 parameters up to the named layer, its work
-    buffers, and the copies of it with zeroed neurons folded into it."""
+    """One network's parameters up to the named layer in the kernel's dtype,
+    its work buffers, and the copies of it with zeroed neurons folded into it."""
 
     def __init__(self, layers: Sequence[DenseLayer], space: _Workspace):
         self.layers, self.space = layers, space
-        self.weights = [layer.weights.astype(np.float64) for layer in layers]
-        self.biases = [layer.biases.astype(np.float64) for layer in layers]
+        dtype = space.loss_term.dtype
+        self.weights = [layer.weights.astype(dtype) for layer in layers]
+        self.biases = [layer.biases.astype(dtype) for layer in layers]
         self.count = 1  # networks this member stands for
-        self.keep = np.ones(layers[-1].out_dim)  # of those, how many keep each neuron
+        self.keep = np.ones(layers[-1].out_dim, dtype)  # of those, how many keep each neuron
         self.twice_keep = 2.0 * self.keep  # d(loss)/d(resid) per neuron
-        self.loss_const = np.zeros(space.loss_term.shape)  # per-row loss of zeroed neurons
+        self.loss_const = np.zeros_like(space.loss_term)  # per-row loss of zeroed neurons
 
     def fold(self, kept: np.ndarray, targets: np.ndarray) -> None:
         """Add a copy that keeps only the `kept` neurons. A zeroed neuron reads
@@ -356,8 +359,10 @@ class InputGradientKernel:
     named layer is a hidden one, so every layer the kernel runs is ReLU.
 
     Built once per descent: it casts each network's parameters up to the named
-    layer to float64 once, allocates its work buffers once and fills them in
-    place on every call. All members share one set of buffers per layer shape.
+    layer to `dtype` once (float64 by default; the targets, the per-neuron
+    weights and every buffer take the same dtype, and the inputs are cast to
+    it on each call), allocates its work buffers once and fills them in place
+    on every call. All members share one set of buffers per layer shape.
 
     A network that is the first one with some named-layer neurons zeroed (every
     earlier layer bit-equal; each named-layer row bit-equal or +0.0 in weights
@@ -376,14 +381,17 @@ class InputGradientKernel:
     untouched.
     """
 
-    def __init__(self, nets: Sequence[Network], targets: np.ndarray, layer_name: str):
+    def __init__(
+        self, nets: Sequence[Network], targets: np.ndarray, layer_name: str, dtype=np.float64
+    ):
         if not nets:
             raise ValueError("need at least one network")
         if any(net.layer_index(layer_name) == len(net.layers) - 1 for net in nets):
             raise ValueError(f"layer {layer_name} is the softmax output, not a hidden layer")
         if len({net.input_dim for net in nets}) != 1:
             raise ShapeError("ensemble networks disagree on input_dim")
-        targets = np.asarray(targets, dtype=np.float64)
+        self.dtype = np.dtype(dtype)
+        targets = np.asarray(targets, dtype=self.dtype)
         if targets.ndim != 2:
             raise ShapeError("targets must be 2-D (one target row per input row)")
         rows, input_dim = targets.shape[0], nets[0].input_dim
@@ -404,13 +412,13 @@ class InputGradientKernel:
                     continue
             widths = tuple(layer.out_dim for layer in layers)
             if widths not in spaces:
-                spaces[widths] = _Workspace(rows, input_dim, widths)
+                spaces[widths] = _Workspace(rows, input_dim, widths, self.dtype)
             self.members.append(_Member(layers, spaces[widths]))
-        self.grad = np.empty((rows, input_dim))
-        self.loss = np.empty(rows)
+        self.grad = np.empty((rows, input_dim), self.dtype)
+        self.loss = np.empty(rows, self.dtype)
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.dtype)
         if x.shape != self.grad.shape:
             raise ShapeError(
                 f"input shape {x.shape} != (target rows, input_dim) {self.grad.shape}"
@@ -459,10 +467,3 @@ def prune_variant(net: Network, layer_name: str, fraction: float) -> Network:
     layer.biases[doomed] = 0.0
     return out
 
-
-def networks_equal(a: Network, b: Network) -> bool:
-    """Bit-level equality of architecture and parameters."""
-    return len(a.layers) == len(b.layers) and all(
-        np.array_equal(la.weights, lb.weights) and np.array_equal(la.biases, lb.biases)
-        for la, lb in zip(a.layers, b.layers)
-    )

@@ -13,7 +13,10 @@ on the cores the workers need. For the same reason the forking process stops
 the server its restore started, leaving it as the fork left it: down until
 the next threaded BLAS call. The finished blocks come back in block order. A
 process with one core, or a numpy without a bundled OpenBLAS, starts no
-pool: the caller runs the loop itself. `multiprocessing` and
+pool: the caller runs the loop itself. A caller that makes one more BLAS call
+right after a split runs it under `one_blas_thread`, so that call does not
+start a server either: its threads would spin on the cores the next split's
+workers need. `multiprocessing` and
 `concurrent.futures` are imported in `run_blocks`, at the first split, so a
 process that never splits a loop never loads them.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
 
@@ -66,25 +70,36 @@ def pool_size(jobs: int) -> int:
     return min(cores, jobs)
 
 
-def run_blocks(fn, total: int, workers: int, *args) -> list:
-    """Call fn(lo, hi, *args) on `workers` contiguous blocks [lo, hi) that
-    cover range(total), each in a forked worker that inherits one BLAS
-    thread: this process drops to one thread before the fork and gets its
-    own count back after the join, also when a block raised, with no server
-    thread left spinning. Returns the finished futures in block order; the
-    caller decides which error to raise."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, total, workers + 1).astype(int)
-    get_threads, set_threads, stop_server = _blas_threads()
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, then give
+    the process its own count back, also when the body raised, with no server
+    thread left spinning. Without a bundled OpenBLAS the body just runs."""
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads, stop_server = calls
     threads = get_threads()
     set_threads(1)
     try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(fn, lo, hi, *args) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        yield
     finally:
         set_threads(threads)
         if stop_server is not None:
             stop_server()
+
+
+def run_blocks(fn, total: int, workers: int, *args) -> list:
+    """Call fn(lo, hi, *args) on `workers` contiguous blocks [lo, hi) that
+    cover range(total), each in a forked worker that inherits one BLAS
+    thread: this process forks under `one_blas_thread`. Returns the finished
+    futures in block order; the caller decides which error to raise."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(0, total, workers + 1).astype(int)
+    with one_blas_thread():
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(fn, lo, hi, *args) for lo, hi in zip(bounds[:-1], bounds[1:])]
     return futures

@@ -9,6 +9,13 @@ makes the readout survive those attacks at the price of a harder objective.
 All T positions are optimized as one batch; each row keeps its best-so-far
 input so a late bad step cannot lose a good solution.
 
+The descent steps in float32: its kernel, inputs and best-so-far tracking
+are float32, which halves the width of every product and buffer, and the
+float32 inputs are what a trigger set stores anyway. Every number that is
+stored or judged is float64: once the descent ends, the kernel is built
+again in float64 and scores each row's best input once, and that loss picks
+the restart, is stored as the trigger's final loss and decides convergence.
+
 The descent takes the run's `TriggerSpec` (steps, step size, restarts, clamp
 box) and the seed its starting points are drawn from.
 
@@ -44,7 +51,7 @@ from .network import (
     prune_variant,
     train,
 )
-from .parallel import pool_size, run_blocks
+from .parallel import one_blas_thread, pool_size, run_blocks
 from .serialize import (
     MAGIC_TRIGGERS,
     FormatError,
@@ -138,7 +145,7 @@ class TriggerSet:
     mode: str  # MODE_SINGLE or MODE_ENSEMBLE
     variant_count: int
     layer_name: str
-    final_losses: np.ndarray  # (T,) float32, best loss per trigger
+    final_losses: np.ndarray  # (T,) float32 of each trigger's float64 loss at its input
     converged: np.ndarray  # (T,) bool, best loss within the per-network budget
     # how the descent ran; wall-clock, so neither saved nor compared (None once loaded)
     descent: DescentSpan | None = field(default=None, compare=False)
@@ -182,11 +189,14 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
 
 # Multiply-adds (rows x steps x per-row multiply-adds summed over the networks)
 # below which a descent stays in-process. Starting, feeding and joining the
-# pool costs 12-37 ms. Measured on 2 cores at the default widths (480 rows,
-# medians of 9 runs, two runs): 5e8 took 86-108 ms in-process and 88-103 ms
-# split, 7.5e8 125-163 -> 124-137 ms, 1e9 157-204 -> 120-171 ms. A tiny-config
-# descent is 5e7 to 2e8; the default T1 descent is 1e10 (1.8-1.9 s in-process,
-# 1.3-1.4 s split on the same VM).
+# pool costs 12-37 ms. Measured with the float32 descent on 2 cores
+# (OpenBLAS) at the default widths (480 rows, medians of 9 runs, two runs):
+# 2.5e8 took 31-39 ms in-process and 50-55 ms split, 5e8 56-88 -> 67-88 ms,
+# 7.5e8 86-132 -> 92-121 ms, 1e9 119-170 -> 119-129 ms, 1.5e9 178-191 ->
+# 157-164 ms. A float32 multiply-add costs about half a float64 one, but the
+# split still never loses from 1e9 up. A tiny-config descent is 5e7 to 2e8;
+# the default T1 descent is 1e10 (1.15-1.25 s in-process, 0.77-0.87 s split,
+# against 1.67-1.89 and 1.08-1.16 s in float64 on the same VM).
 SPLIT_FLOOR_MACS = 1e9
 
 
@@ -203,13 +213,13 @@ def _worker_count(nets, layer_name: str, rows: int, steps: int) -> int:
 
 
 def _descend_rows(lo, hi, nets, targets, layer_name, opt: TriggerSpec, x, first_step=None):
-    """Projected descent of rows [lo, hi), starting at x[lo:hi] (overwritten).
-    Returns per-row best (inputs, losses) and the kernel's member count, or
-    None when first_step (the whole batch's step-0 grads and losses) differs
-    from this block's step 0 in any bit."""
+    """Projected float32 descent of rows [lo, hi), starting at x[lo:hi]
+    (float32, overwritten). Returns each row's best input and the kernel's
+    member count, or None when first_step (the whole batch's step-0 grads and
+    losses) differs from this block's step 0 in any bit."""
     targets, x = targets[lo:hi], x[lo:hi]
-    kernel = InputGradientKernel(nets, targets, layer_name)
-    best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf)
+    kernel = InputGradientKernel(nets, targets, layer_name, np.float32)
+    best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf, dtype=np.float32)
     step_x = np.empty_like(x)
     for step in range(opt.steps + 1):
         grads, losses = kernel(x)
@@ -229,7 +239,7 @@ def _descend_rows(lo, hi, nets, targets, layer_name, opt: TriggerSpec, x, first_
         # x <- clip(x - lr * g), in place
         np.subtract(x, np.multiply(grads, opt.lr, out=step_x), out=x)
         np.clip(x, opt.box_low, opt.box_high, out=x)
-    return best_x, best_loss, len(kernel.members)
+    return best_x, len(kernel.members)
 
 
 def _split_descent(nets, targets, layer_name, opt: TriggerSpec, x, workers: int):
@@ -237,7 +247,7 @@ def _split_descent(nets, targets, layer_name, opt: TriggerSpec, x, workers: int)
     order; None when a block's first step is not the whole batch's bit for
     bit (a BLAS that rounds a block's GEMMs differently), so the caller
     descends in-process instead."""
-    first_step = InputGradientKernel(nets, targets, layer_name)(x)
+    first_step = InputGradientKernel(nets, targets, layer_name, np.float32)(x)
     futures = run_blocks(
         _descend_rows, targets.shape[0], workers, nets, targets, layer_name, opt, x, first_step
     )
@@ -250,28 +260,27 @@ def _split_descent(nets, targets, layer_name, opt: TriggerSpec, x, workers: int)
         # min keeps the first (lowest) block among equal steps
         raise other[0] if other else min(failed, key=lambda e: e.step)
     parts = [f.result() for f in futures]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        parts[0][2],
-    )
+    return np.concatenate([p[0] for p in parts]), parts[0][1]
 
 
 def _descend(nets, targets, layer_name, opt: TriggerSpec, seed: int):
-    """Batched projected descent from seeded uniform starts in the clamp box;
-    returns per-row best (inputs, losses) and the run's DescentSpan. Split
-    over worker processes when that pays (see the module docstring); the
-    result is the same either way."""
+    """Batched projected descent from seeded uniform starts in the clamp box
+    (drawn in float64, stepped in float32); returns per-row best inputs
+    (float32), their float64 losses and the run's DescentSpan. Split over
+    worker processes when that pays (see the module docstring); the result
+    is the same either way."""
     start = time.perf_counter()
     rows = targets.shape[0]
     rng = np.random.default_rng(seed)
-    x = rng.uniform(opt.box_low, opt.box_high, size=(rows, nets[0].input_dim))
+    x = rng.uniform(opt.box_low, opt.box_high, size=(rows, nets[0].input_dim)).astype(np.float32)
     workers = _worker_count(nets, layer_name, rows, opt.steps)
     result = _split_descent(nets, targets, layer_name, opt, x, workers) if workers > 1 else None
     if result is None:
         workers = 1
         result = _descend_rows(0, rows, nets, targets, layer_name, opt, x)
-    best_x, best_loss, members = result
+    best_x, members = result
+    with one_blas_thread():
+        best_loss = InputGradientKernel(nets, targets, layer_name)(best_x)[1].copy()
     span = DescentSpan(workers, rows, opt.steps, members, time.perf_counter() - start)
     return best_x, best_loss, span
 
@@ -312,7 +321,7 @@ def synthesize_trigger_set(
     best_loss = all_loss.reshape(opt.restarts, t)[pick, np.arange(t)]
     budget = loss_budget(cb.n, cs.min_gap, len(nets))
     return TriggerSet(
-        inputs=best_x.astype(np.float32),
+        inputs=best_x,
         centroid_set=cs,
         codebook_ref=cb.digest,
         mode=MODE_SINGLE if ensemble.j == 0 else MODE_ENSEMBLE,

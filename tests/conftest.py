@@ -6,8 +6,18 @@ from pathlib import Path
 import pytest
 
 from neuralign.config import AttackSpec, ExperimentConfig, validate_config
+from neuralign.network import Network, _bitwise_equal
 from neuralign.pipeline import run_all
 from neuralign.serialize import read_container, write_container
+
+
+def networks_equal(a: Network, b: Network) -> bool:
+    """Equal layer count, parameters equal bit for bit: +0.0 and -0.0
+    differ, as in the gradient kernel's fold check."""
+    return len(a.layers) == len(b.layers) and all(
+        _bitwise_equal(la.weights, lb.weights) and _bitwise_equal(la.biases, lb.biases)
+        for la, lb in zip(a.layers, b.layers)
+    )
 
 
 def tiny_config() -> ExperimentConfig:

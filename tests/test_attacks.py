@@ -19,11 +19,11 @@ from neuralign.network import (
     TrainConfig,
     accuracy,
     init_network,
-    networks_equal,
     train,
 )
 from neuralign.pipeline import _forge_suspect
 from neuralign.triggers import layer_outputs
+from conftest import networks_equal
 
 
 @pytest.fixture(scope="module")

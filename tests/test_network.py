@@ -19,12 +19,12 @@ from neuralign.network import (
     accuracy,
     forward,
     init_network,
-    networks_equal,
     prune_variant,
     train,
 )
 from neuralign.data import make_blobs
 from neuralign.triggers import layer_outputs
+from conftest import networks_equal
 
 
 def relu_net():
@@ -120,6 +120,19 @@ def test_init_network_is_seeded_and_shaped():
     assert a.layers[-1].activation == "softmax"
     assert a.layers[0].weights.shape == (10, 6)
     assert a.input_dim == 6 and a.output_dim == 3
+
+
+def test_networks_equal_tells_signed_zeros_apart():
+    """The test helper compares bits: a -0.0 where the other network has
+    +0.0, in a weight or a bias, makes the networks differ."""
+    net = init_network(6, [10, 3], seed=42)
+    for name in ("weights", "biases"):
+        signed = net.clone()
+        getattr(signed.layers[0], name).flat[0] = 0.0
+        other = signed.clone()
+        getattr(other.layers[0], name).flat[0] = -0.0
+        assert networks_equal(signed, signed.clone())
+        assert not networks_equal(signed, other)
 
 
 def test_clone_is_independent():
@@ -237,10 +250,7 @@ def test_training_is_bit_identical_to_the_generic_step(extra_loss, monkeypatch):
     monkeypatch.setattr(network, "_sgd_step", generic_sgd_step)
     reference = train(net, data, hp)
     assert not networks_equal(fitted, net)
-    assert networks_equal(fitted, reference)
-    for a, b in zip(fitted.layers, reference.layers):  # and +0.0 is not -0.0
-        assert a.weights.tobytes() == b.weights.tobytes()
-        assert a.biases.tobytes() == b.biases.tobytes()
+    assert networks_equal(fitted, reference)  # bit for bit: +0.0 is not -0.0
 
 
 def test_training_zero_epochs_returns_copy():
@@ -337,27 +347,29 @@ def test_gradient_shape_errors():
         kernel(np.zeros((2, 4)))
 
 
-def allocating_gradient(nets, x, targets, layer_name):
-    """The gradient as a plain loop that allocates every temporary and casts
-    the weights on every call: the reference the kernel must match bit for bit
-    when nothing folds, and to float64 rounding when pruned copies fold."""
+def allocating_gradient(nets, x, targets, layer_name, dtype=np.float64):
+    """The gradient as a plain loop in `dtype` that allocates every temporary
+    and casts the weights on every call: the reference the kernel of that
+    dtype must match bit for bit when nothing folds, and to rounding when
+    pruned copies fold."""
+    x, targets = np.asarray(x, dtype), np.asarray(targets, dtype)
     total_grad = np.zeros_like(x)
-    total_loss = np.zeros(x.shape[0])
+    total_loss = np.zeros(x.shape[0], dtype)
     for net in nets:
         li = net.layer_index(layer_name)
         sub = net.layers[: li + 1]
         a, posts = x, []
         for layer in sub:
-            z = a @ layer.weights.astype(np.float64).T + layer.biases.astype(np.float64)
+            z = a @ layer.weights.astype(dtype).T + layer.biases.astype(dtype)
             a = np.maximum(z, 0.0)
             posts.append(a)
-        masks = [(p > 0.0).astype(np.float64) for p in posts]
+        masks = [(p > 0.0).astype(dtype) for p in posts]
         resid = posts[-1] - targets
         total_loss += (resid**2).sum(axis=1)
         delta = 2.0 * resid * masks[li]
         for i in range(li, 0, -1):
-            delta = (delta @ sub[i].weights.astype(np.float64)) * masks[i - 1]
-        total_grad += delta @ sub[0].weights.astype(np.float64)
+            delta = (delta @ sub[i].weights.astype(dtype)) * masks[i - 1]
+        total_grad += delta @ sub[0].weights.astype(dtype)
     return total_grad, total_loss
 
 
@@ -368,47 +380,75 @@ def kernel_ensemble():
     return net, data, targets
 
 
-def test_kernel_is_bit_identical_to_allocating_loop():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_kernel_is_bit_identical_to_allocating_loop(dtype):
+    """The kernel in either dtype gives the bits of the allocating loop run
+    in that dtype, and every parameter, buffer and output has that dtype."""
     net, data, targets = kernel_ensemble()
     tuned = train(net, data, TrainConfig(epochs=1, lr=0.01, seed=6))
     shifted = net.clone()
     shifted.layers[0].biases[0] += 0.125  # dense0 differs only in one bias
     nets = [net, tuned, shifted]
-    kernel = InputGradientKernel(nets, targets, "dense1")
+    kernel = InputGradientKernel(nets, targets, "dense1", dtype)
     assert len(kernel.members) == 3  # nothing folds
     assert len({id(m.space) for m in kernel.members}) == 1  # one shape, one workspace
+    first, space = kernel.members[0], kernel.members[0].space
+    for array in [kernel.targets, *first.weights, *first.biases, first.keep, first.loss_const,
+                  *space.posts, *space.deltas, space.resid, space.grad_term]:
+        assert array.dtype == dtype
     rng = np.random.default_rng(6)
     for _ in range(2):  # a second call must not read state left by the first
-        x = rng.uniform(-3.0, 3.0, size=(9, 6))
+        x = rng.uniform(-3.0, 3.0, size=(9, 6)).astype(dtype)
         grad, loss = kernel(x)
-        ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
-        assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
-    grad, loss = InputGradientKernel(nets, targets, "dense1")(x)
-    assert np.array_equal(grad, ref_grad) and np.array_equal(loss, ref_loss)
+        ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1", dtype)
+        assert grad.dtype == loss.dtype == ref_grad.dtype == ref_loss.dtype == dtype
+        assert grad.tobytes() == ref_grad.tobytes() and loss.tobytes() == ref_loss.tobytes()
+    grad, loss = InputGradientKernel(nets, targets, "dense1", dtype)(x)
+    assert grad.tobytes() == ref_grad.tobytes() and loss.tobytes() == ref_loss.tobytes()
 
 
-def test_kernel_folds_pruned_copies_into_the_first_network():
+def test_float32_gradient_agrees_with_float64_on_criterion_7_nets():
+    """On the 20 networks and points of the gradient criterion, the float32
+    kernel's input gradient is the float64 kernel's within 1e-4 of its
+    largest entry, and its loss within 1e-5 relative."""
+    for seed in range(20):
+        rng = np.random.default_rng(200 + seed)
+        net = init_network(6, [10, 7, 3], seed=seed)
+        targets = rng.normal(size=7)[None, :]
+        x = rng.normal(size=6)[None, :]
+        g64, l64 = InputGradientKernel([net], targets, "dense1")(x)
+        g32, l32 = InputGradientKernel([net], targets, "dense1", np.float32)(x)
+        scale = max(float(np.abs(g64).max()), 1e-12)
+        assert float(np.abs(g32 - g64).max()) / scale <= 1e-4, seed
+        np.testing.assert_allclose(l32, l64, rtol=1e-5)
+
+
+@pytest.mark.parametrize("dtype, rtol, atol", [
+    (np.float64, 1e-12, 0.0),
+    (np.float32, 1e-5, 1e-6),
+], ids=["float64", "float32"])
+def test_kernel_folds_pruned_copies_into_the_first_network(dtype, rtol, atol):
     net, data, targets = kernel_ensemble()
     tuned = train(net, data, TrainConfig(epochs=1, lr=0.01, seed=6))
     pruned = prune_variant(net, "dense1", 0.25)  # zeroes 2 of 8 neurons
     pruned_more = prune_variant(net, "dense1", 0.5)
     twin = prune_variant(net, "dense1", 0.0)  # a plain copy: keeps every neuron
     nets = [net, pruned, tuned, twin, pruned_more]
-    kernel = InputGradientKernel(nets, targets, "dense1")
+    kernel = InputGradientKernel(nets, targets, "dense1", dtype)
     assert len(kernel.members) == 2
     first = kernel.members[0]
-    assert first.count == 4
+    assert first.count == 4 and first.loss_const.dtype == dtype
     # net and its twin keep every neuron: weight 2 before the pruned copies
     zeroed = [~p.layers[1].weights.any(axis=1) for p in (pruned, pruned_more)]
     np.testing.assert_array_equal(first.keep, 4 - zeroed[0] - zeroed[1])
     rng = np.random.default_rng(6)
     for _ in range(2):  # a second call must not read state left by the first
-        x = rng.uniform(-3.0, 3.0, size=(9, 6))
+        x = rng.uniform(-3.0, 3.0, size=(9, 6)).astype(dtype)
         grad, loss = kernel(x)
-        # folding sums the same terms in another order: equal to float64 rounding
-        ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1")
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12)
-        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        # folding sums the same terms in another order: equal to the dtype's rounding
+        ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1", dtype)
+        np.testing.assert_allclose(grad, ref_grad, rtol=rtol, atol=atol)
+        np.testing.assert_allclose(loss, ref_loss, rtol=rtol)
 
 
 def test_kernel_refuses_the_output_layer():

@@ -57,3 +57,11 @@ def test_forking_process_gets_its_blas_threads_back_when_a_block_raises(blas_thr
     with pytest.raises(ValueError, match="block 0 failed"):
         futures[0].result()
     _assert_restored_without_a_spinning_server(blas_threads)
+
+
+def test_one_blas_thread_pins_the_body_and_leaves_no_server(blas_threads):
+    """A GEMM large enough to thread runs on one BLAS thread inside the
+    block; after it the process has its count back and no server running."""
+    with parallel.one_blas_thread():
+        assert _threads_after_gemm(0, 1)[1] == 1
+    _assert_restored_without_a_spinning_server(blas_threads)

@@ -32,7 +32,6 @@ from neuralign.network import (
     TrainConfig,
     accuracy,
     init_network,
-    networks_equal,
     prune_variant,
     train,
 )
@@ -70,6 +69,7 @@ from neuralign.pipeline import (
 from neuralign.serialize import file_sha256, load_model, save_model
 from neuralign.triggers import layer_outputs, load_trigger_set
 from neuralign.watermark import load_record
+from conftest import networks_equal
 
 PUBLISHED_GRID = {
     64: [4, 12, 21, 29, 38, 47, 56, 65],
@@ -447,9 +447,12 @@ def test_t2_forge_folds_every_pruned_variant(tiny_run, tmp_path, monkeypatch):
 
     monkeypatch.setattr(triggers, "InputGradientKernel", Recorded)
     stage_forge(cfg, copy, "t2")
-    assert [len(k.members) for k in kernels] == [1 + j // 2]
-    assert kernels[0].members[0].count == 1 + j // 2
-    assert len({id(m.space) for m in kernels[0].members}) == 1  # all members share buffers
+    # the float32 kernel that descends and the float64 one that scores
+    assert [k.dtype for k in kernels] == [np.float32, np.float64]
+    for kernel in kernels:
+        assert len(kernel.members) == 1 + j // 2
+        assert kernel.members[0].count == 1 + j // 2
+        assert len({id(m.space) for m in kernel.members}) == 1  # all members share buffers
 
 
 # --------------------------------------------------------- observability

@@ -12,7 +12,7 @@ from neuralign.coding import (
     load_codebook,
     save_codebook,
 )
-from neuralign.network import ShapeError, init_network, networks_equal
+from neuralign.network import ShapeError, init_network
 from neuralign.serialize import (
     MAGIC_MODEL,
     MAGIC_RECORD,
@@ -26,6 +26,7 @@ from neuralign.serialize import (
 )
 from neuralign.triggers import load_trigger_set, save_trigger_set
 from neuralign.watermark import load_record, make_record, save_record
+from conftest import networks_equal
 
 
 @pytest.fixture

@@ -157,31 +157,89 @@ def test_descent_builds_its_kernel_once(trained, monkeypatch):
     built = []
 
     def counted(*args, **kwargs):
-        built.append(args)
-        return kernel_class(*args, **kwargs)
+        kernel = kernel_class(*args, **kwargs)
+        built.append(kernel.dtype)
+        return kernel
 
     kernel_class = triggers.InputGradientKernel
     monkeypatch.setattr(triggers, "InputGradientKernel", counted)
     synthesize_trigger_set(ens, "dense1", cs, cb, TriggerSpec(steps=50, restarts=2), 1)
-    assert len(built) == 1
+    # one float32 kernel steps the descent, one float64 kernel scores its result
+    assert built == [np.float32, np.float64]
 
 
 def test_descent_equals_allocating_updates(trained):
-    """In-place steps give the inputs and losses of x <- clip(x - lr * g)
-    computed with fresh arrays and one gradient call per step."""
+    """In-place steps give the inputs of x <- clip(x - lr * g) computed in
+    float32 with fresh arrays and one gradient call per step, and the losses
+    of a float64 kernel at the float32 best inputs."""
     net, data = trained
     nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
     targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 10))
     opt = TriggerSpec(steps=30, lr=0.05)
     best_x, best_loss, _ = triggers._descend(nets, targets, "dense1", opt, 4)
     x = np.random.default_rng(4).uniform(opt.box_low, opt.box_high, size=(6, 16))
-    ref_x, ref_loss = x.copy(), np.full(6, np.inf)
+    x = x.astype(np.float32)
+    ref_x, ref_loss = x.copy(), np.full(6, np.inf, dtype=np.float32)
     for _ in range(opt.steps + 1):
-        grad, loss = InputGradientKernel(nets, targets, "dense1")(x)
+        grad, loss = InputGradientKernel(nets, targets, "dense1", np.float32)(x)
         better = loss < ref_loss
         ref_loss[better], ref_x[better] = loss[better], x[better]
         x = np.clip(x - opt.lr * grad, opt.box_low, opt.box_high)
-    assert np.array_equal(best_x, ref_x) and np.array_equal(best_loss, ref_loss)
+    assert x.dtype == np.float32  # no step widened the reference to float64
+    _, ref_loss = InputGradientKernel(nets, targets, "dense1")(ref_x)
+    assert best_x.tobytes() == ref_x.tobytes() and best_loss.tobytes() == ref_loss.tobytes()
+
+
+def test_descent_steps_in_float32(trained, monkeypatch):
+    """The descent's kernel and its best-so-far tracking are float32, in
+    one process and in every block of a split; only the final scoring kernel
+    is float64. A change that quietly steps in float64 again fails here."""
+    net, data = trained
+    nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
+    targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(8, 10))
+    opt = TriggerSpec(steps=5)
+    x = np.random.default_rng(4).uniform(opt.box_low, opt.box_high, size=(8, 16))
+    best_x, _ = triggers._descend_rows(0, 8, nets, targets, "dense1", opt, x.astype(np.float32))
+    assert best_x.dtype == np.float32
+    built = []
+
+    class Recorded(InputGradientKernel):
+        def __call__(self, x):
+            grads, losses = super().__call__(x)
+            built.append((self.dtype, grads.dtype, losses.dtype))
+            return grads, losses
+
+    monkeypatch.setattr(triggers, "InputGradientKernel", Recorded)
+    for floor in (float("inf"), 0.0):  # in one process, then split
+        built.clear()
+        monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", floor)
+        best_x, best_loss, _ = triggers._descend(nets, targets, "dense1", opt, 4)
+        assert best_x.dtype == np.float32 and best_loss.dtype == np.float64
+        # every call but the last is a float32 step (of a split, only the
+        # parent's first-step check is in sight); the last scores in float64
+        assert built[-1] == (np.float64,) * 3
+        assert built[:-1] and set(built[:-1]) == {(np.dtype(np.float32),) * 3}
+
+
+def test_stored_losses_are_float64_scores_of_stored_inputs(single):
+    """Each row's float64 loss at its best float32 input picks the restart,
+    is stored (as float32) and decides convergence; it is not the float32
+    loss the descent tracked."""
+    ens, cs, cb = single
+    opt = TriggerSpec(steps=60, lr=0.05, restarts=3)
+    ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 5)
+    rows = np.tile(cs.centroids[cb.codewords.T.astype(np.int64)], (opt.restarts, 1))
+    all_x, all_loss, _ = triggers._descend(ens.networks, rows, "dense1", opt, 5)
+    _, scored = InputGradientKernel(ens.networks, rows, "dense1")(all_x)
+    assert scored.tobytes() == all_loss.tobytes()
+    _, tracked = InputGradientKernel(ens.networks, rows, "dense1", np.float32)(all_x)
+    assert not np.array_equal(tracked, scored.astype(np.float32))
+    pick = (all_loss.reshape(opt.restarts, cb.t).argmin(axis=0), np.arange(cb.t))
+    best = all_loss.reshape(opt.restarts, cb.t)[pick]
+    assert ts.inputs.tobytes() == all_x.reshape(opt.restarts, cb.t, -1)[pick].tobytes()
+    assert ts.final_losses.tobytes() == best.astype(np.float32).tobytes()
+    budget = loss_budget(cb.n, cs.min_gap, len(ens.networks))
+    np.testing.assert_array_equal(ts.converged, best <= budget)
 
 
 def test_descent_stays_in_clamp_box(single):
@@ -278,8 +336,8 @@ class _FailingKernel(InputGradientKernel):
 
     failures = {}  # global row -> step
 
-    def __init__(self, nets, targets, layer_name):
-        super().__init__(nets, targets, layer_name)
+    def __init__(self, nets, targets, layer_name, dtype=np.float64):
+        super().__init__(nets, targets, layer_name, dtype)
         self.calls = 0
 
     def __call__(self, x):
@@ -319,8 +377,8 @@ def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
     class Skewed(InputGradientKernel):
         def __call__(self, x):
             grads, losses = super().__call__(x)
-            if len(x) < 8:  # a block, not the whole batch
-                losses += 1e-9
+            if len(x) < 8:  # a block, not the whole batch: one ulp off in one row
+                losses[0] = np.nextafter(losses[0], np.inf)
             return grads, losses
 
     nets = [init_network(6, [10, 5, 2], seed=1)]
@@ -333,6 +391,31 @@ def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
     fallback = triggers._descend(nets, targets, "dense1", opt, 1)
     assert fallback[2].workers == 1
     assert np.array_equal(fallback[0], whole[0])
+
+
+def test_split_descent_leaves_no_blas_server_spinning(monkeypatch):
+    """The float64 scoring after a split runs on one BLAS thread, so the
+    descent ends with OpenBLAS's thread server down, as the split left it;
+    a server started by that GEMM would spin on the cores that the next
+    split's workers need."""
+    calls = parallel._blas_threads()
+    if CORES < 2 or calls is None or calls[2] is None:
+        pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS with a server stop")
+    get_threads, set_threads, stop_server = calls
+    before = get_threads()
+    set_threads(2)
+    try:
+        # default widths: the scoring GEMMs are large enough for OpenBLAS to thread
+        nets = [init_network(48, [128, 32, 16, 4], seed=1)]
+        targets = np.random.default_rng(4).uniform(0.0, 2.0, size=(480, 32))
+        monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
+        assert triggers._descend(nets, targets, "dense1", TriggerSpec(steps=2), 3)[2].workers > 1
+        assert get_threads() == 2
+        threads = len(os.listdir("/proc/self/task"))
+        stop_server()
+        assert len(os.listdir("/proc/self/task")) == threads
+    finally:
+        set_threads(before)
 
 
 def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
