@@ -75,7 +75,7 @@ def permute_neurons(net: Network, spec: PermutationSpec) -> Network:
     return out
 
 
-def random_scales(n: int, seed: int, low: float = 0.5, high: float = 2.0) -> np.ndarray:
+def random_scales(n: int, seed: int, low: float, high: float) -> np.ndarray:
     """Log-uniform positive scales in [low, high]."""
     if not 0 < low <= high:
         raise ValueError("need 0 < low <= high")

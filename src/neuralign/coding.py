@@ -86,13 +86,10 @@ def compute_centroids(outputs: np.ndarray, k: int) -> CentroidSet:
     return CentroidSet(centroids)
 
 
-def nearest_centroid(values: np.ndarray | float, cs: CentroidSet) -> np.ndarray | int:
-    """Index of the closest centroid; ties resolve to the lower index."""
+def nearest_centroid(values: np.ndarray | float, cs: CentroidSet) -> np.ndarray:
+    """Index of the closest centroid as uint8; ties resolve to the lower index."""
     arr = np.asarray(values, dtype=np.float64)
-    idx = np.abs(arr[..., None] - cs.centroids).argmin(axis=-1)
-    if arr.ndim == 0:
-        return int(idx)
-    return idx.astype(np.uint8)
+    return np.abs(arr[..., None] - cs.centroids).argmin(axis=-1).astype(np.uint8)
 
 
 def max_correctable(n: int, t: int, k: int, k_corrupted: int) -> int:

@@ -35,7 +35,6 @@ class ModelSpec:
     watermarked_layer: str = "dense1"
     epochs: int = 30
     lr: float = 0.1
-    batch_size: int = 32
 
 
 @dataclass
@@ -53,7 +52,6 @@ class TriggerSpec:
     restarts: int = 8
     box_low: float = -4.0
     box_high: float = 4.0
-    variant_lr: float = 0.01
     prune_step: float = 0.05
 
 
@@ -62,8 +60,6 @@ class WatermarkSpec:
     bits: int = 32
     threshold: float = 0.15
     strength: float = 2.0
-    embed_epochs: int = 4
-    embed_lr: float = 0.05
     max_rounds: int = 4
 
 
@@ -74,8 +70,8 @@ class AttackSpec:
     epochs: int = 2  # ftp only
     lr: float = 0.01  # ftp only
     fraction: float = 0.10  # npp only
-    scale_low: float = 0.5  # rescale only
-    scale_high: float = 2.0  # rescale only
+    scale_low: float = 0.2  # rescale only
+    scale_high: float = 5.0  # rescale only
 
 
 @dataclass
@@ -91,7 +87,7 @@ class ExperimentConfig:
             AttackSpec(kind="np"),
             AttackSpec(kind="ftp"),
             AttackSpec(kind="npp"),
-            AttackSpec(kind="rescale", scale_low=0.2, scale_high=5.0),
+            AttackSpec(kind="rescale"),
         ]
     )
 
@@ -148,8 +144,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(isinstance(m.widths, list) and len(m.widths) >= 1
              and all(_is_int(x) and x >= 1 for x in m.widths), "model.widths",
              "need positive integer widths for at least one hidden layer")
-    _require(m.epochs >= 0 and m.lr > 0 and m.batch_size >= 1, "model.epochs",
-             "need epochs >= 0, lr > 0, batch_size >= 1")
+    _require(m.epochs >= 0, "model.epochs", "need epochs >= 0")
+    _require(m.lr > 0, "model.lr", "must be positive")
     name, digits = m.watermarked_layer, m.watermarked_layer.removeprefix("dense")
     # layers are named dense0, dense1, ...: no leading zero, no non-ASCII digit
     _require(
@@ -170,15 +166,16 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
              "corrupted alternatives per position lie in [1, k-1]")
     _require(t.j >= 2 and t.j % 2 == 0, "triggers.j",
              "the T2 ensemble needs an even variant count of at least 2")
-    _require(t.steps >= 0 and t.lr > 0, "triggers.steps", "need steps >= 0 and lr > 0")
+    _require(t.steps >= 0, "triggers.steps", "need steps >= 0")
+    _require(t.lr > 0, "triggers.lr", "must be positive")
     _require(t.restarts >= 1, "triggers.restarts", "need at least one restart")
     _require(t.box_low < t.box_high, "triggers.box_low", "clamp box must be non-empty")
     _require(0 < t.prune_step and t.prune_step * (t.j // 2) < 1, "triggers.prune_step",
              "prune fractions must stay below 1")
     _require(w.bits >= 1, "watermark.bits", "need at least one payload bit")
     _require(0 < w.threshold < 1, "watermark.threshold", "threshold lies in (0, 1)")
-    _require(w.strength > 0 and w.embed_epochs >= 1 and w.max_rounds >= 1,
-             "watermark.strength", "need positive strength, epochs and rounds")
+    _require(w.strength > 0, "watermark.strength", "must be positive")
+    _require(w.max_rounds >= 1, "watermark.max_rounds", "need at least one round")
     kinds = [a.kind for a in cfg.attacks]
     for i, a in enumerate(cfg.attacks):
         path = f"attacks[{i}]"
@@ -187,7 +184,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(a.kind not in kinds[:i], f"{path}.kind", f"duplicate kind {a.kind!r}")
         _require(a.trials >= 1, f"{path}.trials", "need at least one trial")
         if a.kind == "ftp":
-            _require(a.epochs >= 1 and a.lr > 0, f"{path}.epochs", "need epochs >= 1, lr > 0")
+            _require(a.epochs >= 1, f"{path}.epochs", "need at least one epoch")
+            _require(a.lr > 0, f"{path}.lr", "must be positive")
         if a.kind == "npp":
             _require(0 <= a.fraction < 1, f"{path}.fraction", "fraction lies in [0, 1)")
         if a.kind == "rescale":

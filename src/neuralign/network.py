@@ -297,18 +297,15 @@ def _kept_neurons(
     """The named (last) layer's neurons a network keeps, when it is the first
     network with some of them zeroed; None when it is not.
 
-    Every earlier layer must equal the first's bit for bit. Each row
-    of the named layer must equal the first's row, weights and bias, or be
-    +0.0 throughout, so that the neuron's output is exactly 0.
+    Both stacks have the same layer shapes. Every earlier layer must equal
+    the first's bit for bit. Each row of the named layer must equal the
+    first's row, weights and bias, or be +0.0 throughout, so that the
+    neuron's output is exactly 0.
     """
-    if len(first) != len(layers):
-        return None
     for a, b in zip(first[:-1], layers[:-1]):
         if not (_bitwise_equal(a.weights, b.weights) and _bitwise_equal(a.biases, b.biases)):
             return None
     a, b = first[-1], layers[-1]
-    if a.weights.shape != b.weights.shape:
-        return None
     wa, wb = a.weights.view(np.uint32), b.weights.view(np.uint32)
     ba, bb = a.biases.view(np.uint32), b.biases.view(np.uint32)
     kept = (wa == wb).all(axis=1) & (ba == bb)
@@ -317,8 +314,8 @@ def _kept_neurons(
 
 
 class _Workspace:
-    """Work buffers for a member's step, sized by its layer widths. Members of
-    the same widths share one: each writes every buffer before reading it."""
+    """Work buffers for a member's step, sized by the layer widths. Every
+    member shares one: each writes every buffer before reading it."""
 
     def __init__(self, rows: int, input_dim: int, widths: tuple, dtype):
         self.posts = [np.empty((rows, w), dtype) for w in widths]
@@ -362,7 +359,9 @@ class InputGradientKernel:
     layer to `dtype` once (float64 by default; the targets, the per-neuron
     weights and every buffer take the same dtype, and the inputs are cast to
     it on each call), allocates its work buffers once and fills them in place
-    on every call. All members share one set of buffers per layer shape.
+    on every call. Every network must have the same layer shapes up to the
+    named layer, as the model's variants do, so all members share one set of
+    buffers; any other ensemble is refused with `ShapeError`.
 
     A network that is the first one with some named-layer neurons zeroed (every
     earlier layer bit-equal; each named-layer row bit-equal or +0.0 in weights
@@ -388,32 +387,28 @@ class InputGradientKernel:
             raise ValueError("need at least one network")
         if any(net.layer_index(layer_name) == len(net.layers) - 1 for net in nets):
             raise ValueError(f"layer {layer_name} is the softmax output, not a hidden layer")
-        if len({net.input_dim for net in nets}) != 1:
-            raise ShapeError("ensemble networks disagree on input_dim")
+        stacks = [net.layers[: net.layer_index(layer_name) + 1] for net in nets]
+        if len({tuple(layer.weights.shape for layer in stack) for stack in stacks}) != 1:
+            raise ShapeError(f"ensemble networks disagree on layer shapes up to {layer_name}")
         self.dtype = np.dtype(dtype)
         targets = np.asarray(targets, dtype=self.dtype)
         if targets.ndim != 2:
             raise ShapeError("targets must be 2-D (one target row per input row)")
         rows, input_dim = targets.shape[0], nets[0].input_dim
+        widths = tuple(layer.out_dim for layer in stacks[0])
+        if widths[-1] != targets.shape[1]:
+            raise ShapeError(
+                f"layer {layer_name} width {widths[-1]} != targets width {targets.shape[1]}"
+            )
         self.targets = targets
-        self.members: list[_Member] = []
-        spaces: dict[tuple, _Workspace] = {}  # one per layer shape, shared by members
-        for net in nets:
-            layers = net.layers[: net.layer_index(layer_name) + 1]
-            if layers[-1].out_dim != targets.shape[1]:
-                raise ShapeError(
-                    f"layer {layer_name} width {layers[-1].out_dim} != targets width "
-                    f"{targets.shape[1]}"
-                )
-            if self.members:
-                kept = _kept_neurons(self.members[0].layers, layers)
-                if kept is not None:
-                    self.members[0].fold(kept, targets)
-                    continue
-            widths = tuple(layer.out_dim for layer in layers)
-            if widths not in spaces:
-                spaces[widths] = _Workspace(rows, input_dim, widths, self.dtype)
-            self.members.append(_Member(layers, spaces[widths]))
+        space = _Workspace(rows, input_dim, widths, self.dtype)
+        self.members = [_Member(stacks[0], space)]
+        for layers in stacks[1:]:
+            kept = _kept_neurons(stacks[0], layers)
+            if kept is None:
+                self.members.append(_Member(layers, space))
+            else:
+                self.members[0].fold(kept, targets)
         self.grad = np.empty((rows, input_dim), self.dtype)
         self.loss = np.empty(rows, self.dtype)
 

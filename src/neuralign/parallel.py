@@ -13,9 +13,9 @@ on the cores the workers need. For the same reason the forking process stops
 the server its restore started, leaving it as the fork left it: down until
 the next threaded BLAS call. The finished blocks come back in block order. A
 process with one core, or a numpy without a bundled OpenBLAS, starts no
-pool: the caller runs the loop itself. A caller that makes one more BLAS call
-right after a split runs it under `one_blas_thread`, so that call does not
-start a server either: its threads would spin on the cores the next split's
+pool: the caller runs the loop itself. A caller that makes more BLAS calls
+right after a split runs them under `one_blas_thread`, so they do not start
+a server either: its threads would spin on the cores the next split's
 workers need. `multiprocessing` and
 `concurrent.futures` are imported in `run_blocks`, at the first split, so a
 process that never splits a loop never loads them.

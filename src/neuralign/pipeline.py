@@ -40,7 +40,7 @@ from .coding import (
 from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config, validate_config
 from .data import make_blobs, split_dataset
 from .network import Dataset, TrainConfig, accuracy, forward, init_network, prune_variant, train
-from .parallel import pool_size, run_blocks
+from .parallel import one_blas_thread, pool_size, run_blocks
 from .serialize import file_sha256, load_model, save_model
 from .triggers import (
     MODE_ENSEMBLE,
@@ -177,6 +177,11 @@ def attack_spec_for(cfg: ExperimentConfig, kind: str):
 # ---------------------------------------------------------------- stages
 
 
+# the watermark's embedding fine-tune, at TrainConfig's batch size
+EMBED_EPOCHS = 4
+EMBED_LR = 0.05
+
+
 def stage_train(cfg: ExperimentConfig, out) -> dict:
     """Train the task model, embed the watermark, write model + record.
 
@@ -201,22 +206,16 @@ def stage_train(cfg: ExperimentConfig, out) -> dict:
             cfg.data.input_dim, [*cfg.model.widths, cfg.data.classes],
             seed=derive_seed(cfg.seed, "init"),
         )
-        base = train(
-            net0, train_ds,
-            TrainConfig(
-                epochs=cfg.model.epochs, lr=cfg.model.lr,
-                batch_size=cfg.model.batch_size, seed=derive_seed(cfg.seed, "train"),
-            ),
-        )
+        hp = TrainConfig(epochs=cfg.model.epochs, lr=cfg.model.lr,
+                         seed=derive_seed(cfg.seed, "train"))
+        base = train(net0, train_ds, hp)
         w = cfg.watermark
         record = make_record(
             base, cfg.model.watermarked_layer, bits=w.bits,
             threshold=w.threshold, seed=derive_seed(cfg.seed, "record"),
         )
-        embed_hp = TrainConfig(
-            epochs=w.embed_epochs, lr=w.embed_lr, batch_size=cfg.model.batch_size,
-            seed=derive_seed(cfg.seed, "embed"),
-        )
+        embed_hp = TrainConfig(epochs=EMBED_EPOCHS, lr=EMBED_LR,
+                               seed=derive_seed(cfg.seed, "embed"))
         marked = embed(base, record, train_ds, embed_hp, w.strength, w.max_rounds)
         save_config(cfg, out / CONFIG_FILE)
         save_model(base, out / MODEL_BASE_FILE)
@@ -348,17 +347,15 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         j = 0 if mode == MODE_SINGLE else cfg.triggers.j
         ensemble = make_variant_ensemble(
             model, train_ds, layer, j,
-            seed=derive_seed(cfg.seed, "variants", mode),
-            finetune_lr=cfg.triggers.variant_lr,
-            batch_size=cfg.model.batch_size,
-            prune_step=cfg.triggers.prune_step,
+            seed=derive_seed(cfg.seed, "variants", mode), prune_step=cfg.triggers.prune_step,
         )
         ts = synthesize_trigger_set(
             ensemble, layer, cs, cb, cfg.triggers, derive_seed(cfg.seed, "forge", mode)
         )
         timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
-        codes, separation = _probe_separation(model, layer, ts.inputs, cs)
+        with one_blas_thread():  # keeps OpenBLAS's server asleep before the attack forks
+            codes, separation = _probe_separation(model, layer, ts.inputs, cs)
         neuron_errors = np.sum(codes != cb.codewords, axis=1)
         radius = (cb.d_min - 1) // 2
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))
@@ -382,12 +379,11 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     return summary
 
 
-def _forge_suspect(cfg, a, model, layer, spec, held, trial_seed):
+def _forge_suspect(a, model, layer, spec, held, trial_seed):
     """Attack `a`'s transform of the marked model (np has none), then the
     trial's permutation of the watermarked layer."""
     if a.kind == "ftp":
-        hp = TrainConfig(epochs=a.epochs, lr=a.lr, batch_size=cfg.model.batch_size,
-                         seed=derive_seed(trial_seed, "finetune"))
+        hp = TrainConfig(epochs=a.epochs, lr=a.lr, seed=derive_seed(trial_seed, "finetune"))
         model = train(model, held, hp)
     elif a.kind == "npp":
         model = prune_variant(model, layer, a.fraction)
@@ -408,7 +404,7 @@ def _attack_trials(lo, hi, cfg, out, a, model, held) -> list:
     for i in range(lo, hi):
         trial_seed = derive_seed(cfg.seed, "attack", a.kind, i)
         spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
-        suspect = _forge_suspect(cfg, a, model, layer, spec, held, trial_seed)
+        suspect = _forge_suspect(a, model, layer, spec, held, trial_seed)
         save_model(suspect, suspect_file(out, a.kind, i))
         scores = forward(suspect, held.inputs)
         records.append({

@@ -41,7 +41,7 @@ ACTIVATION_TAGS = {"relu": 1, "softmax": 2}
 
 
 # little-endian field layouts, compiled once
-_U8, _U16, _U32, _U64, _F64 = map(struct.Struct, ("<B", "<H", "<I", "<Q", "<d"))
+_U16, _U32, _U64, _F64 = map(struct.Struct, ("<H", "<I", "<Q", "<d"))
 _LAYER_HEAD = struct.Struct("<IIB")  # in_dim, out_dim, activation tag
 _F4_ARRAY, _F8_ARRAY = np.dtype("<f4"), np.dtype("<f8")
 
@@ -63,9 +63,6 @@ class IntegrityError(RuntimeError):
 class PayloadWriter:
     def __init__(self):
         self.buf = bytearray()
-
-    def u8(self, v: int):
-        self.buf += _U8.pack(v)
 
     def u16(self, v: int):
         self.buf += _U16.pack(v)
@@ -111,19 +108,18 @@ class PayloadReader:
     Fixed-size fields are read through precompiled `struct.Struct`s, several
     adjacent ones at a time where a layout groups them."""
 
-    def __init__(self, data: bytes, base_offset: int = _HEADER_LEN):
+    def __init__(self, data: bytes):
         self.data = memoryview(data)
         self.off = 0
-        self.base = base_offset
 
     def _advance(self, n: int) -> int:
         """Start of the next n bytes, which the reader then moves past."""
         if n < 0:
-            raise FormatError(f"negative field length {n} at byte {self.base + self.off}")
+            raise FormatError(f"negative field length {n} at byte {_HEADER_LEN + self.off}")
         if self.off + n > len(self.data):
             raise FormatError(
-                f"file truncated at byte {self.base + len(self.data)} "
-                f"(needed {n} more bytes at byte {self.base + self.off})"
+                f"file truncated at byte {_HEADER_LEN + len(self.data)} "
+                f"(needed {n} more bytes at byte {_HEADER_LEN + self.off})"
             )
         start = self.off
         self.off += n
@@ -136,9 +132,6 @@ class PayloadReader:
     def _array(self, dtype: np.dtype, count: int) -> np.ndarray:
         start = self._advance(dtype.itemsize * count)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start).copy()
-
-    def u8(self) -> int:
-        return self._fields(_U8)[0]
 
     def u16(self) -> int:
         return self._fields(_U16)[0]
@@ -174,7 +167,7 @@ class PayloadReader:
 
     def expect_end(self):
         if self.off != len(self.data):
-            raise FormatError(f"unexpected trailing bytes at byte {self.base + self.off}")
+            raise FormatError(f"unexpected trailing bytes at byte {_HEADER_LEN + self.off}")
 
 
 def write_container(path, magic: bytes, payload: bytes) -> None:
@@ -225,7 +218,7 @@ def load_model(path) -> Network:
             in_dim, out_dim, tag = r._fields(_LAYER_HEAD)
             activation = "softmax" if i == n_layers - 1 else "relu"  # the one form
             if tag != ACTIVATION_TAGS[activation]:
-                raise FormatError(f"unexpected activation tag {tag} at byte {r.base + r.off - 1}")
+                raise FormatError(f"unexpected activation tag {tag} at byte {_HEADER_LEN + r.off - 1}")
             # the weights and the biases that follow them, in one copy
             params = r.f32_array(out_dim * (in_dim + 1))
             cut = out_dim * in_dim

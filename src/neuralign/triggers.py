@@ -64,6 +64,7 @@ from .serialize import (
 
 MODE_SINGLE = "t1"  # optimize against the watermarked model alone
 MODE_ENSEMBLE = "t2"  # optimize against the model plus J variants
+VARIANT_LR = 0.01  # step size of the T2 ensemble's fine-tuned variants
 
 
 class OptimizationError(RuntimeError):
@@ -101,21 +102,18 @@ def make_variant_ensemble(
     layer_name: str,
     j: int,
     seed: int,
-    finetune_lr: float = 0.01,
-    batch_size: int = 32,
     prune_step: float = 0.05,
 ) -> VariantEnsemble:
-    """Original plus J/2 fine-tuned (1, 2, ... epochs) and J/2 pruned variants
-    (fractions prune_step, 2*prune_step, ...)."""
+    """Original plus J/2 fine-tuned (1, 2, ... epochs at `VARIANT_LR`) and J/2
+    pruned variants (fractions prune_step, 2*prune_step, ...)."""
     if j < 0 or j % 2 != 0:
         raise ValueError("variant count must be even (half fine-tuned, half pruned)")
     nets = [net]
     provenance = ["original"]
     half = j // 2
     for i in range(1, half + 1):
-        hp = TrainConfig(epochs=i, lr=finetune_lr, batch_size=batch_size, seed=seed + i)
-        nets.append(train(net, data, hp))
-        provenance.append(f"finetune:epochs={i}:lr={finetune_lr}:seed={seed + i}")
+        nets.append(train(net, data, TrainConfig(epochs=i, lr=VARIANT_LR, seed=seed + i)))
+        provenance.append(f"finetune:epochs={i}:lr={VARIANT_LR}:seed={seed + i}")
     for i in range(1, half + 1):
         frac = prune_step * i
         nets.append(prune_variant(net, layer_name, frac))

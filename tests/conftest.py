@@ -38,7 +38,7 @@ def tiny_config() -> ExperimentConfig:
         AttackSpec(kind="np", trials=3),
         AttackSpec(kind="ftp", trials=3, epochs=1),
         AttackSpec(kind="npp", trials=3),
-        AttackSpec(kind="rescale", trials=3, scale_low=0.2, scale_high=5.0),
+        AttackSpec(kind="rescale", trials=3),
     ]
     return validate_config(cfg)
 

@@ -13,7 +13,7 @@ from neuralign.attacks import (
     random_permutation,
     random_scales,
 )
-from neuralign.config import AttackSpec, ExperimentConfig
+from neuralign.config import AttackSpec
 from neuralign.data import make_blobs
 from neuralign.network import (
     TrainConfig,
@@ -112,8 +112,7 @@ def test_random_permutations_are_uniform():
 def forge(net, data, spec, trial_seed, **attack):
     """The attack stage's suspect for one trial of AttackSpec(**attack):
     its transform of `net`, then `spec`."""
-    return _forge_suspect(ExperimentConfig(), AttackSpec(**attack), net, spec.layer_name, spec,
-                          data, trial_seed)
+    return _forge_suspect(AttackSpec(**attack), net, spec.layer_name, spec, data, trial_seed)
 
 
 def test_ftp_drifts_but_keeps_accuracy(victim):

@@ -63,6 +63,39 @@ def test_unknown_key_rejected_with_path():
         config_from_dict({"triggers": {"mode": "t1"}})  # both schemes always run
 
 
+# every value a config file can set; a new knob has to be added here on purpose
+SETTABLE_KEYS = {
+    "seed",
+    "data.samples", "data.input_dim", "data.classes", "data.spread", "data.holdout",
+    "model.widths", "model.watermarked_layer", "model.epochs", "model.lr",
+    "coding.k", "coding.t", "coding.k_corrupted",
+    "triggers.j", "triggers.steps", "triggers.lr", "triggers.restarts", "triggers.box_low",
+    "triggers.box_high", "triggers.prune_step",
+    "watermark.bits", "watermark.threshold", "watermark.strength", "watermark.max_rounds",
+    "attacks[].kind", "attacks[].trials", "attacks[].epochs", "attacks[].lr",
+    "attacks[].fraction", "attacks[].scale_low", "attacks[].scale_high",
+}
+
+
+def test_settable_keys_are_pinned():
+    """The config's dotted keys (attacks[] stands for each entry), and the
+    retired ones: values nothing varied are constants now, so a config or
+    echo that still sets one is refused."""
+    keys = set()
+    for name, value in config_to_dict(ExperimentConfig()).items():
+        if name == "attacks":
+            keys |= {f"attacks[].{key}" for item in value for key in item}
+        elif isinstance(value, dict):
+            keys |= {f"{name}.{key}" for key in value}
+        else:
+            keys.add(name)
+    assert keys == SETTABLE_KEYS and len(keys) == 31
+    for section, key in [("model", "batch_size"), ("triggers", "variant_lr"),
+                         ("watermark", "embed_epochs"), ("watermark", "embed_lr")]:
+        with pytest.raises(ConfigError, match=rf"^{section}\.{key}: unknown key$"):
+            config_from_dict({section: {key: 1}})
+
+
 def test_attacks_list_built_per_item():
     cfg = config_from_dict({"attacks": [{"kind": "np", "trials": 3}]})
     assert len(cfg.attacks) == 1 and cfg.attacks[0].trials == 3
@@ -141,6 +174,14 @@ NON_FINITE_FIELDS = [  # (the spec holding the field, field name, dotted path)
         (lambda c: setattr(c.attacks[0], "kind", "steal"), r"attacks\[0\].kind"),
         (lambda c: setattr(c.attacks[0], "trials", 0), r"attacks\[0\].trials"),
         (lambda c: setattr(c.attacks[3], "scale_low", 0.0), r"attacks\[3\].scale_low"),
+        # a check that tests one field names that field, not a neighbour
+        pytest.param(lambda c: setattr(c.model, "lr", 0.0), r"^model\.lr:", id="model-lr"),
+        pytest.param(lambda c: setattr(c.triggers, "lr", 0.0), r"^triggers\.lr:",
+                     id="triggers-lr"),
+        pytest.param(lambda c: setattr(c.watermark, "max_rounds", 0),
+                     r"^watermark\.max_rounds:", id="watermark-max-rounds"),
+        pytest.param(lambda c: setattr(c.attacks[1], "lr", 0.0), r"^attacks\[1\]\.lr:",
+                     id="ftp-lr"),
         *(pytest.param(lambda c, spec=spec, name=name, v=v: setattr(spec(c), name, v),
                        f"{path}: must be a finite number", id=f"{name}={v}")
           for spec, name, path in NON_FINITE_FIELDS for v in (-math.inf, math.inf, math.nan)),

@@ -463,6 +463,17 @@ def test_kernel_refuses_the_output_layer():
         InputGradientKernel([net, head], np.zeros((9, 8)), "dense1")
 
 
+@pytest.mark.parametrize("input_dim, widths", [(6, [10, 8, 3]), (5, [12, 8, 3])],
+                         ids=["hidden-width", "input-dim"])
+def test_kernel_refuses_an_ensemble_of_other_layer_shapes(input_dim, widths):
+    """Every member shares one workspace, so a network whose layers up to the
+    named one have other shapes than the first's is refused."""
+    net, _, targets = kernel_ensemble()
+    other = init_network(input_dim, widths, seed=1)
+    with pytest.raises(ShapeError, match="disagree on layer shapes up to dense1"):
+        InputGradientKernel([net, other], targets, "dense1")
+
+
 def zero_bias_set(net, zero, kept):
     net.layers[1].biases[zero] = 0.5
 

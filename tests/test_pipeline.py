@@ -455,6 +455,36 @@ def test_t2_forge_folds_every_pruned_variant(tiny_run, tmp_path, monkeypatch):
         assert len({id(m.space) for m in kernel.members}) == 1  # all members share buffers
 
 
+def test_forge_reads_its_triggers_back_on_one_blas_thread(tiny_run, tmp_path, monkeypatch):
+    """After the descent, stage_forge reads the triggers back on one BLAS
+    thread: at more threads a large enough read-back restarts OpenBLAS's
+    thread server, which then spins on the cores the attack stage's workers
+    are forked onto next."""
+    if pipeline.pool_size(2) < 2:
+        pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS")
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    get_threads, set_threads, _ = parallel._blas_threads()
+    read_back = pipeline.layer_outputs
+    threads = []
+
+    def recorded(*args, **kwargs):
+        threads.append(get_threads())
+        return read_back(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "layer_outputs", recorded)
+    before = get_threads()
+    set_threads(2)
+    try:
+        stage_forge(dataclasses.replace(cfg, triggers=dataclasses.replace(cfg.triggers, steps=1)),
+                    copy, "t1")
+        assert get_threads() == 2  # the process has its own count back
+    finally:
+        set_threads(before)
+    assert threads == [1]
+
+
 # --------------------------------------------------------- observability
 
 def test_forge_summary_counts_neurons_past_radius(tiny_run):
@@ -655,10 +685,10 @@ def test_attack_split_raises_what_one_process_raises(tiny_run, tmp_path, monkeyp
     forge = pipeline._forge_suspect
     failing_seeds = {derive_seed(cfg.seed, "attack", "np", i): i for i in failing}
 
-    def failing_forge(cfg, a, model, layer, spec, data, trial_seed):
+    def failing_forge(a, model, layer, spec, data, trial_seed):
         if trial_seed in failing_seeds:
             raise ValueError(f"trial {failing_seeds[trial_seed]} failed")
-        return forge(cfg, a, model, layer, spec, data, trial_seed)
+        return forge(a, model, layer, spec, data, trial_seed)
 
     monkeypatch.setattr(pipeline, "_forge_suspect", failing_forge)
     raised = []
@@ -728,8 +758,7 @@ def test_every_suspect_is_one_transform_then_the_trial_permutation(tiny_run):
                 transformed = model
             elif a.kind == "ftp":
                 transformed = train(model, held, TrainConfig(
-                    epochs=a.epochs, lr=a.lr, batch_size=cfg.model.batch_size,
-                    seed=derive_seed(trial_seed, "finetune"),
+                    epochs=a.epochs, lr=a.lr, seed=derive_seed(trial_seed, "finetune"),
                 ))
             elif a.kind == "npp":
                 transformed = prune_variant(model, layer, a.fraction)
