@@ -16,7 +16,19 @@ once: it casts the weights to its dtype once per descent instead of once per
 step, fills one set of buffers per layer shape instead of fresh temporaries on
 every step, and folds copies of the first network whose only change is zeroed
 neurons in the named layer (the pruned T2 variants) into the first network's
-pass as per-neuron weights, so each distinct network costs one pass.
+pass as per-neuron weights, so each distinct network costs one pass. It also
+lays out once what every step would otherwise pay for: a C-contiguous
+transposed copy of each weight matrix, so the forward product is the NN
+product a @ wT rather than the NT product a @ w.T, each bias repeated on
+every row, so its add is contiguous, and one zero matrix per layer width,
+which ReLU is taken against. The backward products use the stored (out, in)
+weights, which are already NN. NN and NT products round alike at the row
+counts a descent runs at the default widths (240 and 480 rows) and at the
+wide ones (48 -> 256 and 256 -> 128, from 10 rows up). OpenBLAS 0.3.31's
+small-matrix kernels round them differently at a few rows (up to 37 at
+width 32, up to 9 for 48 -> 128) and, in float64, at every row count for
+some narrow shapes (16 -> 4), so a small network's triggers can differ in
+their last bits from those of an NT forward product.
 
 No row of the kernel's batch reads another row, which lets trigger descent
 split its rows into blocks, each run in a forked worker (`parallel.py` tells
@@ -315,9 +327,13 @@ def _kept_neurons(
 
 class _Workspace:
     """Work buffers for a member's step, sized by the layer widths. Every
-    member shares one: each writes every buffer before reading it."""
+    member shares one: each writes every buffer before reading it. The zero
+    matrices, one per distinct width, are only read: ReLU is taken against
+    them."""
 
     def __init__(self, rows: int, input_dim: int, widths: tuple, dtype):
+        zeros = {w: np.zeros((rows, w), dtype) for w in set(widths)}
+        self.zeros = [zeros[w] for w in widths]
         self.posts = [np.empty((rows, w), dtype) for w in widths]
         self.masks = [np.empty((rows, w), dtype=bool) for w in widths]
         self.deltas = [np.empty((rows, w), dtype) for w in widths[:-1]]
@@ -329,16 +345,21 @@ class _Workspace:
 
 class _Member:
     """One network's parameters up to the named layer in the kernel's dtype,
-    its work buffers, and the copies of it with zeroed neurons folded into it."""
+    laid out for its step, its work buffers, and the copies of it with zeroed
+    neurons folded into it."""
 
     def __init__(self, layers: Sequence[DenseLayer], space: _Workspace):
         self.layers, self.space = layers, space
-        dtype = space.loss_term.dtype
-        self.weights = [layer.weights.astype(dtype) for layer in layers]
-        self.biases = [layer.biases.astype(dtype) for layer in layers]
+        dtype, rows = space.loss_term.dtype, len(space.loss_term)
+        self.weights = [layer.weights.astype(dtype) for layer in layers]  # (out, in): backward
+        self.weights_t = [np.ascontiguousarray(w.T) for w in self.weights]  # (in, out): forward
+        self.biases = [  # each bias repeated on every row
+            np.broadcast_to(layer.biases.astype(dtype), (rows, layer.out_dim)).copy()
+            for layer in layers
+        ]
         self.count = 1  # networks this member stands for
         self.keep = np.ones(layers[-1].out_dim, dtype)  # of those, how many keep each neuron
-        self.twice_keep = 2.0 * self.keep  # d(loss)/d(resid) per neuron
+        self.twice_keep = 2.0  # d(loss)/d(resid): a scalar until a copy folds, then per neuron
         self.loss_const = np.zeros_like(space.loss_term)  # per-row loss of zeroed neurons
 
     def fold(self, kept: np.ndarray, targets: np.ndarray) -> None:
@@ -363,6 +384,16 @@ class InputGradientKernel:
     named layer, as the model's variants do, so all members share one set of
     buffers; any other ensemble is refused with `ShapeError`.
 
+    Each member keeps its operands laid out for the step: transposed weights
+    for the forward products (NN, a @ wT), the stored (out, in) weights for
+    the backward ones, and each bias repeated on every row; ReLU is taken
+    against a zero matrix the members share. Each step runs the arithmetic of
+    a @ w.T + b, then max with 0.0, in that order. The NN product gives the NT
+    product's bits at the descent's row counts and widths (see the module
+    docstring), so the triggers keep their bytes; where a BLAS rounds them
+    differently, the split descent's first-step check still holds, since
+    every block runs this same kernel.
+
     A network that is the first one with some named-layer neurons zeroed (every
     earlier layer bit-equal; each named-layer row bit-equal or +0.0 in weights
     and bias, as `prune_variant` leaves it) is folded into the first network's
@@ -370,10 +401,9 @@ class InputGradientKernel:
     residuals to the first's delta and its zeroed neurons' squared targets to
     the loss, so the member weighs each neuron by how many folded networks keep
     it. Every other network is a member of its own. A member with nothing
-    folded weighs its neurons by 1 and adds a zero loss constant, which is
-    exact (squares·1, a non-negative sum + 0.0 and resid·2.0 change no bit),
-    so a single network's results are bit-identical to the plain allocating
-    loop's.
+    folded skips the per-neuron weights and the loss constant and multiplies
+    its residuals by the scalar 2.0, as the plain allocating loop does, so a
+    single network's results are bit-identical to that loop's.
 
     Calling it returns (grad, loss) arrays of shapes (rows, input_dim) and
     (rows,), which the next call overwrites. Network parameters are left
@@ -424,16 +454,19 @@ class InputGradientKernel:
             s = m.space
             a = x
             for i in range(len(m.layers)):
-                # _forward_layers' order (a @ w.T, + b, max), which bit-identity relies on
-                a = np.matmul(a, m.weights[i].T, out=s.posts[i])
+                # _forward_layers' order (product, + b, max), which bit-identity
+                # relies on; at a descent's row counts a @ wT has a @ w.T's bits
+                a = np.matmul(a, m.weights_t[i], out=s.posts[i])
                 np.add(a, m.biases[i], out=a)
-                np.maximum(a, 0.0, out=a)
+                np.maximum(a, s.zeros[i], out=a)
                 np.greater(a, 0.0, out=s.masks[i])
             d = np.subtract(a, self.targets, out=s.resid)
             squares = np.square(d, out=s.squares)
-            np.multiply(squares, m.keep, out=squares)
-            term = np.sum(squares, axis=1, out=s.loss_term)
-            self.loss += np.add(term, m.loss_const, out=term)
+            folded = m.count > 1
+            if folded:
+                np.multiply(squares, m.keep, out=squares)
+            term = np.add.reduce(squares, axis=1, out=s.loss_term)  # np.sum without its wrapper
+            self.loss += np.add(term, m.loss_const, out=term) if folded else term
             np.multiply(d, m.twice_keep, out=d)
             for i in range(len(m.layers) - 1, -1, -1):
                 np.multiply(d, s.masks[i], out=d)

@@ -102,7 +102,8 @@ def make_variant_ensemble(
     layer_name: str,
     j: int,
     seed: int,
-    prune_step: float = 0.05,
+    *,
+    prune_step: float,
 ) -> VariantEnsemble:
     """Original plus J/2 fine-tuned (1, 2, ... epochs at `VARIANT_LR`) and J/2
     pruned variants (fractions prune_step, 2*prune_step, ...)."""
@@ -187,14 +188,14 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
 
 # Multiply-adds (rows x steps x per-row multiply-adds summed over the networks)
 # below which a descent stays in-process. Starting, feeding and joining the
-# pool costs 12-37 ms. Measured with the float32 descent on 2 cores
-# (OpenBLAS) at the default widths (480 rows, medians of 9 runs, two runs):
-# 2.5e8 took 31-39 ms in-process and 50-55 ms split, 5e8 56-88 -> 67-88 ms,
-# 7.5e8 86-132 -> 92-121 ms, 1e9 119-170 -> 119-129 ms, 1.5e9 178-191 ->
-# 157-164 ms. A float32 multiply-add costs about half a float64 one, but the
-# split still never loses from 1e9 up. A tiny-config descent is 5e7 to 2e8;
-# the default T1 descent is 1e10 (1.15-1.25 s in-process, 0.77-0.87 s split,
-# against 1.67-1.89 and 1.08-1.16 s in float64 on the same VM).
+# pool costs 12-37 ms. Measured with the float32 descent and its laid-out
+# kernel on 2 cores (OpenBLAS 0.3.31) at the default widths (480 rows,
+# medians of 9 runs, two runs): 2.5e8 took 30-31 ms in-process and 44-46 ms
+# split, 5e8 55-56 -> 58-61 ms, 7.5e8 68-82 -> 72-76 ms, 1e9 104-107 ->
+# 92-95 ms, 1.5e9 143-157 -> 91-121 ms. The leaner step moved no break-even:
+# the split still loses below 5e8 and never loses from 1e9 up. A tiny-config
+# descent is 5e7 to 2e8; the default T1 descent is 1e10 (0.80-0.90 s
+# in-process, 0.58-0.79 s split, five runs each).
 SPLIT_FLOOR_MACS = 1e9
 
 
@@ -218,7 +219,9 @@ def _descend_rows(lo, hi, nets, targets, layer_name, opt: TriggerSpec, x, first_
     targets, x = targets[lo:hi], x[lo:hi]
     kernel = InputGradientKernel(nets, targets, layer_name, np.float32)
     best_x, best_loss = x.copy(), np.full(targets.shape[0], np.inf, dtype=np.float32)
+    improved = np.empty(targets.shape[0], dtype=bool)
     step_x = np.empty_like(x)
+    low, high = np.full_like(x, opt.box_low), np.full_like(x, opt.box_high)
     for step in range(opt.steps + 1):
         grads, losses = kernel(x)
         if step == 0 and first_step is not None and (
@@ -226,17 +229,18 @@ def _descend_rows(lo, hi, nets, targets, layer_name, opt: TriggerSpec, x, first_
             or losses.tobytes() != first_step[1][lo:hi].tobytes()
         ):
             return None
-        if not np.all(np.isfinite(losses)):
+        if not np.isfinite(losses).all():
             bad = lo + int(np.flatnonzero(~np.isfinite(losses))[0])
             raise OptimizationError(f"non-finite loss for row {bad} at step {step}", step)
-        improved = losses < best_loss
-        best_loss[improved] = losses[improved]
+        np.less(losses, best_loss, out=improved)
+        np.putmask(best_loss, improved, losses)
         best_x[improved] = x[improved]
         if step == opt.steps:
             break
         # x <- clip(x - lr * g), in place
         np.subtract(x, np.multiply(grads, opt.lr, out=step_x), out=x)
-        np.clip(x, opt.box_low, opt.box_high, out=x)
+        np.maximum(x, low, out=x)
+        np.minimum(x, high, out=x)
     return best_x, len(kernel.members)
 
 

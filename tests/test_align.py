@@ -58,7 +58,8 @@ def marked():
     pooled = layer_outputs(net, "dense1", data.inputs)
     cs = compute_centroids(pooled, 2)
     cb = default_codebook(10, 16, 2, 1, seed=6)
-    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=6)
+    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=6,
+        prune_step=TriggerSpec().prune_step)
     ts = synthesize_trigger_set(ens, "dense1", cs, cb,
                                 TriggerSpec(steps=800, lr=0.05, restarts=6), 6)
     return net, data, record, cs, cb, ts

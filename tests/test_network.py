@@ -347,6 +347,17 @@ def test_gradient_shape_errors():
         kernel(np.zeros((2, 4)))
 
 
+def allocating_posts(net, x, layer_name, dtype=np.float64):
+    """Each layer's ReLU outputs up to the named one, as a @ w.T + b, then
+    max with the scalar 0.0, allocating every temporary."""
+    a, posts = np.asarray(x, dtype), []
+    for layer in net.layers[: net.layer_index(layer_name) + 1]:
+        z = a @ layer.weights.astype(dtype).T + layer.biases.astype(dtype)
+        a = np.maximum(z, 0.0)
+        posts.append(a)
+    return posts
+
+
 def allocating_gradient(nets, x, targets, layer_name, dtype=np.float64):
     """The gradient as a plain loop in `dtype` that allocates every temporary
     and casts the weights on every call: the reference the kernel of that
@@ -358,11 +369,7 @@ def allocating_gradient(nets, x, targets, layer_name, dtype=np.float64):
     for net in nets:
         li = net.layer_index(layer_name)
         sub = net.layers[: li + 1]
-        a, posts = x, []
-        for layer in sub:
-            z = a @ layer.weights.astype(dtype).T + layer.biases.astype(dtype)
-            a = np.maximum(z, 0.0)
-            posts.append(a)
+        posts = allocating_posts(net, x, layer_name, dtype)
         masks = [(p > 0.0).astype(dtype) for p in posts]
         resid = posts[-1] - targets
         total_loss += (resid**2).sum(axis=1)
@@ -404,6 +411,71 @@ def test_kernel_is_bit_identical_to_allocating_loop(dtype):
         assert grad.dtype == loss.dtype == ref_grad.dtype == ref_loss.dtype == dtype
         assert grad.tobytes() == ref_grad.tobytes() and loss.tobytes() == ref_loss.tobytes()
     grad, loss = InputGradientKernel(nets, targets, "dense1", dtype)(x)
+    assert grad.tobytes() == ref_grad.tobytes() and loss.tobytes() == ref_loss.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_kernel_keeps_its_bits_at_the_default_shapes(dtype):
+    """At the default widths (48 -> 128 -> 32) and the default descent's 480
+    rows, the kernel's laid-out products give the bits of the allocating
+    loop's a @ w.T, so default triggers keep their bytes; and each 240-row
+    half gives the whole batch's rows, so a split descent passes its
+    first-step check. Both hold for a folded member too."""
+    net, other = init_network(48, [128, 32, 16], seed=3), init_network(48, [128, 32, 16], seed=4)
+    pruned = prune_variant(net, "dense1", 0.25)
+    rng = np.random.default_rng(8)
+    targets = rng.uniform(0.0, 2.0, size=(480, 32))
+    x = rng.uniform(-4.0, 4.0, size=(480, 48)).astype(dtype)
+    grad, loss = InputGradientKernel([net, other], targets, "dense1", dtype)(x)
+    ref_grad, ref_loss = allocating_gradient([net, other], x, targets, "dense1", dtype)
+    assert grad.tobytes() == ref_grad.tobytes() and loss.tobytes() == ref_loss.tobytes()
+    nets = [net, pruned, other]
+    whole = [a.copy() for a in InputGradientKernel(nets, targets, "dense1", dtype)(x)]
+    for half in (slice(0, 240), slice(240, 480)):
+        grad, loss = InputGradientKernel(nets, targets[half], "dense1", dtype)(x[half])
+        assert grad.tobytes() == whole[0][half].tobytes()
+        assert loss.tobytes() == whole[1][half].tobytes()
+
+
+def exact_zero_net():
+    """Small integer parameters, so every sum the kernel or the reference
+    takes is exact, whatever its order; biases cancel some pre-activations to
+    exactly 0.0, and -0.0 biases meet the zero products of the all-zero
+    input rows."""
+    rng = np.random.default_rng(11)
+    net = init_network(4, [6, 5, 3], seed=11)
+    for layer in net.layers:
+        layer.weights[...] = rng.integers(-2, 3, size=layer.weights.shape)
+        layer.biases[...] = rng.integers(-2, 3, size=layer.biases.shape)
+    net.layers[0].biases[net.layers[0].biases == 0] = -0.0
+    net.layers[1].biases[:2] = -0.0
+    x = rng.integers(-2, 3, size=(12, 4)).astype(np.float64)
+    x[:3] = 0.0
+    targets = rng.integers(0, 4, size=(12, 5)) / 2.0
+    return net, x, targets
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("fold", [False, True], ids=["plain", "folded"])
+def test_kernel_matches_the_reference_at_exact_zeros(dtype, fold):
+    """Pre-activations that are exactly zero: ReLU against the zero matrix
+    gives the scalar 0.0's posts, and the plain path's 2.0 and skipped keep
+    and loss constant, or a folded member's, give the reference's gradient
+    and loss, byte for byte."""
+    net, x, targets = exact_zero_net()
+    inputs = [x.astype(dtype), *allocating_posts(net, x, "dense1", dtype)[:-1]]
+    for a, layer in zip(inputs, net.layers[:2]):
+        z = a @ layer.weights.astype(dtype).T + layer.biases.astype(dtype)
+        assert (z == 0.0).any() and (z != 0.0).any()  # some pre-activations, not all, are zero
+    pruned = prune_variant(net, "dense1", 0.4)  # zeroes 2 of 5 neurons
+    nets = [net, pruned] if fold else [net]
+    kernel = InputGradientKernel(nets, targets, "dense1", dtype)
+    assert len(kernel.members) == 1 and kernel.members[0].count == len(nets)
+    grad, loss = kernel(x)
+    posts = kernel.members[0].space.posts
+    for got, want in zip(posts, allocating_posts(net, x, "dense1", dtype)):
+        assert got.tobytes() == want.tobytes()
+    ref_grad, ref_loss = allocating_gradient(nets, x, targets, "dense1", dtype)
     assert grad.tobytes() == ref_grad.tobytes() and loss.tobytes() == ref_loss.tobytes()
 
 

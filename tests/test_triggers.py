@@ -90,10 +90,13 @@ def test_tiny_prune_fraction_variant_is_identity(trained):
 
 def test_variant_ensemble_empty_and_odd(trained):
     net, data = trained
-    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=1)
+    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=1,
+        prune_step=TriggerSpec().prune_step)
     assert ens.networks == [net] and ens.provenance == ["original"]
     with pytest.raises(ValueError, match="even"):
-        make_variant_ensemble(net, data, "dense1", j=3, seed=1)
+        make_variant_ensemble(net, data, "dense1", j=3, seed=1, prune_step=0.05)
+    with pytest.raises(TypeError, match="prune_step"):  # TriggerSpec is its one home
+        make_variant_ensemble(net, data, "dense1", j=2, seed=1)
     with pytest.raises(ValueError):
         VariantEnsemble([], [])
 
@@ -104,7 +107,9 @@ def single(trained):
     net, data = trained
     cs = compute_centroids(layer_outputs(net, "dense1", data.inputs), 2)
     cb = default_codebook(10, 8, 2, 1, seed=2)
-    return make_variant_ensemble(net, data, "dense1", j=0, seed=2), cs, cb
+    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=2,
+        prune_step=TriggerSpec().prune_step)
+    return ens, cs, cb
 
 
 def test_synthesis_refuses_invalid_settings(single):
@@ -151,7 +156,8 @@ def test_synthesis_is_seed_deterministic(single):
 
 def test_descent_builds_its_kernel_once(trained, monkeypatch):
     net, data = trained
-    ens = make_variant_ensemble(net, data, "dense1", j=2, seed=7)
+    ens = make_variant_ensemble(net, data, "dense1", j=2, seed=7,
+        prune_step=TriggerSpec().prune_step)
     cs = compute_centroids(layer_outputs(net, "dense1", data.inputs), 2)
     cb = default_codebook(10, 8, 2, 1, seed=2)
     built = []
@@ -173,7 +179,8 @@ def test_descent_equals_allocating_updates(trained):
     float32 with fresh arrays and one gradient call per step, and the losses
     of a float64 kernel at the float32 best inputs."""
     net, data = trained
-    nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
+    nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7,
+        prune_step=TriggerSpec().prune_step).networks
     targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(6, 10))
     opt = TriggerSpec(steps=30, lr=0.05)
     best_x, best_loss, _ = triggers._descend(nets, targets, "dense1", opt, 4)
@@ -195,7 +202,8 @@ def test_descent_steps_in_float32(trained, monkeypatch):
     one process and in every block of a split; only the final scoring kernel
     is float64. A change that quietly steps in float64 again fails here."""
     net, data = trained
-    nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7).networks
+    nets = make_variant_ensemble(net, data, "dense1", j=2, seed=7,
+        prune_step=TriggerSpec().prune_step).networks
     targets = np.random.default_rng(3).uniform(0.0, 1.0, size=(8, 10))
     opt = TriggerSpec(steps=5)
     x = np.random.default_rng(4).uniform(opt.box_low, opt.box_high, size=(8, 16))
@@ -321,7 +329,8 @@ def test_split_descent_equals_in_process_at_default_shapes(j, monkeypatch):
     data = make_blobs(200, 48, 4, seed=1)
     net = train(init_network(48, [128, 32, 16, 4], seed=1), data,
                 TrainConfig(epochs=1, lr=0.05, seed=1))
-    nets = make_variant_ensemble(net, data, "dense1", j=j, seed=2).networks
+    nets = make_variant_ensemble(net, data, "dense1", j=j, seed=2,
+        prune_step=TriggerSpec().prune_step).networks
     targets = np.random.default_rng(4).uniform(0.0, 2.0, size=(480, 32))
     whole, split = _in_process_and_split(nets, targets, "dense1", TriggerSpec(steps=20), 3,
                                          monkeypatch)
@@ -442,7 +451,8 @@ def forged(trained):
     pooled = layer_outputs(net, "dense1", data.inputs)
     cs = compute_centroids(pooled, 2)
     cb = default_codebook(10, 16, 2, 1, seed=6)
-    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=6)
+    ens = make_variant_ensemble(net, data, "dense1", j=0, seed=6,
+        prune_step=TriggerSpec().prune_step)
     opt = TriggerSpec(steps=800, lr=0.05, restarts=6)
     ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 6)
     return net, cs, cb, ts, ens, opt
@@ -482,7 +492,8 @@ def test_most_triggers_land_within_half_gap(forged):
 def test_ensemble_mode_flags(trained, forged):
     net, data = trained
     _, cs, cb, _, _, opt = forged
-    ens = make_variant_ensemble(net, data, "dense1", j=2, seed=7)
+    ens = make_variant_ensemble(net, data, "dense1", j=2, seed=7,
+        prune_step=TriggerSpec().prune_step)
     ts = synthesize_trigger_set(ens, "dense1", cs, cb, opt, 6)
     assert ts.mode == MODE_ENSEMBLE and ts.variant_count == 2
 
