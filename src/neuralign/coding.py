@@ -180,6 +180,29 @@ def _candidate_words(n: int, t: int, k: int, seed: int) -> np.ndarray:
     return words
 
 
+def _field_bits(k: int) -> int:
+    """Bits per packed symbol field: ceil(log2 K) rounded up to a power of
+    two (1, 2, 4 or 8), so a field's OR-fold shifts stay inside it."""
+    return 1 << ((k - 1).bit_length() - 1).bit_length()
+
+
+@lru_cache(maxsize=1)
+def _packed_words(n: int, t: int, k: int, seed: int) -> np.ndarray:
+    """`_candidate_words` bit-packed: (400 * N, W) uint64, symbol j of a word
+    in field j % F of its uint64 j // F, F = 64 / field bits fields a uint64;
+    fields past T stay zero. Kept for the next call (read-only)."""
+    words = _candidate_words(n, t, k, seed)
+    bits = _field_bits(k)
+    fields = 64 // bits
+    padded = np.zeros((len(words), -(-t // fields) * fields), dtype=np.uint8)
+    padded[:, :t] = words
+    packed = np.zeros((len(words), padded.shape[1] // fields), dtype=np.uint64)
+    for j in range(fields):
+        packed |= padded[:, j::fields].astype(np.uint64) << np.uint64(j * bits)
+    packed.flags.writeable = False
+    return packed
+
+
 def generate_codebook(n: int, t: int, k: int, d_min: int, seed: int) -> Codebook:
     """Draw codewords uniformly at random, rejecting any too close to a kept one.
 
@@ -188,6 +211,12 @@ def generate_codebook(n: int, t: int, k: int, d_min: int, seed: int) -> Codebook
     (N, T, K); the remedy is a longer T or a smaller d_min. The candidates are
     tested in draw order against every kept word at once: each accepted word
     lowers the nearest-kept distance of all later candidates in one pass.
+
+    The pass runs on the candidates bit-packed into uint64 fields of a
+    power-of-two width (`_packed_words`; one uint64 per word at K = 2 and
+    T <= 64): XOR with the kept word, OR-fold each field onto its low bit,
+    mask the low bits and count them, which is the number of differing
+    symbols.
     """
     if n < 1:
         raise ValueError("need at least one codeword")
@@ -204,23 +233,36 @@ def generate_codebook(n: int, t: int, k: int, d_min: int, seed: int) -> Codebook
         )
     if k**t < n:
         raise CapacityError(f"only {k**t} distinct words of length {t} exist, need {n}")
-    words = _candidate_words(n, t, k, seed)
+    packed = _packed_words(n, t, k, seed)
+    bits = _field_bits(k)
+    folds = [np.uint64(s) for s in (1, 2, 4) if s < bits]
+    low = np.uint64((2**64 - 1) // (2**bits - 1))  # each field's low bit set
+    diff = np.empty_like(packed)
+    spill = np.empty_like(packed)
+    count = np.empty(packed.shape, dtype=np.uint8)
     kept = [0]  # stream indices of the kept words, in draw order
     # each candidate's distance to its nearest kept word; only candidates
     # after the last kept one are ever read
-    nearest = np.full(len(words), t, dtype=np.int64)
+    nearest = np.full(len(packed), t, dtype=np.int64)
+    distance = np.empty_like(nearest)
     while len(kept) < n:
         last = kept[-1]
         rest = nearest[last + 1 :]
-        np.minimum(rest, np.count_nonzero(words[last + 1 :] != words[last], axis=1), out=rest)
+        x = np.bitwise_xor(packed[last + 1 :], packed[last], out=diff[last + 1 :])
+        for s in folds:
+            x |= np.right_shift(x, s, out=spill[last + 1 :])
+        x &= low
+        c = np.bitwise_count(x, out=count[last + 1 :])
+        np.minimum(rest, np.add.reduce(c, axis=1, dtype=np.int64, out=distance[last + 1 :]),
+                   out=rest)
         far = np.flatnonzero(rest >= d_min)
         if far.size == 0:
             raise CapacityError(
                 f"found only {len(kept)}/{n} codewords at distance >= {d_min} within "
-                f"{len(words)} attempts; increase T or decrease d_min"
+                f"{len(packed)} attempts; increase T or decrease d_min"
             )
         kept.append(last + 1 + int(far[0]))
-    cw = words[kept]
+    cw = _candidate_words(n, t, k, seed)[kept]
     return Codebook(cw, k, min_pairwise_distance(cw), seed)
 
 

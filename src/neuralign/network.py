@@ -11,6 +11,20 @@ Parameters are stored as float32. Forward passes and training run all
 products and reductions in float64; the gradient kernel runs in the dtype it
 is built with, float64 unless the caller asks for float32.
 
+Training is laid out once per `train` call, as the gradient kernel is once
+per descent. The copy being trained views one flat float32 parameter buffer;
+a float64 mirror of it, refreshed once per step, holds the weights every
+product reads, and the gradients of all layers go into one flat float64
+buffer, so the update is four whole-buffer operations (scale by the rate,
+subtract from the mirror, cast into the float32 buffer, copy back to the
+mirror). Activation, ReLU-mask and delta buffers are allocated once at the
+batch size (and once at the last batch's size when it is partial), and each
+epoch gathers its shuffled inputs once. Each step keeps the arithmetic and
+order of a plain allocating step, so the trained bytes are the same; its
+forward product stays the NT product a @ W.T that `forward` runs, since at
+the training batch of 32 rows OpenBLAS rounds some NN products differently
+(see below).
+
 Input gradients come only from `InputGradientKernel`, which a descent builds
 once: it casts the weights to its dtype once per descent instead of once per
 step, fills one set of buffers per layer shape instead of fresh temporaries on
@@ -184,9 +198,14 @@ def init_network(input_dim: int, widths: Sequence[int], seed: int) -> Network:
     return Network(layers)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Softmax of each row of `z`, in place: z minus its row max, exp, then
+    divided by the row sum. `row` is (rows, 1) scratch."""
+    np.maximum.reduce(z, axis=1, keepdims=True, out=row)
+    np.subtract(z, row, out=z)
+    np.exp(z, out=z)
+    np.add.reduce(z, axis=1, keepdims=True, out=row)
+    return np.divide(z, row, out=z)
 
 
 def _forward_layers(net: Network, batch: np.ndarray, stop: Optional[int] = None) -> list:
@@ -202,7 +221,7 @@ def _forward_layers(net: Network, batch: np.ndarray, stop: Optional[int] = None)
     for i, layer in enumerate(net.layers[:stop]):
         z = a @ layer.weights.astype(np.float64).T
         z += layer.biases
-        a = _softmax(z) if i == head else np.maximum(z, 0.0, out=z)
+        a = _softmax(z, np.empty((len(z), 1))) if i == head else np.maximum(z, 0.0, out=z)
         outputs.append(a)
     return outputs
 
@@ -226,19 +245,114 @@ def forward(net: Network, batch: np.ndarray) -> np.ndarray:
     return _forward_layers(net, _as_batch(net, batch))[-1]
 
 
-def _softmax_cross_entropy(probs: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy of the softmax outputs and d(loss)/d(logits)."""
-    n = len(labels)
-    loss = -np.log(probs[np.arange(n), labels] + 1e-12).mean()
-    d = probs.copy()
-    d[np.arange(n), labels] -= 1.0
-    d /= n
-    return loss, d
+def _softmax_cross_entropy(probs: np.ndarray, at: np.ndarray):
+    """Mean cross-entropy of the softmax outputs, given `at`, the flat index
+    of each row's label in `probs`. Turns `probs` into d(loss)/d(logits) in
+    place: p - 1 at the labels, then / rows."""
+    rows = len(at)
+    flat = probs.reshape(-1)
+    picked = flat[at]
+    loss = -np.add.reduce(np.log(picked + 1e-12)) / rows
+    flat[at] = picked - 1.0
+    return loss, np.divide(probs, rows, out=probs)
 
 
 def accuracy(net: Network, data: Dataset) -> float:
     scores = forward(net, data.inputs)
     return float((scores.argmax(axis=1) == data.labels).mean())
+
+
+class _StepBuffers:
+    """A step's work buffers at one batch size: each layer's outputs, each
+    hidden layer's ReLU mask and the delta that reaches it, and a row of
+    softmax scratch. Every step writes each buffer before reading it."""
+
+    def __init__(self, rows: int, widths: Sequence[int]):
+        self.posts = [np.empty((rows, w)) for w in widths]
+        self.masks = [np.empty((rows, w), dtype=bool) for w in widths[:-1]]
+        self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
+        self.row = np.empty((rows, 1))
+
+
+class _Trainer:
+    """SGD on a copy of a network, laid out once per `train` call (see the
+    module docstring).
+
+    Each step runs, layer by layer and in this order, the arithmetic of a
+    plain allocating step: a @ W.T, + b, then ReLU or softmax; p - 1 at the
+    labels, then / rows; dW = delta.T @ a, then + the extra loss's gradient;
+    db = delta summed over rows; the next delta (delta @ W) * (ReLU mask),
+    the bool mask multiplied in so a zeroed entry keeps its sign; and
+    W - lr * dW cast to float32. Every gradient is taken before any update,
+    as the allocating step casts each W before updating it, so the trained
+    network is bit for bit that of the allocating step. The extra loss reads
+    the copy, whose layers view the float32 buffer.
+    """
+
+    def __init__(self, net: Network, batch_sizes: set):
+        shapes = [layer.weights.shape for layer in net.layers]
+        total = sum(o * i + o for o, i in shapes)
+        self.p32 = np.empty(total, dtype=np.float32)
+        self.p64 = np.empty(total)
+        self.grad = np.empty(total)
+
+        def split(buf):
+            views, at = [], 0
+            for o, i in shapes:
+                views.append((buf[at : at + o * i].reshape(o, i), buf[at + o * i : at + o * i + o]))
+                at += o * i + o
+            return views
+
+        layers = []
+        for (w, b), layer in zip(split(self.p32), net.layers):
+            w[...], b[...] = layer.weights, layer.biases
+            layers.append(DenseLayer(layer.name, w, b, layer.activation))
+        self.net = Network(layers)  # what the extra loss reads
+        self.p64[...] = self.p32
+        self.w64, self.b64 = zip(*split(self.p64))
+        self.w64_t = [w.T for w in self.w64]
+        self.dw, self.db = zip(*split(self.grad))
+        self.names = [layer.name for layer in net.layers]
+        widths = [o for o, _ in shapes]
+        self.buffers = {m: _StepBuffers(m, widths) for m in batch_sizes}
+
+    def step(self, x: np.ndarray, at: np.ndarray, hp: TrainConfig) -> float:
+        s = self.buffers[len(x)]
+        head = len(self.w64) - 1
+        a = x
+        for i in range(head):
+            a = np.matmul(a, self.w64_t[i], out=s.posts[i])
+            np.add(a, self.b64[i], out=a)
+            np.maximum(a, 0.0, out=a)
+            np.greater(a, 0.0, out=s.masks[i])
+        z = np.matmul(a, self.w64_t[head], out=s.posts[head])
+        np.add(z, self.b64[head], out=z)
+        loss, d = _softmax_cross_entropy(_softmax(z, s.row), at)
+
+        extra_grads: dict[str, np.ndarray] = {}
+        if hp.extra_loss is not None:
+            extra, extra_grads = hp.extra_loss(self.net)
+            loss += extra
+
+        for i in range(head, -1, -1):
+            dw = np.matmul(d.T, s.posts[i - 1] if i else x, out=self.dw[i])
+            if self.names[i] in extra_grads:
+                np.add(dw, np.asarray(extra_grads[self.names[i]], dtype=np.float64), out=dw)
+            np.add.reduce(d, axis=0, out=self.db[i])
+            if i:
+                d = np.matmul(d, self.w64[i], out=s.deltas[i - 1])
+                np.multiply(d, s.masks[i - 1], out=d)
+        g = np.multiply(self.grad, hp.lr, out=self.grad)
+        np.subtract(self.p64, g, out=g)
+        np.copyto(self.p32, g, casting="same_kind")
+        np.copyto(self.p64, self.p32)
+        return float(loss)
+
+    def result(self) -> Network:
+        """The trained network, holding its own copies of the parameters."""
+        for layer in self.net.layers:
+            layer.weights, layer.biases = layer.weights.copy(), layer.biases.copy()
+        return self.net
 
 
 def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
@@ -247,55 +361,34 @@ def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
         raise ValueError("lr must be positive")
     if hp.epochs < 0:
         raise ValueError("epochs must be nonnegative")
+    if hp.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {hp.batch_size}")
+    inputs = _as_batch(net, data.inputs)
     if data.labels.max() >= net.output_dim:
         raise ValueError("label id exceeds output width")
-    out = net.clone()
-    if hp.epochs == 0:
-        return out
-    rng = np.random.default_rng(hp.seed)
     n = len(data)
     batch_size = min(hp.batch_size, n)
+    trainer = _Trainer(net, {batch_size, n % batch_size} - {0})
+    # the flat offset of each row of an epoch within its batch's outputs
+    row_at = np.arange(n) % batch_size * net.output_dim
+    rng = np.random.default_rng(hp.seed)
     for epoch in range(hp.epochs):
         order = rng.permutation(n)
+        x, at = inputs[order], row_at + data.labels[order]
         losses = []
         # a step whose float64 update overflows float32, or that computes a
         # NaN, stops the run there, before an infinite parameter is stored
         with np.errstate(over="raise", invalid="raise"):
             try:
                 for start in range(0, n, batch_size):
-                    idx = order[start : start + batch_size]
-                    loss = _sgd_step(out, data.inputs[idx], data.labels[idx], hp)
-                    losses.append(loss)
+                    end = start + batch_size
+                    losses.append(trainer.step(x[start:end], at[start:end], hp))
             except FloatingPointError:
                 raise TrainingDivergenceError(epoch) from None
         mean_loss = float(np.mean(losses))
         if not np.isfinite(mean_loss):
             raise TrainingDivergenceError(epoch)
-    return out
-
-
-def _sgd_step(net: Network, x: np.ndarray, y: np.ndarray, hp: TrainConfig) -> float:
-    posts = _forward_layers(net, x)
-    loss, delta = _softmax_cross_entropy(posts[-1], y)
-
-    extra_grads: dict[str, np.ndarray] = {}
-    if hp.extra_loss is not None:
-        extra, extra_grads = hp.extra_loss(net)
-        loss += extra
-
-    acts = [np.asarray(x, dtype=np.float64)] + posts[:-1]
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        w64 = layer.weights.astype(np.float64)
-        dw = delta.T @ acts[i]
-        if layer.name in extra_grads:
-            dw += np.asarray(extra_grads[layer.name], dtype=np.float64)
-        db = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ w64) * (posts[i - 1] > 0.0)  # the ReLU below
-        layer.weights = (w64 - hp.lr * dw).astype(np.float32)
-        layer.biases = (layer.biases.astype(np.float64) - hp.lr * db).astype(np.float32)
-    return float(loss)
+    return trainer.result()
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:

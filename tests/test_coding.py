@@ -219,6 +219,44 @@ def test_generator_matches_the_plain_loop(n, t, k, seeds):
             assert cb.d_min == min_pairwise_distance(words)
 
 
+def _count_nonzero_codebook(words, n, d_min):
+    """The draw-order search over a stream of unpacked candidate words,
+    counting differing symbols with `count_nonzero`. Returns (codewords,
+    None) or (None, kept count at exhaustion)."""
+    t = words.shape[1]
+    kept = [0]
+    nearest = np.full(len(words), t, dtype=np.int64)
+    while len(kept) < n:
+        last = kept[-1]
+        rest = nearest[last + 1 :]
+        np.minimum(rest, np.count_nonzero(words[last + 1 :] != words[last], axis=1), out=rest)
+        far = np.flatnonzero(rest >= d_min)
+        if far.size == 0:
+            return None, len(kept)
+        kept.append(last + 1 + int(far[0]))
+    return words[kept], None
+
+
+# symbol counts at each field width (1, 2, 4 and 8 bits), with lengths that
+# do not fill a whole number of uint64 words (64, 32, 16 and 8 fields a word)
+@pytest.mark.parametrize("n, t, k", [
+    (6, 70, 2), (8, 60, 2), (6, 37, 3), (6, 21, 5), (6, 19, 7), (6, 18, 9), (6, 23, 16),
+    (5, 13, 256),
+])
+def test_packed_search_matches_the_count_nonzero_search(n, t, k):
+    """Same words, or the same exhaustion count, at every distance 1..T."""
+    for seed in (0, 4):
+        rng = np.random.default_rng(seed)
+        stream = np.stack([rng.integers(0, k, size=t, dtype=np.uint8) for _ in range(400 * n)])
+        for d_min in range(1, t + 1):
+            words, count = _count_nonzero_codebook(stream, n, d_min)
+            if words is None:
+                with pytest.raises(CapacityError, match=f"found only {count}/{n} codewords"):
+                    generate_codebook(n, t, k, d_min, seed)
+            else:
+                assert generate_codebook(n, t, k, d_min, seed).codewords.tobytes() == words.tobytes()
+
+
 @pytest.mark.parametrize("n, t, k, kc, seed", [
     (32, 60, 2, 1, 0), (16, 24, 2, 1, 5), (16, 40, 2, 1, 7), (10, 12, 3, 2, 1),
 ])

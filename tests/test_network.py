@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from neuralign import network
+from neuralign import watermark
 from neuralign.network import (
     Dataset,
     DenseLayer,
@@ -24,6 +24,7 @@ from neuralign.network import (
 )
 from neuralign.data import make_blobs
 from neuralign.triggers import layer_outputs
+from neuralign.watermark import embed, make_record
 from conftest import networks_equal
 
 
@@ -83,7 +84,8 @@ def test_cross_entropy_matches_log_probability():
     data = Dataset(x, np.array([1]))
     assert mean_nll(net, data) == pytest.approx(want, rel=1e-9)
     # the loss training descends is the same -log p
-    loss, _ = _softmax_cross_entropy(forward(net, x), data.labels)
+    at = np.arange(len(x)) * net.output_dim + data.labels  # flat index of each label
+    loss, _ = _softmax_cross_entropy(forward(net, x), at)
     assert loss == pytest.approx(want, rel=1e-9)
 
 
@@ -236,21 +238,83 @@ def generic_sgd_step(net, x, y, hp):
     return float(loss)
 
 
+def reference_train(net, data, hp):
+    """`train` as a plain loop over `generic_sgd_step`, drawing the same
+    seeded permutation each epoch."""
+    out = net.clone()
+    rng = np.random.default_rng(hp.seed)
+    n = len(data)
+    batch_size = min(hp.batch_size, n)
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            generic_sgd_step(out, data.inputs[idx], data.labels[idx], hp)
+    return out
+
+
 def l2_on_dense1(model):
     w = model.layer("dense1").weights.astype(np.float64)
     return 0.01 * float(np.square(w).sum()), {"dense1": 0.02 * w}
 
 
-@pytest.mark.parametrize("extra_loss", [None, l2_on_dense1], ids=["plain", "extra-loss"])
-def test_training_is_bit_identical_to_the_generic_step(extra_loss, monkeypatch):
-    data = make_blobs(120, 6, 3, seed=8)
-    net = init_network(6, [12, 8, 3], seed=8)
-    hp = TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=8, extra_loss=extra_loss)
+def embed_sign_penalty(net, data):
+    """The sign penalty `embed` trains with, taken from its first round."""
+    class Taken(Exception):
+        pass
+
+    seen = []
+
+    def first_round(model, d, hp):
+        seen.append(hp.extra_loss)
+        raise Taken
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(Taken):
+        mp.setattr(watermark, "train", first_round)
+        embed(net, make_record(net, "dense1", bits=16, seed=8), data,
+              TrainConfig(epochs=1, lr=0.05), strength=2.0, max_rounds=1)
+    return seen[0]
+
+
+TRAIN_CASES = {  # widths, samples, batch size, extra loss
+    "plain": ([12, 8, 3], 120, 16, None),
+    "extra-loss": ([12, 8, 3], 120, 16, l2_on_dense1),
+    "sign-penalty": ([12, 8, 3], 120, 16, embed_sign_penalty),
+    "one-batch": ([12, 8, 3], 120, 500, None),
+    # 2000 % 32 = 16 rows in each epoch's last batch
+    "default-widths": ([128, 32, 16, 4], 2000, 32, None),
+}
+
+
+@pytest.mark.parametrize("case", TRAIN_CASES)
+def test_training_is_bit_identical_to_the_generic_step(case):
+    widths, samples, batch_size, extra_loss = TRAIN_CASES[case]
+    input_dim = 48 if len(widths) == 4 else 6
+    data = make_blobs(samples, input_dim, widths[-1], seed=8)
+    net = init_network(input_dim, widths, seed=8)
+    if extra_loss is embed_sign_penalty:
+        extra_loss = embed_sign_penalty(net, data)
+    hp = TrainConfig(epochs=2, lr=0.1, batch_size=batch_size, seed=8, extra_loss=extra_loss)
     fitted = train(net, data, hp)
-    monkeypatch.setattr(network, "_sgd_step", generic_sgd_step)
-    reference = train(net, data, hp)
     assert not networks_equal(fitted, net)
-    assert networks_equal(fitted, reference)  # bit for bit: +0.0 is not -0.0
+    assert networks_equal(fitted, reference_train(net, data, hp))  # +0.0 is not -0.0
+    for layer in fitted.layers:  # the trained network holds arrays of its own
+        assert layer.weights.flags.owndata and layer.biases.flags.owndata
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_training_refuses_a_batch_size_below_one(batch_size):
+    data = make_blobs(50, 4, 2, seed=2)
+    net = init_network(4, [8, 2], seed=2)
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        train(net, data, TrainConfig(epochs=1, lr=0.1, batch_size=batch_size))
+
+
+def test_training_refuses_inputs_of_another_width():
+    data = make_blobs(50, 5, 2, seed=2)
+    net = init_network(4, [8, 2], seed=2)
+    with pytest.raises(ShapeError, match="has 5 columns but layer dense0 expects 4"):
+        train(net, data, TrainConfig(epochs=1, lr=0.1))
 
 
 def test_training_zero_epochs_returns_copy():
