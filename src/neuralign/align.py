@@ -14,12 +14,13 @@ estimated original order, in place: it builds no permuted copy of the
 suspect, and `apply_alignment`, which does, is the reference it must match.
 
 A verdict recomputes nothing that depends only on the owner's artifacts:
-the codebook's digest, the trigger inputs in float64 and the record's key in
-float64 are each computed once per artifact and kept read-only. What each
-suspect costs is its own: one float64 cast of each layer's weights up to the
-watermarked one with the forward GEMMs on the triggers, the targets' and the
-observed rows' unit rows, the N x N cosine and its assignment, and the key's
-projection of the reordered rows.
+the codebook's digest, the trigger inputs in float64, the record's key in
+float64 and the targets' unit rows (`TriggerSet.unit_targets`, prepared for
+the codebook whose digest the trigger set pins) are each computed once per
+owner artifact and kept read-only. What each suspect costs is its own: one
+float64 cast of each layer's weights up to the watermarked one with the
+forward GEMMs on the triggers, the observed rows' unit rows, the N x N
+cosine and its assignment, and the key's projection of the reordered rows.
 
 The assignment is scipy's `linear_sum_assignment` (Crouse's rectangular
 shortest-augmenting-path solver), the only part of scipy the program runs. It
@@ -38,6 +39,7 @@ import importlib.machinery
 import importlib.util
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ from .attacks import PermutationSpec, inverse_permutation, permute_neurons
 from .coding import Codebook
 from .network import Network
 from .serialize import IntegrityError
-from .triggers import TriggerSet, dead_neurons, layer_outputs
+from .triggers import TriggerSet, UnitRows, _unit_rows, dead_neurons, layer_outputs
 from .watermark import OVResult, TamperError, WatermarkRecord, verify
 
 _SOLVER_MODULE = "scipy.optimize._lsap"
@@ -107,10 +109,18 @@ class AlignmentResult:
     def n(self) -> int:
         return int(self.perm_estimate.size)
 
+    @cached_property
+    def live(self) -> np.ndarray:
+        """(N,) bool, read-only: True at each position not silent on every probe."""
+        live = np.ones(self.n, dtype=bool)
+        live[self.dead] = False
+        live.flags.writeable = False
+        return live
+
     @property
     def margin(self) -> float | None:
         """The smallest margin over live positions; None if every one is dead."""
-        live = np.delete(self.per_neuron_margin, self.dead)
+        live = self.per_neuron_margin[self.live]
         return float(live.min()) if live.size else None
 
 
@@ -127,23 +137,20 @@ def _read_outputs(net: Network, layer_name: str, inputs: np.ndarray) -> np.ndarr
         raise TamperError(f"suspect model has no layer {layer_name!r}") from exc
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit L2 norm; a zero row stays zero."""
-    norms = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-    return x / np.where(norms > 0, norms, 1.0)
-
-
 def align_to_matrix(
-    observed: np.ndarray, reference: np.ndarray, layer_name: str = ""
+    observed: np.ndarray, reference: np.ndarray | UnitRows, layer_name: str = ""
 ) -> AlignmentResult:
     """Bijection between observed and reference rows that minimizes the summed
     1 - cosine cost; a row-count or length mismatch is reported as tampering.
+    A `UnitRows` reference (a trigger set's `unit_targets`) is already scaled
+    to unit length and is used as it is.
 
     Cosine ignores each row's scale, so a positive rescale of a ReLU neuron,
     which scales its activations by the same factor, leaves the cost unchanged.
     """
     obs = np.asarray(observed, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
+    prepared = isinstance(reference, UnitRows)
+    ref = reference.rows if prepared else np.asarray(reference, dtype=np.float64)
     if obs.ndim != 2 or ref.ndim != 2:
         raise TamperError(f"activation matrices must be 2-D, got {obs.shape} and {ref.shape}")
     if obs.shape[0] != ref.shape[0]:
@@ -154,7 +161,7 @@ def align_to_matrix(
         raise TamperError(
             f"observed rows have length {obs.shape[1]}, reference rows {ref.shape[1]}"
         )
-    cos = _unit_rows(obs) @ _unit_rows(ref).T
+    cos = _unit_rows(obs) @ (ref if prepared else _unit_rows(ref)).T
     rows, assign = linear_sum_assignment(1.0 - cos)
     dead = dead_neurons(obs)
     # each live position's nearest reference row
@@ -193,13 +200,11 @@ def alignment_accuracy(result: AlignmentResult, true_perm: np.ndarray) -> float:
     truth = np.asarray(true_perm, dtype=np.int64)
     if truth.shape != result.perm_estimate.shape:
         raise ValueError("true permutation has the wrong length")
-    correct = result.perm_estimate == truth
-    if result.dead:
-        live = ~np.isin(truth, np.asarray(result.dead))
-        if not live.any():
-            return float("nan")
-        return float(correct[live].mean())
-    return float(correct.mean())
+    live = result.live[truth]  # neuron i is live where its true position is
+    scored = np.count_nonzero(live)
+    if not scored:
+        return float("nan")
+    return float(np.count_nonzero(live & (result.perm_estimate == truth)) / scored)
 
 
 @dataclass(frozen=True)
@@ -226,22 +231,16 @@ def verify_with_alignment(
     rather than an exception; owner artifacts that disagree raise
     `IntegrityError`.
     """
-    if cb.digest != triggers.codebook_ref:
-        raise IntegrityError("trigger set was built for a different codebook")
+    # refuses a codebook other than the one the triggers pin, or its symbol count
+    reference = triggers.unit_targets(cb)
     if triggers.layer_name != record.layer_name:
         raise IntegrityError(
             f"trigger set aligns layer {triggers.layer_name!r}, "
             f"record watermarks layer {record.layer_name!r}"
         )
-    if triggers.centroid_set.k != cb.k:
-        raise IntegrityError(
-            f"trigger set carries {triggers.centroid_set.k} centroids, "
-            f"codebook uses {cb.k} symbols"
-        )
-    targets = triggers.centroid_set.centroids[cb.codewords]
     try:
         observed = _read_outputs(net, triggers.layer_name, triggers.inputs64)
-        result = align_to_matrix(observed, targets, triggers.layer_name)
+        result = align_to_matrix(observed, reference, triggers.layer_name)
     except TamperError as exc:
         return AlignedVerification(ov=None, alignment=None, tamper_cause=str(exc))
     try:

@@ -45,7 +45,9 @@ class CentroidSet:
             raise ValueError("centroids must be a non-empty 1-D array")
         if np.any(np.diff(c) <= 0):
             raise ValueError("centroids must be strictly ascending")
-        object.__setattr__(self, "centroids", c)
+        # a read-only copy, as the codewords are: trigger sets derive their
+        # alignment targets from it once
+        object.__setattr__(self, "centroids", _frozen(c))
 
     @property
     def k(self) -> int:

@@ -51,6 +51,7 @@ how the workers are forked and BLAS is pinned).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -75,6 +76,17 @@ class TrainingDivergenceError(RuntimeError):
         return type(self), (self.epoch,)
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every value of a float32 array is finite: one BLAS pass when so.
+
+    The float32 dot of the array with itself is finite only when every value
+    is: a square is never negative, so infinities cannot cancel, and NaN
+    propagates. Where the dot is not finite (a non-finite value, or finite
+    values whose squares overflow float32), the elementwise check decides.
+    BLAS raises no floating-point warning either way."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 @dataclass
 class DenseLayer:
     """One fully connected layer; each output unit is one neuron."""
@@ -94,7 +106,7 @@ class DenseLayer:
                 f"layer {self.name}: biases shape {self.biases.shape} does not "
                 f"match out_dim {self.weights.shape[0]}"
             )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
+        if not (_all_finite(self.weights) and _all_finite(self.biases)):
             raise ValueError(f"layer {self.name}: non-finite parameters")
 
     @property

@@ -104,7 +104,8 @@ def suspect_dir(out: Path, kind: str) -> Path:
 
 
 def suspect_file(out: Path, kind: str, trial: int) -> Path:
-    return suspect_dir(out, kind) / f"trial_{trial:03d}.naf"
+    # one Path call: each `/` builds and parses another Path
+    return Path(out, "suspects", kind, f"trial_{trial:03d}.naf")
 
 
 def derive_seed(base: int, *tags) -> int:
@@ -508,7 +509,6 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
             except TamperError:  # another layer shape: the plain readout refuses too
                 plain = None
             av = verify_with_alignment(suspect, ts, cb, record)
-            true_perm = np.array(rec["perm"], dtype=np.int64)
             entry = {
                 "trial": i,
                 "no_align_ber": plain.ber if plain is not None else None,
@@ -520,7 +520,7 @@ def stage_align(cfg: ExperimentConfig, out, kind: str, mode: str) -> dict:
             if av.alignment is not None:
                 entry["perm_estimate"] = av.alignment.perm_estimate.tolist()
                 entry["neuron_accuracy"] = _jsonable(
-                    alignment_accuracy(av.alignment, true_perm)
+                    alignment_accuracy(av.alignment, rec["perm"])
                 )
                 entry["collisions_resolved"] = av.alignment.collisions_resolved
                 entry["dead"] = len(av.alignment.dead)

@@ -55,6 +55,7 @@ from .parallel import one_blas_thread, pool_size, run_blocks
 from .serialize import (
     MAGIC_TRIGGERS,
     FormatError,
+    IntegrityError,
     PayloadReader,
     PayloadWriter,
     _frozen,
@@ -134,6 +135,25 @@ class DescentSpan:
     seconds: float
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit L2 norm; a zero row stays zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    return x / np.where(norms > 0, norms, 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class UnitRows:
+    """A matrix's rows scaled to unit L2 norm once, read-only: `align_to_matrix`
+    takes them as its reference without scaling them again."""
+
+    rows: np.ndarray  # given as any 2-D matrix, kept as its float64 unit rows
+
+    def __post_init__(self):
+        rows = _unit_rows(np.asarray(self.rows, dtype=np.float64))
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+
 @dataclass(frozen=True)
 class TriggerSet:
     """Owner-side evidence: T inputs plus the quantization frame they encode."""
@@ -178,6 +198,24 @@ class TriggerSet:
         inputs = self.inputs.astype(np.float64)
         inputs.flags.writeable = False
         return inputs
+
+    def unit_targets(self, cb: Codebook) -> UnitRows:
+        """The (N, T) targets the triggers were forged toward, codeword n's
+        symbols mapped to their centroids, as unit rows: the reference every
+        suspect is aligned to. Prepared once per trigger set for the codebook
+        whose digest it pins, which is checked on every call."""
+        if cb.digest != self.codebook_ref:
+            raise IntegrityError("trigger set was built for a different codebook")
+        if self.centroid_set.k != cb.k:
+            raise IntegrityError(
+                f"trigger set carries {self.centroid_set.k} centroids, "
+                f"codebook uses {cb.k} symbols"
+            )
+        targets = self.__dict__.get("_unit_targets")
+        if targets is None:
+            targets = UnitRows(self.centroid_set.centroids[cb.codewords])
+            self.__dict__["_unit_targets"] = targets  # stored as cached_property stores
+        return targets
 
 
 def loss_budget(n: int, gap: float, network_count: int = 1) -> float:

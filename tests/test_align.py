@@ -397,13 +397,20 @@ def test_cached_owner_arrays_are_read_only(marked):
     cannot even be made writeable again."""
     net, _, record, _, cb, ts = marked
     verify_with_alignment(net, ts, cb, record)
-    for arr in (cb.codewords, ts.inputs, ts.inputs64, record.key64):
+    centroids = ts.centroid_set.centroids
+    targets = ts.unit_targets(cb)
+    for arr in (cb.codewords, ts.inputs, ts.inputs64, record.key64, centroids, targets.rows):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1
-    for arr in (cb.codewords, ts.inputs):
+            arr[(0,) * arr.ndim] = 1
+    for arr in (cb.codewords, ts.inputs, centroids):
         with pytest.raises(ValueError):
             arr.flags.writeable = True
     np.testing.assert_array_equal(ts.inputs64, ts.inputs.astype(np.float64))
+    # prepared once per trigger set, and equal to the targets scaled afresh
+    assert ts.unit_targets(cb) is targets
+    ref = centroids[cb.codewords]
+    np.testing.assert_allclose(targets.rows, ref / np.linalg.norm(ref, axis=1, keepdims=True),
+                               rtol=1e-15, atol=0)
 
 
 _FRESH_VERDICTS = """

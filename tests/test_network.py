@@ -339,9 +339,21 @@ def test_training_divergence_error_survives_pickling():
 
 
 def test_layers_reject_non_finite_parameters():
-    with pytest.raises(ValueError):
-        DenseLayer("bad", np.array([[np.nan, 0.0]], dtype=np.float32),
-                   np.zeros(1, dtype=np.float32), "relu")
+    """NaN or an infinity in the weights or the biases, and an array holding
+    both infinities (whose sum is NaN), are each refused with one message."""
+    fine_w, fine_b = np.zeros((1, 2), dtype=np.float32), np.zeros(1, dtype=np.float32)
+    cases = [
+        (np.array([[np.nan, 0.0]], dtype=np.float32), fine_b),
+        (np.array([[np.inf, 0.0]], dtype=np.float32), fine_b),
+        (fine_w, np.array([-np.inf], dtype=np.float32)),
+        (fine_w, np.array([np.nan], dtype=np.float32)),
+        (np.array([[np.inf, -np.inf]], dtype=np.float32), fine_b),
+    ]
+    for weights, biases in cases:
+        with pytest.raises(ValueError, match="layer bad: non-finite parameters"):
+            DenseLayer("bad", weights, biases, "relu")
+    # the largest finite values pass, though their squares and sums overflow float32
+    DenseLayer("fine", np.full((1, 2), np.finfo(np.float32).max), fine_b, "relu")
 
 
 def central_difference(nets, x, targets, layer_name, h=1e-6):

@@ -554,6 +554,40 @@ def test_align_records_carry_the_estimated_order(tiny_run):
                 assert rec["neuron_accuracy"] == float(correct[live].mean())
 
 
+def test_stages_keep_the_benchmark_capture(tiny_run, tmp_path, monkeypatch):
+    """The benchmark's desk workload captures each verdict and the T2 ensemble
+    by replacing `pipeline.verify_with_alignment` and
+    `pipeline.make_variant_ensemble`: stage_align must look the former up at
+    call time and call it once per suspect, in trial order, in the calling
+    process, and stage_forge(t2) must call the latter once, in-process."""
+    cfg, out, _ = tiny_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    verdict_calls, ensemble_calls = [], []
+    real_verify, real_ensemble = pipeline.verify_with_alignment, pipeline.make_variant_ensemble
+
+    def record_verdict(suspect, *args, **kwargs):
+        verdict_calls.append((os.getpid(), suspect))
+        return real_verify(suspect, *args, **kwargs)
+
+    def record_ensemble(*args, **kwargs):
+        ensemble_calls.append(os.getpid())
+        return real_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "verify_with_alignment", record_verdict)
+    monkeypatch.setattr(pipeline, "make_variant_ensemble", record_ensemble)
+    for kind in ATTACK_KINDS:
+        verdict_calls.clear()
+        summary = stage_align(cfg, copy, kind, "t1")
+        trials = [rec["trial"] for rec in read_json(copy / pipeline.attack_summary_file(kind))["records"]]
+        assert [rec["trial"] for rec in summary["records"]] == trials
+        assert [pid for pid, _ in verdict_calls] == [os.getpid()] * len(trials)
+        for (_, suspect), trial in zip(verdict_calls, trials):
+            assert networks_equal(suspect, load_model(suspect_file(copy, kind, trial)))
+    stage_forge(cfg, copy, "t2")
+    assert ensemble_calls == [os.getpid()]
+
+
 def test_benchmark_tracer_reads_the_align_stage(tiny_run, tmp_path, perfbench_module):
     """The benchmark's tracer, run around an align stage and one file-to-verdict
     check, still finds what its counters read: the observed matrix passed

@@ -238,6 +238,35 @@ def _model_with_nan_weight(tmp_path, net, tiny_run):
     return path, MAGIC_MODEL, 11, struct.pack("<f", np.nan), load_model, "layer dense0: non-finite"
 
 
+# dense0's first weight, and its first bias after its 8 x 5 float32 weights
+_DENSE0_WEIGHTS, _DENSE0_BIASES = 11, 11 + 4 * 8 * 5
+
+
+def _model_with_inf_weight(tmp_path, net, tiny_run):
+    path = _saved_model(tmp_path, net)
+    return (path, MAGIC_MODEL, _DENSE0_WEIGHTS, struct.pack("<f", np.inf), load_model,
+            "layer dense0: non-finite")
+
+
+def _model_with_negative_inf_bias(tmp_path, net, tiny_run):
+    path = _saved_model(tmp_path, net)
+    return (path, MAGIC_MODEL, _DENSE0_BIASES, struct.pack("<f", -np.inf), load_model,
+            "layer dense0: non-finite")
+
+
+def _model_with_nan_bias(tmp_path, net, tiny_run):
+    path = _saved_model(tmp_path, net)
+    return (path, MAGIC_MODEL, _DENSE0_BIASES, struct.pack("<f", np.nan), load_model,
+            "layer dense0: non-finite")
+
+
+def _model_with_both_infinities(tmp_path, net, tiny_run):
+    """+inf and -inf in one array: its sum is NaN, not an infinity."""
+    path = _saved_model(tmp_path, net)
+    return (path, MAGIC_MODEL, _DENSE0_WEIGHTS, struct.pack("<2f", np.inf, -np.inf), load_model,
+            "layer dense0: non-finite")
+
+
 def _record_with_zero_threshold(tmp_path, net, tiny_run):
     path = tmp_path / "r.nar"
     save_record(make_record(net, "dense1", bits=8, seed=1), path)
@@ -262,7 +291,9 @@ def _triggers_with_no_centroids(tmp_path, net, tiny_run):
     return path, MAGIC_TRIGGERS, offset, struct.pack("<H", 0), load_trigger_set, "negative field length -8"
 
 
-@pytest.mark.parametrize("build", [_model_with_nan_weight, _record_with_zero_threshold,
+@pytest.mark.parametrize("build", [_model_with_nan_weight, _model_with_inf_weight,
+                                   _model_with_negative_inf_bias, _model_with_nan_bias,
+                                   _model_with_both_infinities, _record_with_zero_threshold,
                                    _codebook_with_one_symbol, _triggers_with_no_centroids])
 def test_invalid_field_is_a_format_error_naming_the_file(build, tmp_path, net, tiny_run,
                                                          rewrite_payload):
