@@ -45,8 +45,9 @@ some narrow shapes (16 -> 4), so a small network's triggers can differ in
 their last bits from those of an NT forward product.
 
 No row of the kernel's batch reads another row, which lets trigger descent
-split its rows into blocks, each run in a forked worker (`parallel.py` tells
-how the workers are forked and BLAS is pinned).
+split its rows into blocks: the calling process runs the first and a forked
+child each other one (`parallel.py` tells how the children are forked and
+BLAS is pinned).
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class TrainingDivergenceError(RuntimeError):
         super().__init__(f"non-finite training loss in epoch {epoch}")
         self.epoch = epoch
 
-    def __reduce__(self):  # pickles through a worker process like any error
+    def __reduce__(self):  # pickles back from a forked block like any error
         return type(self), (self.epoch,)
 
 

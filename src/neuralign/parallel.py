@@ -2,29 +2,34 @@
 
 A loop whose iterations never interact (the rows of a trigger descent, the
 trials of an attack stage) splits into one contiguous block per core the
-process may use (`os.sched_getaffinity`). Each block runs in a worker forked
-from this process (Linux `fork`, so an unguarded calling script is never
-re-imported). Workers that inherit several BLAS threads each fight over the
-same cores, so the forking process pins numpy's bundled OpenBLAS to one
-thread just before it forks and restores its own count after the join. The
-workers inherit the one thread and never call the setter: called after a
-fork, the setter restarts OpenBLAS's thread server, whose threads busy-wait
-on the cores the workers need. For the same reason the forking process stops
-the server its restore started, leaving it as the fork left it: down until
-the next threaded BLAS call. The finished blocks come back in block order. A
-process with one core, or a numpy without a bundled OpenBLAS, starts no
-pool: the caller runs the loop itself. A caller that makes more BLAS calls
-right after a split runs them under `one_blas_thread`, so they do not start
-a server either: its threads would spin on the cores the next split's
-workers need. `multiprocessing` and
-`concurrent.futures` are imported in `run_blocks`, at the first split, so a
-process that never splits a loop never loads them.
+process may use (`os.sched_getaffinity`). The calling process runs the first
+block itself and forks one child per other block with `os.fork` (so an
+unguarded calling script is never re-imported, and no process pool is
+started, fed or joined). Each child pickles its block's outcome into a pipe
+and leaves through `os._exit`, so it never returns into the caller's stack;
+the caller reads each pipe after its own block and reaps each child, and no
+child outlives the call. Processes that inherit several BLAS threads each
+fight over the same cores, so the caller pins numpy's bundled OpenBLAS to one
+thread just before it forks, runs its own block under the same pin and
+restores its count after the join. The children inherit the one thread and
+never call the setter: called after a fork, the setter restarts OpenBLAS's
+thread server, whose threads busy-wait on the cores the children need. For
+the same reason the caller stops the server its restore started, leaving it
+as the fork left it: down until the next threaded BLAS call. The outcomes
+come back in block order. A process with one core, or a numpy without a
+bundled OpenBLAS, forks nothing: the caller runs the loop itself. A caller
+that makes more BLAS calls right after a split runs them under
+`one_blas_thread`, so they do not start a server either: its threads would
+spin on the cores the next split's children need.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import pickle
+import signal
+import traceback
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -36,6 +41,11 @@ BLAS_THREAD_CALLS = (  # (getter, setter) by OpenBLAS build
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+
+class RemoteTraceback(Exception):
+    """The formatted traceback of an error raised in a forked block: the
+    `__cause__` of that error once it is back in the calling process."""
 
 
 @lru_cache(maxsize=None)
@@ -60,10 +70,11 @@ def _blas_threads():
     return None
 
 
-def pool_size(jobs: int) -> int:
-    """Workers for `jobs` independent iterations: one per usable core and at
-    most one per iteration, or 1 (run in this process) with one core or no
-    BLAS thread getter and setter to pin the forking process."""
+def block_count(jobs: int) -> int:
+    """Processes for `jobs` independent iterations, the caller included: one
+    per usable core and at most one per iteration, or 1 (run in this
+    process) with one core or no BLAS thread getter and setter to pin the
+    forking process."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if cores < 2 or _blas_threads() is None:
         return 1
@@ -90,16 +101,77 @@ def one_blas_thread():
             stop_server()
 
 
+def _run_child(pipe: int, fn, lo: int, hi: int, args) -> None:
+    """Block [lo, hi) in a forked child: pickle (ok, value) into the pipe,
+    where a failed block's value is its error and formatted traceback, and
+    leave through `os._exit` whatever happens, so the child never returns
+    into the caller's stack. Exit status 0 means the outcome was written."""
+    status = 1
+    try:
+        try:
+            outcome = (True, fn(lo, hi, *args))
+        except BaseException as exc:  # SystemExit too: the caller decides
+            outcome = (False, (exc, traceback.format_exc()))
+        with open(pipe, "wb") as out:
+            out.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _wait_status(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"wait status {status}, killed by signal {os.WTERMSIG(status)}"
+    return f"wait status {status}, exit code {os.waitstatus_to_exitcode(status)}"
+
+
 def run_blocks(fn, total: int, workers: int, *args) -> list:
     """Call fn(lo, hi, *args) on `workers` contiguous blocks [lo, hi) that
-    cover range(total), each in a forked worker that inherits one BLAS
-    thread: this process forks under `one_blas_thread`. Returns the finished
-    futures in block order; the caller decides which error to raise."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = np.linspace(0, total, workers + 1).astype(int)
-    with one_blas_thread():
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(fn, lo, hi, *args) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return futures
+    cover range(total): block 0 in this process, each other block in a child
+    forked for it, all under `one_blas_thread`, so no child calls the BLAS
+    setter. Returns each block's outcome in block order, (True, value) or
+    (False, error): the caller decides which error to raise. An error raised
+    in block 0 comes back as it was raised; one raised in a child has the
+    child's formatted traceback as its `__cause__` (a `RemoteTraceback`). A
+    child that ends without an outcome raises ChildProcessError naming its
+    block and wait status. No child outlives the call: those still running
+    when it ends early are killed and reaped."""
+    bounds = np.linspace(0, total, workers + 1).astype(int).tolist()
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    children = {}  # block -> (pid, read end of its pipe)
+    try:
+        with one_blas_thread():
+            for block, (lo, hi) in enumerate(blocks[1:], 1):
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    os.close(read_end)  # a caller that stops reading fails the write
+                    _run_child(write_end, fn, lo, hi, args)
+                os.close(write_end)
+                children[block] = (pid, open(read_end, "rb"))
+            try:
+                outcomes = [(True, fn(*blocks[0], *args))]
+            except Exception as exc:
+                outcomes = [(False, exc)]
+            for block in range(1, workers):
+                pid, pipe = children[block]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[block]
+                if status != 0:
+                    raise ChildProcessError(
+                        f"block {block} [{blocks[block][0]}, {blocks[block][1]}) ended "
+                        f"without an outcome ({_wait_status(status)})"
+                    )
+                ok, value = pickle.loads(data)
+                if not ok:
+                    value, trace = value
+                    value.__cause__ = RemoteTraceback(trace)
+                outcomes.append((ok, value))
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)  # unreaped, so the pid is still this child's
+            os.waitpid(pid, 0)
+    return outcomes

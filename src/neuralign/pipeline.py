@@ -40,7 +40,7 @@ from .coding import (
 from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config, validate_config
 from .data import make_blobs, split_dataset
 from .network import Dataset, TrainConfig, accuracy, forward, init_network, prune_variant, train
-from .parallel import one_blas_thread, pool_size, run_blocks
+from .parallel import block_count, one_blas_thread, run_blocks
 from .serialize import file_sha256, load_model, save_model
 from .triggers import (
     MODE_ENSEMBLE,
@@ -421,8 +421,13 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
     """Run seeded attack trials against the marked model and save each suspect.
 
     The trials never interact, so with more than one usable core they run in
-    contiguous blocks through `run_blocks`; the records are concatenated in
-    trial order, so suspects and summary are the same bytes either way.
+    contiguous blocks through `run_blocks`: this process runs the first
+    block and a forked child each other one. The records are concatenated
+    in trial order, so suspects and summary are the same bytes either way,
+    and the lowest failed trial's error is raised, as in one process; a
+    child's error carries the child's traceback as its cause. The trial
+    span's `workers` counts the processes the trials ran on, this one
+    included.
     """
     if kind not in ATTACK_KINDS:
         raise ValueError(f"unknown attack kind {kind!r}")
@@ -439,11 +444,13 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
             shutil.rmtree(sdir)
         sdir.mkdir(parents=True)
         start = time.perf_counter()
-        workers = pool_size(trials)
+        workers = block_count(trials)
         if workers > 1:
-            futures = run_blocks(_attack_trials, trials, workers, cfg, out, a, model, held)
-            # result() raises the first failed block's error: the lowest trial's
-            records = [r for f in futures for r in f.result()]
+            records = []
+            for ok, value in run_blocks(_attack_trials, trials, workers, cfg, out, a, model, held):
+                if not ok:
+                    raise value  # the first failed block's error: the lowest trial's
+                records += value
         else:
             records = _attack_trials(0, trials, cfg, out, a, model, held)
         timer.spans["trials"] = {

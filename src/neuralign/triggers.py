@@ -20,14 +20,15 @@ The descent takes the run's `TriggerSpec` (steps, step size, restarts, clamp
 box) and the seed its starting points are drawn from.
 
 The rows never interact, so a large descent runs in one block of rows per
-usable core through `parallel.run_blocks`, whose docstring tells how it forks
-and pins BLAS. OpenBLAS computes each GEMM row the same way at any thread
+usable core through `parallel.run_blocks`: this process descends the first
+block and forks a child for each other one (its docstring tells how, and how
+BLAS is pinned). OpenBLAS computes each GEMM row the same way at any thread
 count and at any row count above the sizes its small-matrix kernels take, so
 the triggers are byte-identical to a one-process descent; the first step of
 every block is compared with the whole batch's, and any differing bit sends
 the descent back into one process. A descent below `SPLIT_FLOOR_MACS`, or one
-the pool helper keeps in-process (one core, no bundled OpenBLAS), runs in
-this process.
+that `parallel.block_count` keeps in-process (one core, no bundled
+OpenBLAS), runs in this process alone.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .network import (
     prune_variant,
     train,
 )
-from .parallel import one_blas_thread, pool_size, run_blocks
+from .parallel import block_count, one_blas_thread, run_blocks
 from .serialize import (
     MAGIC_TRIGGERS,
     FormatError,
@@ -75,7 +76,7 @@ class OptimizationError(RuntimeError):
         super().__init__(message)
         self.step = step
 
-    def __reduce__(self):  # survive the pickle back from a descent worker
+    def __reduce__(self):  # survive the pickle back from a forked descent block
         return type(self), (str(self), self.step)
 
 
@@ -125,8 +126,9 @@ def make_variant_ensemble(
 
 @dataclass(frozen=True)
 class DescentSpan:
-    """How one descent ran: worker processes (1: in-process), descended rows
-    (triggers x restarts), steps, kernel members and wall seconds."""
+    """How one descent ran: the processes its rows ran on, this one included
+    (1: in-process), descended rows (triggers x restarts), steps, kernel
+    members and wall seconds."""
 
     workers: int
     rows: int
@@ -225,22 +227,24 @@ def loss_budget(n: int, gap: float, network_count: int = 1) -> float:
 
 
 # Multiply-adds (rows x steps x per-row multiply-adds summed over the networks)
-# below which a descent stays in-process. Starting, feeding and joining the
-# pool costs 12-37 ms. Measured with the float32 descent and its laid-out
-# kernel on 2 cores (OpenBLAS 0.3.31) at the default widths (480 rows,
-# medians of 9 runs, two runs): 2.5e8 took 30-31 ms in-process and 44-46 ms
-# split, 5e8 55-56 -> 58-61 ms, 7.5e8 68-82 -> 72-76 ms, 1e9 104-107 ->
-# 92-95 ms, 1.5e9 143-157 -> 91-121 ms. The leaner step moved no break-even:
-# the split still loses below 5e8 and never loses from 1e9 up. A tiny-config
-# descent is 5e7 to 2e8; the default T1 descent is 1e10 (0.80-0.90 s
-# in-process, 0.58-0.79 s split, five runs each).
-SPLIT_FLOOR_MACS = 1e9
+# below which a descent stays in-process. A no-op 2-block split (one fork,
+# one pipe, one reap) costs about 4 ms. Measured with the float32 descent and
+# its laid-out kernel on 2 cores (OpenBLAS 0.3.31) at the default widths (480
+# rows, one network, medians of 9 alternating runs, two runs): 1.5e8 took
+# 18-20 ms in-process and 21-24 ms split, 2.5e8 27-30 -> 29-30 ms, 3e8 30-33
+# -> 30-33 ms, 3.5e8 37-39 -> 34-36 ms, 5e8 51-53 -> 41-44 ms, 7.5e8 77 -> 56-57
+# ms, 1e9 99-103 -> 73-75 ms, 1.5e9 136-152 -> 100-115 ms. The split breaks
+# even near 3e8 and wins by more than its run-to-run spread from 5e8 up. A
+# tiny-config descent is 5e7 to 2.3e8 and stays in-process: its blocks have
+# under 38 rows, whose GEMMs round differently and fail the first-step check;
+# the default T1 descent is 1e10.
+SPLIT_FLOOR_MACS = 5e8
 
 
 def _worker_count(nets, layer_name: str, rows: int, steps: int) -> int:
-    """Processes to split the rows over: the pool helper's count, or 1 when
-    the descent is too small to repay the pool."""
-    workers = pool_size(rows)
+    """Processes to split the rows over, this one included: `block_count`'s
+    count, or 1 when the descent is too small to repay the split."""
+    workers = block_count(rows)
     macs = sum(
         layer.weights.size
         for net in nets
@@ -286,28 +290,29 @@ def _split_descent(nets, targets, layer_name, opt: TriggerSpec, x, workers: int)
     """`_descend_rows` on row blocks through `run_blocks`, concatenated in row
     order; None when a block's first step is not the whole batch's bit for
     bit (a BLAS that rounds a block's GEMMs differently), so the caller
-    descends in-process instead."""
+    descends in-process instead. The blocks step a copy of x: block 0 runs
+    in this process, and the fallback starts from x."""
     first_step = InputGradientKernel(nets, targets, layer_name, np.float32)(x)
-    futures = run_blocks(
-        _descend_rows, targets.shape[0], workers, nets, targets, layer_name, opt, x, first_step
+    outcomes = run_blocks(
+        _descend_rows, targets.shape[0], workers, nets, targets, layer_name, opt, x.copy(),
+        first_step,
     )
-    if any(f.exception() is None and f.result() is None for f in futures):
+    if any(ok and value is None for ok, value in outcomes):
         return None
-    failed = [f.exception() for f in futures if f.exception() is not None]
+    failed = [value for ok, value in outcomes if not ok]
     if failed:
         other = [e for e in failed if not isinstance(e, OptimizationError)]
         # one process stops at the earliest step, naming its lowest bad row:
         # min keeps the first (lowest) block among equal steps
         raise other[0] if other else min(failed, key=lambda e: e.step)
-    parts = [f.result() for f in futures]
-    return np.concatenate([p[0] for p in parts]), parts[0][1]
+    return np.concatenate([value[0] for _, value in outcomes]), outcomes[0][1][1]
 
 
 def _descend(nets, targets, layer_name, opt: TriggerSpec, seed: int):
     """Batched projected descent from seeded uniform starts in the clamp box
     (drawn in float64, stepped in float32); returns per-row best inputs
     (float32), their float64 losses and the run's DescentSpan. Split over
-    worker processes when that pays (see the module docstring); the result
+    forked processes when that pays (see the module docstring); the result
     is the same either way."""
     start = time.perf_counter()
     rows = targets.shape[0]

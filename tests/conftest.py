@@ -1,5 +1,5 @@
 import importlib.util
-import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -43,13 +43,20 @@ def tiny_config() -> ExperimentConfig:
     return validate_config(cfg)
 
 
+def child_pids() -> list[int]:
+    """This process's live and unreaped children, however they were forked:
+    the kernel's list for the main thread, which forks them."""
+    with open(f"/proc/self/task/{os.getpid()}/children") as f:
+        return [int(pid) for pid in f.read().split()]
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """Fail a test that leaves a live child process behind, such as a
-    descent's worker pool that was never shut down."""
+    """Fail a test that leaves a child process behind, running or never
+    reaped, such as a forked block of a split loop."""
     yield
-    leaked = multiprocessing.active_children()
-    assert not leaked, f"live child processes after the test: {leaked}"
+    leaked = child_pids()
+    assert not leaked, f"child processes left after the test: {leaked}"
 
 
 @pytest.fixture()

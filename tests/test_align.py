@@ -291,19 +291,21 @@ def test_bound_solver_falls_back_to_the_public_import(found, monkeypatch, tmp_pa
 def test_import_loads_only_the_assignment_solver():
     """A fresh interpreter that imports the package and its command line and
     then aligns never loads scipy.optimize, scipy.linalg or scipy.sparse, nor
-    the report's jsonschema or the worker pool's modules; a later import of
-    scipy.optimize reuses the loaded module and function."""
+    the report's jsonschema; a 2-block split loads no process pool's modules;
+    a later import of scipy.optimize reuses the loaded module and function."""
     script = (
         "import json, sys\n"
         "import numpy as np\n"
         "import neuralign, neuralign.cli\n"
-        "deferred = [m for m in ('jsonschema', 'multiprocessing', 'concurrent.futures')\n"
-        "            if m in sys.modules]\n"
+        "deferred = [m for m in ('jsonschema',) if m in sys.modules]\n"
         "neuralign.align_to_matrix(np.eye(4), np.eye(4)[::-1])\n"
+        "blocks = neuralign.parallel.run_blocks(lambda lo, hi: (lo, hi), 4, 2)\n"
+        "pools = [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules]\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "lsap = sys.modules['scipy.optimize._lsap']\n"
         "import scipy.optimize\n"
-        "print(json.dumps({'loaded': loaded, 'deferred': deferred,\n"
+        "print(json.dumps({'loaded': loaded, 'deferred': deferred, 'pools': pools,\n"
+        "    'blocks': blocks,\n"
         "    'same_module': sys.modules['scipy.optimize._lsap'] is lsap,\n"
         "    'same_function': scipy.optimize.linear_sum_assignment\n"
         "        is neuralign.align.linear_sum_assignment}))\n"
@@ -314,7 +316,8 @@ def test_import_loads_only_the_assignment_solver():
     seen = json.loads(proc.stdout)
     for name in ("scipy.optimize", "scipy.linalg", "scipy.sparse"):
         assert name not in seen["loaded"]
-    assert seen["deferred"] == []
+    assert seen["deferred"] == [] and seen["pools"] == []
+    assert seen["blocks"] == [[True, [0, 2]], [True, [2, 4]]]
     assert seen["same_module"] and seen["same_function"]
 
 

@@ -1,6 +1,5 @@
 """End-to-end pipeline: stage isolation, determinism, report shape."""
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -405,8 +404,8 @@ def test_run_all_looks_up_benchmark_hooks_in_pipeline(tiny_config_factory, tmp_p
     """The benchmark's desk workload wraps these three names in the pipeline
     module's namespace to capture verdicts and ensembles; run_all must call
     them through it, in this process: at 3 trials per attack the attack
-    stages run in worker processes on a machine with more than one core, and
-    a hook moved into a worker would count nothing here."""
+    stages fork children on a machine with more than one core, and a hook
+    moved into a forked block would count nothing here."""
     calls = Counter()
     for name in ("stage_align", "verify_with_alignment", "make_variant_ensemble"):
         original = getattr(pipeline, name)
@@ -458,9 +457,9 @@ def test_t2_forge_folds_every_pruned_variant(tiny_run, tmp_path, monkeypatch):
 def test_forge_reads_its_triggers_back_on_one_blas_thread(tiny_run, tmp_path, monkeypatch):
     """After the descent, stage_forge reads the triggers back on one BLAS
     thread: at more threads a large enough read-back restarts OpenBLAS's
-    thread server, which then spins on the cores the attack stage's workers
-    are forked onto next."""
-    if pipeline.pool_size(2) < 2:
+    thread server, which then spins on the cores the attack stage's blocks
+    run on next."""
+    if pipeline.block_count(2) < 2:
         pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS")
     cfg, out, _ = tiny_run
     copy = tmp_path / "copy"
@@ -735,8 +734,15 @@ def test_attack_split_raises_what_one_process_raises(tiny_run, tmp_path, monkeyp
             stage_attack(cfg, run, "np", trials=6)
         raised.append(str(info.value))
     assert raised == [f"trial {lowest} failed"] * 2
-    # the split's error came back from a worker, carrying its traceback
-    assert CORES < 2 or info.value.__cause__ is not None
+    if CORES < 2:
+        return
+    if lowest < 6 // min(CORES, 6):  # block 0's trial: raised in this process as it was raised
+        assert info.value.__cause__ is None
+        assert info.traceback[-1].name == "failing_forge"
+    else:  # the child's error carries the child's traceback
+        assert isinstance(info.value.__cause__, parallel.RemoteTraceback)
+        assert "in failing_forge" in str(info.value.__cause__)
+        assert f"ValueError: trial {lowest} failed" in str(info.value.__cause__)
 
 
 @pytest.mark.parametrize("case", ["one core", "no blas setter", "one trial"])
@@ -744,10 +750,10 @@ def test_attack_without_a_pool_starts_no_child(case, tiny_run, tmp_path, monkeyp
     cfg, out, _ = tiny_run
     shutil.copy(out / MODEL_FILE, tmp_path / MODEL_FILE)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_fork():
+        raise AssertionError("a child was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     if case == "one core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     elif case == "no blas setter":

@@ -1,6 +1,5 @@
 """Trigger synthesis: descent behavior, separation statistics, ensembles."""
 
-import concurrent.futures
 import os
 import pickle
 
@@ -375,38 +374,50 @@ def test_split_descent_raises_what_one_process_raises(failures, row, step, monke
             triggers._descend(nets, targets, "dense1", opt, 1)
         raised.append((str(info.value), info.value.step))
     assert raised[0] == raised[1] == (f"non-finite loss for row {row} at step {step}", step)
-    # the split's error came back from a worker, carrying its traceback
-    assert CORES < 2 or info.value.__cause__ is not None
+    if CORES < 2:
+        return
+    if row < 8 // min(CORES, 8):  # block 0's row: raised in this process as it was raised
+        assert info.value.__cause__ is None
+        assert info.traceback[-1].name == "_descend_rows"
+    else:  # the child's error carries the child's traceback
+        assert isinstance(info.value.__cause__, parallel.RemoteTraceback)
+        assert "in _descend_rows" in str(info.value.__cause__)
+        assert f"OptimizationError: non-finite loss for row {row}" in str(info.value.__cause__)
 
 
 def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
     """A block whose first step differs from the whole batch's in any bit
-    makes the descent run in-process, so the result never depends on it."""
+    makes the descent run in-process, so the result never depends on it,
+    also when block 0, run in this process, passed the check and descended
+    its rows before the fallback."""
+    nets = [init_network(6, [10, 5, 2], seed=1)]
+    targets = np.random.default_rng(2).uniform(0.0, 1.0, size=(8, 5))
+    skew_block_0 = True
 
     class Skewed(InputGradientKernel):
         def __call__(self, x):
             grads, losses = super().__call__(x)
-            if len(x) < 8:  # a block, not the whole batch: one ulp off in one row
-                losses[0] = np.nextafter(losses[0], np.inf)
+            block_0 = self.targets[0, 0] == np.float32(targets[0, 0])
+            if len(x) < 8 and (skew_block_0 or not block_0):  # a block, not the whole batch
+                losses[0] = np.nextafter(losses[0], np.inf)  # one ulp off in one row
             return grads, losses
 
-    nets = [init_network(6, [10, 5, 2], seed=1)]
-    targets = np.random.default_rng(2).uniform(0.0, 1.0, size=(8, 5))
     opt = TriggerSpec(steps=10)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
     whole = triggers._descend(nets, targets, "dense1", opt, 1)
     monkeypatch.setattr(triggers, "InputGradientKernel", Skewed)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
-    fallback = triggers._descend(nets, targets, "dense1", opt, 1)
-    assert fallback[2].workers == 1
-    assert np.array_equal(fallback[0], whole[0])
+    for skew_block_0 in (True, False):
+        fallback = triggers._descend(nets, targets, "dense1", opt, 1)
+        assert fallback[2].workers == 1
+        assert np.array_equal(fallback[0], whole[0])
 
 
 def test_split_descent_leaves_no_blas_server_spinning(monkeypatch):
     """The float64 scoring after a split runs on one BLAS thread, so the
     descent ends with OpenBLAS's thread server down, as the split left it;
     a server started by that GEMM would spin on the cores that the next
-    split's workers need."""
+    split's children need."""
     calls = parallel._blas_threads()
     if CORES < 2 or calls is None or calls[2] is None:
         pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS with a server stop")
@@ -434,11 +445,11 @@ def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", float("inf"))
     whole = triggers._descend([net], targets, "dense1", opt, 2)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_fork():
+        raise AssertionError("a child was forked")
 
     monkeypatch.setattr(parallel, "_blas_threads", lambda: None)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
     alone = triggers._descend([net], targets, "dense1", opt, 2)
     assert alone[2].workers == 1
