@@ -173,11 +173,21 @@ def min_pairwise_distance(codewords: np.ndarray) -> int:
 def _candidate_words(n: int, t: int, k: int, seed: int) -> np.ndarray:
     """The seed's stream of 400 * N candidate words, one draw per word, so
     every probe of `default_codebook`'s search reads the same stream; kept
-    for the next call with the same arguments (read-only)."""
+    for the next call with the same arguments (read-only).
+
+    A draw of uint8 symbols takes them four at a time from fresh 32-bit
+    words and drops what its last 32-bit word has left. For a power-of-two
+    K, Lemire's bounded method never rejects a draw, so one draw of
+    ceil(T / 4) * 4 symbols per word, cut to T, is the per-word stream;
+    other K keep the per-word loop."""
     rng = np.random.default_rng(seed)
-    words = np.stack([
-        rng.integers(0, k, size=t, dtype=np.uint8) for _ in range(400 * n)
-    ])
+    if k & (k - 1) == 0:
+        drawn = rng.integers(0, k, size=(400 * n, -(-t // 4) * 4), dtype=np.uint8)
+        words = np.ascontiguousarray(drawn[:, :t])
+    else:
+        words = np.stack([
+            rng.integers(0, k, size=t, dtype=np.uint8) for _ in range(400 * n)
+        ])
     words.flags.writeable = False
     return words
 

@@ -4,9 +4,10 @@ Every network has one form, checked when it is built: ReLU on each hidden
 layer, softmax on the last. ReLU's positive homogeneity is what makes the
 rescaling attack, like the reordering one, leave the function unchanged.
 
-Construction, deterministic SGD training of a copy (which is also how
-variants and suspects are fine-tuned), forward passes to the final outputs,
-gradients with respect to the input, and magnitude-based neuron pruning.
+Construction, deterministic SGD training of a copy or of several copies at
+once (which is also how variants and suspects are fine-tuned), forward
+passes to the final outputs, gradients with respect to the input, and
+magnitude-based neuron pruning.
 Parameters are stored as float32. Forward passes and training run all
 products and reductions in float64; the gradient kernel runs in the dtype it
 is built with, float64 unless the caller asks for float32.
@@ -24,6 +25,17 @@ order of a plain allocating step, so the trained bytes are the same; its
 forward product stays the NT product a @ W.T that `forward` runs, since at
 the training batch of 32 rows OpenBLAS rounds some NN products differently
 (see below).
+
+`train_copies` runs the same layout for G copies of one network that differ
+only in their seed: every buffer gains a leading copy axis ((G, P) flat
+parameters and gradients, (G, rows, width) step buffers), each product is
+one `np.matmul` over the stack, which makes one BLAS call per copy at the
+shapes a single copy uses, and every other operation is one ufunc call for
+the whole group, so each copy keeps the bits `train` gives it. The saving is
+Python and ufunc dispatch, which at these widths costs about what the
+arithmetic does; it lasts while the group's buffers fit in cache, so the
+attack stage trains its fine-tunes a few at a time (`pipeline.py`). `train`
+is the one-copy case without the copy axis.
 
 Input gradients come only from `InputGradientKernel`, which a descent builds
 once: it casts the weights to its dtype once per descent instead of once per
@@ -212,26 +224,31 @@ def init_network(input_dim: int, widths: Sequence[int], seed: int) -> Network:
 
 
 def _softmax(z: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Softmax of each row of `z`, in place: z minus its row max, exp, then
-    divided by the row sum. `row` is (rows, 1) scratch."""
-    np.maximum.reduce(z, axis=1, keepdims=True, out=row)
+    """Softmax of each row of `z` (its last axis), in place: z minus its row
+    max, exp, then divided by the row sum. `row` is z's shape with a last
+    axis of 1, scratch."""
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=row)
     np.subtract(z, row, out=z)
     np.exp(z, out=z)
-    np.add.reduce(z, axis=1, keepdims=True, out=row)
+    np.add.reduce(z, axis=-1, keepdims=True, out=row)
     return np.divide(z, row, out=z)
 
 
-def _forward_layers(net: Network, batch: np.ndarray, stop: Optional[int] = None) -> list:
-    """Post-activation outputs of the first `stop` layers (default: all), in float64.
+def _forward_layers(
+    net: Network, batch: np.ndarray, stop: Optional[int] = None, start: int = 0
+) -> list:
+    """Post-activation outputs of layers `start` up to `stop` (default: all),
+    in float64, from `batch`, the input of layer `start`.
 
     Each layer's weights are cast once; the float32 biases are added to the
     product in place, which adds their exact float64 values, and ReLU is
     taken in place, so a hidden layer's outputs are those of a @ W.T + b,
-    then max. The network's last layer takes softmax instead."""
+    then max. The network's last layer takes softmax instead. `batch` is
+    never written."""
     head = len(net.layers) - 1
     a = np.asarray(batch, dtype=np.float64)
     outputs = []
-    for i, layer in enumerate(net.layers[:stop]):
+    for i, layer in enumerate(net.layers[start:stop], start):
         z = a @ layer.weights.astype(np.float64).T
         z += layer.biases
         a = _softmax(z, np.empty((len(z), 1))) if i == head else np.maximum(z, 0.0, out=z)
@@ -260,12 +277,13 @@ def forward(net: Network, batch: np.ndarray) -> np.ndarray:
 
 def _softmax_cross_entropy(probs: np.ndarray, at: np.ndarray):
     """Mean cross-entropy of the softmax outputs, given `at`, the flat index
-    of each row's label in `probs`. Turns `probs` into d(loss)/d(logits) in
-    place: p - 1 at the labels, then / rows."""
-    rows = len(at)
+    of each row's label in `probs` (one row of indices per copy when `probs`
+    stacks copies, and then one loss per copy). Turns `probs` into
+    d(loss)/d(logits) in place: p - 1 at the labels, then / rows."""
+    rows = at.shape[-1]
     flat = probs.reshape(-1)
     picked = flat[at]
-    loss = -np.add.reduce(np.log(picked + 1e-12)) / rows
+    loss = -np.add.reduce(np.log(picked + 1e-12), axis=-1) / rows
     flat[at] = picked - 1.0
     return loss, np.divide(probs, rows, out=probs)
 
@@ -276,20 +294,26 @@ def accuracy(net: Network, data: Dataset) -> float:
 
 
 class _StepBuffers:
-    """A step's work buffers at one batch size: each layer's outputs, each
+    """A step's work buffers at one batch size, each with the leading axes
+    `lead` (the copy axis, or none for one copy): each layer's outputs, each
     hidden layer's ReLU mask and the delta that reaches it, and a row of
     softmax scratch. Every step writes each buffer before reading it."""
 
-    def __init__(self, rows: int, widths: Sequence[int]):
-        self.posts = [np.empty((rows, w)) for w in widths]
-        self.masks = [np.empty((rows, w), dtype=bool) for w in widths[:-1]]
-        self.deltas = [np.empty((rows, w)) for w in widths[:-1]]
-        self.row = np.empty((rows, 1))
+    def __init__(self, lead: tuple, rows: int, widths: Sequence[int]):
+        self.posts = [np.empty((*lead, rows, w)) for w in widths]
+        self.masks = [np.empty((*lead, rows, w), dtype=bool) for w in widths[:-1]]
+        self.deltas = [np.empty((*lead, rows, w)) for w in widths[:-1]]
+        self.row = np.empty((*lead, rows, 1))
 
 
 class _Trainer:
-    """SGD on a copy of a network, laid out once per `train` call (see the
-    module docstring).
+    """SGD on G copies of one network, laid out once per training call (see
+    the module docstring).
+
+    Parameters and gradients are flat (G, P) buffers; each layer's weights,
+    biases and gradients view them as (G, out, in) and (G, out), and each
+    step buffer is (G, rows, width). One copy (`train`) drops the copy axis,
+    so its step runs on 2-D operands as a plain step does.
 
     Each step runs, layer by layer and in this order, the arithmetic of a
     plain allocating step: a @ W.T, + b, then ReLU or softmax; p - 1 at the
@@ -298,39 +322,53 @@ class _Trainer:
     the bool mask multiplied in so a zeroed entry keeps its sign; and
     W - lr * dW cast to float32. Every gradient is taken before any update,
     as the allocating step casts each W before updating it, so the trained
-    network is bit for bit that of the allocating step. The extra loss reads
-    the copy, whose layers view the float32 buffer.
+    network is bit for bit that of the allocating step. Over G copies each
+    product is one `np.matmul` over the stack, which makes one BLAS call per
+    copy at the one-copy shapes, and each other operation one ufunc call on
+    the whole group; every copy gets the bits it gets alone. The extra loss
+    (one copy only) reads the copy, whose layers view the float32 buffer.
     """
 
-    def __init__(self, net: Network, batch_sizes: set):
+    def __init__(self, net: Network, copies: int, batch_sizes: set):
         shapes = [layer.weights.shape for layer in net.layers]
-        total = sum(o * i + o for o, i in shapes)
-        self.p32 = np.empty(total, dtype=np.float32)
-        self.p64 = np.empty(total)
-        self.grad = np.empty(total)
+        flat = np.concatenate(
+            [a.ravel() for layer in net.layers for a in (layer.weights, layer.biases)]
+        )
+        self.p32 = np.empty((copies, flat.size), dtype=np.float32)
+        self.p32[...] = flat
+        self.p64 = self.p32.astype(np.float64)
+        self.grad = np.empty_like(self.p64)
 
         def split(buf):
+            """Each layer's (weights, biases) views of `buf`, whose last axis
+            holds one copy's parameters."""
             views, at = [], 0
             for o, i in shapes:
-                views.append((buf[at : at + o * i].reshape(o, i), buf[at + o * i : at + o * i + o]))
+                w, b = buf[..., at : at + o * i], buf[..., at + o * i : at + o * i + o]
+                views.append((w.reshape(*buf.shape[:-1], o, i), b))
                 at += o * i + o
             return views
 
-        layers = []
-        for (w, b), layer in zip(split(self.p32), net.layers):
-            w[...], b[...] = layer.weights, layer.biases
-            layers.append(DenseLayer(layer.name, w, b, layer.activation))
-        self.net = Network(layers)  # what the extra loss reads
-        self.p64[...] = self.p32
-        self.w64, self.b64 = zip(*split(self.p64))
-        self.w64_t = [w.T for w in self.w64]
-        self.dw, self.db = zip(*split(self.grad))
+        self.nets = [  # what the extra loss reads, and what `result` returns
+            Network([DenseLayer(layer.name, w, b, layer.activation)
+                     for layer, (w, b) in zip(net.layers, split(p))])
+            for p in self.p32
+        ]
+        stacked = slice(None) if copies > 1 else 0  # one copy steps on 2-D operands
+        self.w64, b64 = zip(*split(self.p64[stacked]))
+        self.w64_t = [w.mT for w in self.w64]
+        self.b64 = [b[..., None, :] for b in b64]  # broadcast over each copy's rows
+        self.dw, self.db = zip(*split(self.grad[stacked]))
         self.names = [layer.name for layer in net.layers]
         widths = [o for o, _ in shapes]
-        self.buffers = {m: _StepBuffers(m, widths) for m in batch_sizes}
+        lead = self.grad[stacked].shape[:-1]
+        self.buffers = {m: _StepBuffers(lead, m, widths) for m in batch_sizes}
 
-    def step(self, x: np.ndarray, at: np.ndarray, hp: TrainConfig) -> float:
-        s = self.buffers[len(x)]
+    def step(self, x: np.ndarray, at: np.ndarray, hp: TrainConfig) -> np.ndarray:
+        """One step on each copy's batch `x` (rows on the next-to-last axis);
+        `at` is each row's label's flat index in the step's outputs. Returns
+        each copy's loss."""
+        s = self.buffers[x.shape[-2]]
         head = len(self.w64) - 1
         a = x
         for i in range(head):
@@ -344,14 +382,14 @@ class _Trainer:
 
         extra_grads: dict[str, np.ndarray] = {}
         if hp.extra_loss is not None:
-            extra, extra_grads = hp.extra_loss(self.net)
+            extra, extra_grads = hp.extra_loss(self.nets[0])
             loss += extra
 
         for i in range(head, -1, -1):
-            dw = np.matmul(d.T, s.posts[i - 1] if i else x, out=self.dw[i])
+            dw = np.matmul(d.mT, s.posts[i - 1] if i else x, out=self.dw[i])
             if self.names[i] in extra_grads:
                 np.add(dw, np.asarray(extra_grads[self.names[i]], dtype=np.float64), out=dw)
-            np.add.reduce(d, axis=0, out=self.db[i])
+            np.add.reduce(d, axis=-2, out=self.db[i])
             if i:
                 d = np.matmul(d, self.w64[i], out=s.deltas[i - 1])
                 np.multiply(d, s.masks[i - 1], out=d)
@@ -359,17 +397,20 @@ class _Trainer:
         np.subtract(self.p64, g, out=g)
         np.copyto(self.p32, g, casting="same_kind")
         np.copyto(self.p64, self.p32)
-        return float(loss)
+        return loss
 
-    def result(self) -> Network:
-        """The trained network, holding its own copies of the parameters."""
-        for layer in self.net.layers:
-            layer.weights, layer.biases = layer.weights.copy(), layer.biases.copy()
-        return self.net
+    def result(self) -> list[Network]:
+        """The trained copies, each holding its own copies of the parameters."""
+        for net in self.nets:
+            for layer in net.layers:
+                layer.weights, layer.biases = layer.weights.copy(), layer.biases.copy()
+        return self.nets
 
 
-def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
-    """SGD with cross-entropy; deterministic given hp.seed. Returns a new network."""
+def _fit(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Network]:
+    """SGD on one copy of `net` per config, stepped together; the configs
+    share epochs, lr and batch size, and each copy draws its own order."""
+    hp = hps[0]
     if hp.lr <= 0:
         raise ValueError("lr must be positive")
     if hp.epochs < 0:
@@ -379,34 +420,78 @@ def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
     inputs = _as_batch(net, data.inputs)
     if data.labels.max() >= net.output_dim:
         raise ValueError("label id exceeds output width")
-    n = len(data)
+    n, copies, width = len(data), len(hps), net.output_dim
     batch_size = min(hp.batch_size, n)
-    trainer = _Trainer(net, {batch_size, n % batch_size} - {0})
-    # the flat offset of each row of an epoch within its batch's outputs
-    row_at = np.arange(n) % batch_size * net.output_dim
-    rng = np.random.default_rng(hp.seed)
+    trainer = _Trainer(net, copies, {batch_size, n % batch_size} - {0})
+    # each step's rows of an epoch, and the flat offset of each row within
+    # its step's outputs: its place in its batch, and over G copies (whose
+    # axis leads every operand) its copy's block of the batch's rows
+    steps = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    row_at = np.arange(n) % batch_size * width
+    if copies > 1:
+        batch_rows = np.minimum(batch_size, n - np.arange(n) // batch_size * batch_size)
+        row_at = row_at + np.arange(copies)[:, None] * batch_rows * width
+        steps = [(slice(None), rows) for rows in steps]
+    rngs = [np.random.default_rng(h.seed) for h in hps]
     for epoch in range(hp.epochs):
-        order = rng.permutation(n)
+        if copies == 1:
+            order = rngs[0].permutation(n)
+        else:
+            order = np.stack([rng.permutation(n) for rng in rngs])
         x, at = inputs[order], row_at + data.labels[order]
         losses = []
         # a step whose float64 update overflows float32, or that computes a
         # NaN, stops the run there, before an infinite parameter is stored
         with np.errstate(over="raise", invalid="raise"):
             try:
-                for start in range(0, n, batch_size):
-                    end = start + batch_size
-                    losses.append(trainer.step(x[start:end], at[start:end], hp))
+                for rows in steps:
+                    losses.append(trainer.step(x[rows], at[rows], hp))
             except FloatingPointError:
                 raise TrainingDivergenceError(epoch) from None
-        mean_loss = float(np.mean(losses))
-        if not np.isfinite(mean_loss):
+        if not np.isfinite(np.mean(losses, axis=0)).all():
             raise TrainingDivergenceError(epoch)
     return trainer.result()
+
+
+def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
+    """SGD with cross-entropy; deterministic given hp.seed. Returns a new network."""
+    return _fit(net, data, [hp])[0]
+
+
+def train_copies(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Network]:
+    """One copy of `net` trained per config, each bit for bit what `train`
+    gives for that config, in one laid-out run that steps them together.
+
+    The configs must share epochs, lr and batch size and carry no extra
+    loss; each draws its own order from its own seed. A copy that diverges
+    stops the whole run with `TrainingDivergenceError` for that epoch; train
+    the copies one at a time to learn which one it was. Groups of a few
+    copies keep the step buffers in cache; one very large group is slower
+    per copy than a few small ones.
+    """
+    hps = list(hps)
+    if not hps:
+        raise ValueError("need at least one copy to train")
+    shared = {(hp.epochs, hp.lr, hp.batch_size) for hp in hps}
+    if len(shared) > 1:
+        raise ValueError(f"copies must share epochs, lr and batch size, got {sorted(shared)}")
+    if any(hp.extra_loss is not None for hp in hps):
+        raise ValueError("copies train without an extra loss")
+    return _fit(net, data, hps)
 
 
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal float32 arrays bit for bit, so +0.0 and -0.0 count as different."""
     return np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _first_changed_layer(a: Network, b: Network) -> int:
+    """The index of the first layer whose parameters differ bit for bit
+    between two networks of one shape; the layer count when none does."""
+    for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
+        if not (_bitwise_equal(la.weights, lb.weights) and _bitwise_equal(la.biases, lb.biases)):
+            return i
+    return len(a.layers)
 
 
 def _kept_neurons(

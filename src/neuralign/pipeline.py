@@ -21,6 +21,7 @@ import json
 import math
 import shutil
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +40,18 @@ from .coding import (
 )
 from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config, validate_config
 from .data import make_blobs, split_dataset
-from .network import Dataset, TrainConfig, accuracy, forward, init_network, prune_variant, train
+from .network import (
+    Dataset,
+    TrainConfig,
+    TrainingDivergenceError,
+    _first_changed_layer,
+    _forward_layers,
+    accuracy,
+    init_network,
+    prune_variant,
+    train,
+    train_copies,
+)
 from .parallel import block_count, one_blas_thread, run_blocks
 from .serialize import file_sha256, load_model, save_model
 from .triggers import (
@@ -380,12 +392,23 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
     return summary
 
 
-def _forge_suspect(a, model, layer, spec, held, trial_seed):
+# ftp trials fine-tune in groups of this many copies of the marked model,
+# stepped together (`train_copies`); a group's step buffers stay in cache,
+# and the stage keeps one group's copies alive at a time
+FINETUNE_GROUP = 4
+
+
+def _finetune_config(a, trial_seed) -> TrainConfig:
+    """The fine-tuning an ftp trial applies to the marked model, on `held`."""
+    return TrainConfig(epochs=a.epochs, lr=a.lr, seed=derive_seed(trial_seed, "finetune"))
+
+
+def _forge_suspect(a, model, layer, spec, held, trial_seed, tuned=None):
     """Attack `a`'s transform of the marked model (np has none), then the
-    trial's permutation of the watermarked layer."""
+    trial's permutation of the watermarked layer. For ftp, `tuned` is the
+    trial's fine-tuned model when `_tuned_group` has trained it already."""
     if a.kind == "ftp":
-        hp = TrainConfig(epochs=a.epochs, lr=a.lr, seed=derive_seed(trial_seed, "finetune"))
-        model = train(model, held, hp)
+        model = train(model, held, _finetune_config(a, trial_seed)) if tuned is None else tuned
     elif a.kind == "npp":
         model = prune_variant(model, layer, a.fraction)
     elif a.kind == "rescale":
@@ -394,26 +417,51 @@ def _forge_suspect(a, model, layer, spec, held, trial_seed):
     return permute_neurons(model, spec)
 
 
+def _tuned_group(a, model, held, trial_seeds) -> list:
+    """The fine-tuned models of a group of ftp trials, trained together, or
+    None for each trial: for another kind, and when a copy diverged. Those
+    trials fine-tune one at a time in `_forge_suspect`, so the lowest
+    diverging trial raises its own error after the trials before it are
+    saved, as when every trial trains alone."""
+    if a.kind == "ftp":
+        try:
+            return train_copies(model, held, [_finetune_config(a, s) for s in trial_seeds])
+        except TrainingDivergenceError:
+            pass
+    return [None] * len(trial_seeds)
+
+
 def _attack_trials(lo, hi, cfg, out, a, model, held) -> list:
-    """Trials [lo, hi) of attack `a`, in trial order: forge and save each
-    suspect, and read its drift and task accuracy off one forward pass over
-    `held` (the values `functional_drift` and `accuracy` give)."""
+    """Trials [lo, hi) of attack `a`, in trial order, in groups of
+    `FINETUNE_GROUP`: fine-tune a group's ftp copies together, then forge,
+    save and score each of its suspects before the next group trains.
+
+    A suspect's drift and task accuracy (the values `functional_drift` and
+    `accuracy` give) come off one forward pass over `held` that starts at
+    its first layer whose parameters differ from the marked model's, from
+    the marked model's outputs below it, which this block computes once: np,
+    npp and rescale suspects start at the watermarked layer, ftp suspects at
+    the first."""
     layer = cfg.model.watermarked_layer
     n = model.layer(layer).out_dim
-    marked = forward(model, held.inputs)
+    # the marked model on `held`: each layer's input, then the final outputs
+    marked = [held.inputs, *_forward_layers(model, held.inputs)]
     records = []
-    for i in range(lo, hi):
-        trial_seed = derive_seed(cfg.seed, "attack", a.kind, i)
-        spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
-        suspect = _forge_suspect(a, model, layer, spec, held, trial_seed)
-        save_model(suspect, suspect_file(out, a.kind, i))
-        scores = forward(suspect, held.inputs)
-        records.append({
-            "trial": i,
-            "perm": [int(p) for p in spec.perm],
-            "drift": float(np.max(np.abs(marked - scores))),
-            "accuracy": float((scores.argmax(axis=1) == held.labels).mean()),
-        })
+    for first in range(lo, hi, FINETUNE_GROUP):
+        trials = range(first, min(first + FINETUNE_GROUP, hi))
+        seeds = [derive_seed(cfg.seed, "attack", a.kind, i) for i in trials]
+        for i, trial_seed, tuned in zip(trials, seeds, _tuned_group(a, model, held, seeds)):
+            spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
+            suspect = _forge_suspect(a, model, layer, spec, held, trial_seed, tuned)
+            save_model(suspect, suspect_file(out, a.kind, i))
+            start = _first_changed_layer(model, suspect)
+            scores = [marked[start], *_forward_layers(suspect, marked[start], start=start)][-1]
+            records.append({
+                "trial": i,
+                "perm": [int(p) for p in spec.perm],
+                "drift": float(np.max(np.abs(marked[-1] - scores))),
+                "accuracy": float((scores.argmax(axis=1) == held.labels).mean()),
+            })
     return records
 
 
@@ -624,10 +672,24 @@ REPORT_SCHEMA = {
 }
 
 
-def validate_report(report: dict) -> dict:
+@lru_cache(maxsize=1)
+def _report_validator():
+    """The report schema's validator, built once. `REPORT_SCHEMA` is a
+    constant, so it is checked against its meta-schema by the tests, not
+    on every report."""
     import jsonschema
 
-    jsonschema.validate(report, REPORT_SCHEMA)
+    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+
+def validate_report(report: dict) -> dict:
+    """The report, or the `jsonschema.ValidationError` that
+    `jsonschema.validate` would raise for it."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise error
     return report
 
 

@@ -18,6 +18,7 @@ from neuralign.coding import (
     min_pairwise_distance,
     nearest_centroid,
     Codebook,
+    _candidate_words,
 )
 
 # ------------------------------------------------------------- centroids
@@ -217,6 +218,19 @@ def test_generator_matches_the_plain_loop(n, t, k, seeds):
             cb = generate_codebook(n, t, k, d_min, seed)
             assert cb.codewords.tobytes() == words.tobytes()
             assert cb.d_min == min_pairwise_distance(words)
+
+
+# power-of-two symbol counts take one draw for the whole stream, the others
+# the per-word loop; lengths that do and do not fill whole 32-bit draws
+@pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 3, 5, 7, 255])
+def test_candidate_stream_is_one_draw_per_word(k):
+    for t in (1, 2, 3, 5, 7, 13, 60, 61, 64, 70):
+        rng = np.random.default_rng(9)
+        per_word = np.stack([rng.integers(0, k, size=t, dtype=np.uint8) for _ in range(400)])
+        words = _candidate_words.__wrapped__(1, t, k, 9)  # past the cache
+        assert words.shape == per_word.shape and words.flags.c_contiguous
+        assert words.tobytes() == per_word.tobytes(), (k, t)
+        assert not words.flags.writeable
 
 
 def _count_nonzero_codebook(words, n, d_min):

@@ -1,5 +1,6 @@
 """Forward/backward correctness against hand arithmetic and finite differences."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -21,6 +22,7 @@ from neuralign.network import (
     init_network,
     prune_variant,
     train,
+    train_copies,
 )
 from neuralign.data import make_blobs
 from neuralign.triggers import layer_outputs
@@ -300,6 +302,51 @@ def test_training_is_bit_identical_to_the_generic_step(case):
     assert networks_equal(fitted, reference_train(net, data, hp))  # +0.0 is not -0.0
     for layer in fitted.layers:  # the trained network holds arrays of its own
         assert layer.weights.flags.owndata and layer.biases.flags.owndata
+
+
+@pytest.mark.parametrize("copies", [1, 3, 8])
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_copies_train_bit_for_bit_as_each_alone(copies, epochs):
+    """Default widths, 400 samples: each epoch's last batch has 16 rows."""
+    data = make_blobs(400, 48, 4, seed=3)
+    net = init_network(48, [128, 32, 16, 4], seed=3)
+    hps = [TrainConfig(epochs=epochs, lr=0.05, seed=20 + g) for g in range(copies)]
+    fitted = train_copies(net, data, hps)
+    assert len(fitted) == copies
+    for got, hp in zip(fitted, hps):
+        assert networks_equal(got, train(net, data, hp))  # +0.0 is not -0.0
+        for layer in got.layers:
+            assert layer.weights.flags.owndata and layer.biases.flags.owndata
+    if epochs and copies > 1:
+        assert not networks_equal(fitted[0], fitted[1])
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(epochs=3), "share epochs, lr and batch size"),
+    (dict(lr=0.2), "share epochs, lr and batch size"),
+    (dict(batch_size=16), "share epochs, lr and batch size"),
+    (dict(extra_loss=l2_on_dense1), "without an extra loss"),
+])
+def test_copies_refuse_configs_they_cannot_step_together(change, message):
+    data = make_blobs(50, 4, 2, seed=2)
+    net = init_network(4, [8, 2], seed=2)
+    hp = TrainConfig(epochs=2, lr=0.1, seed=1)
+    other = dataclasses.replace(hp, seed=2, **change)
+    with pytest.raises(ValueError, match=message):
+        train_copies(net, data, [hp, other])
+    if "extra_loss" in change:  # one copy with an extra loss is `train`'s case, not a group's
+        with pytest.raises(ValueError, match=message):
+            train_copies(net, data, [other])
+    with pytest.raises(ValueError, match="at least one copy"):
+        train_copies(net, data, [])
+
+
+def test_copies_report_divergence():
+    data = make_blobs(50, 4, 2, seed=2)
+    net = init_network(4, [8, 2], seed=2)
+    hps = [TrainConfig(epochs=3, lr=1e30, seed=g) for g in range(3)]
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergenceError):
+        train_copies(net, data, hps)
 
 
 @pytest.mark.parametrize("batch_size", [0, -3])

@@ -29,6 +29,7 @@ from neuralign.network import (
     DenseLayer,
     Network,
     TrainConfig,
+    TrainingDivergenceError,
     accuracy,
     init_network,
     prune_variant,
@@ -44,6 +45,7 @@ from neuralign.pipeline import (
     REPORT_FILE,
     TRIGGER_MODES,
     align_summary_file,
+    attack_spec_for,
     bootstrap_ordering,
     bootstrap_rate_ci,
     capacity_grid,
@@ -163,6 +165,31 @@ def test_report_rejects_missing_section(tiny_run):
     extra["surprise"] = 1
     with pytest.raises(jsonschema.ValidationError):
         validate_report(extra)
+
+
+def test_report_schema_is_checked_once_and_errors_match_jsonschema(tiny_run, monkeypatch):
+    """The constant schema passes its meta-schema here, so validating a
+    report does not check it again, and raises what `jsonschema.validate`
+    raises."""
+    _, _, report = tiny_run
+    jsonschema.Draft202012Validator.check_schema(pipeline.REPORT_SCHEMA)
+    checked = []
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                        classmethod(lambda cls, schema: checked.append(schema)))
+    broken = [{k: v for k, v in report.items() if k != "codebook"},
+              {**report, "surprise": 1}, {**report, "schema_version": 2},
+              {**report, "artifacts": {"model.naf": "not a digest"}}]
+    errors = []
+    for bad in broken:
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            validate_report(bad)
+        errors.append(str(ours.value))
+    assert validate_report(report) is report
+    assert checked == []
+    for bad, error in zip(broken, errors):
+        with pytest.raises(jsonschema.ValidationError) as theirs:
+            jsonschema.validate(bad, pipeline.REPORT_SCHEMA)
+        assert error == str(theirs.value)
 
 
 def test_report_file_round_trips(tiny_run):
@@ -718,10 +745,10 @@ def test_attack_split_raises_what_one_process_raises(tiny_run, tmp_path, monkeyp
     forge = pipeline._forge_suspect
     failing_seeds = {derive_seed(cfg.seed, "attack", "np", i): i for i in failing}
 
-    def failing_forge(a, model, layer, spec, data, trial_seed):
+    def failing_forge(a, model, layer, spec, data, trial_seed, tuned=None):
         if trial_seed in failing_seeds:
             raise ValueError(f"trial {failing_seeds[trial_seed]} failed")
-        return forge(a, model, layer, spec, data, trial_seed)
+        return forge(a, model, layer, spec, data, trial_seed, tuned)
 
     monkeypatch.setattr(pipeline, "_forge_suspect", failing_forge)
     raised = []
@@ -763,6 +790,70 @@ def test_attack_without_a_pool_starts_no_child(case, tiny_run, tmp_path, monkeyp
     assert read_json(tmp_path / "timings_attack_rescale.json")["trials"]["workers"] == 1
     full = read_json(out / pipeline.attack_summary_file("rescale"))
     assert summary["records"] == full["records"][:trials]
+
+
+def test_ftp_groups_cut_by_the_block_split_train_each_trial_as_alone(tiny_run, tmp_path,
+                                                                     monkeypatch):
+    """An ftp trial count that is not a multiple of the group size, split
+    into blocks that cut a group: the same bytes in blocks and in one
+    process, and each suspect is its trial's own `train`, then permuted."""
+    cfg, out, _ = tiny_run
+    trials = 2 * pipeline.FINETUNE_GROUP + 3
+    cfg = dataclasses.replace(cfg, attacks=[
+        dataclasses.replace(a, trials=trials) if a.kind == "ftp" else a for a in cfg.attacks
+    ])
+    _attack_alone_and_split(cfg, out / MODEL_FILE, tmp_path, monkeypatch)
+    model = load_model(out / MODEL_FILE)
+    _, held = make_experiment_data(cfg)
+    a, layer = attack_spec_for(cfg, "ftp"), cfg.model.watermarked_layer
+    records = read_json(tmp_path / "split" / pipeline.attack_summary_file("ftp"))["records"]
+    assert [r["trial"] for r in records] == list(range(trials))
+    for rec in records:
+        trial_seed = derive_seed(cfg.seed, "attack", "ftp", rec["trial"])
+        tuned = train(model, held, TrainConfig(
+            epochs=a.epochs, lr=a.lr, seed=derive_seed(trial_seed, "finetune"),
+        ))
+        expected = permute_neurons(tuned, PermutationSpec(layer, rec["perm"]))
+        assert networks_equal(load_model(suspect_file(tmp_path / "split", "ftp", rec["trial"])),
+                              expected)
+
+
+def test_a_diverging_ftp_copy_fails_the_stage_as_one_at_a_time(tiny_run, tmp_path, monkeypatch):
+    """A group with a copy that diverges raises the lowest diverging trial's
+    error, after saving the same suspects as training one trial at a time."""
+    cfg, out, _ = tiny_run
+    group = pipeline.FINETUNE_GROUP
+    cfg = dataclasses.replace(cfg, attacks=[
+        dataclasses.replace(a, trials=2 * group, epochs=2, lr=50.0) if a.kind == "ftp" else a
+        for a in cfg.attacks
+    ])
+    model = load_model(out / MODEL_FILE)
+    _, held = make_experiment_data(cfg)
+    a = attack_spec_for(cfg, "ftp")
+    alone = {}  # trial -> its error training alone, or None
+    for i in range(a.trials):
+        seed = derive_seed(derive_seed(cfg.seed, "attack", "ftp", i), "finetune")
+        try:
+            train(model, held, TrainConfig(epochs=a.epochs, lr=a.lr, seed=seed))
+            alone[i] = None
+        except TrainingDivergenceError as err:
+            alone[i] = err
+    lowest = min(i for i, err in alone.items() if err is not None)
+    # the case under test: a group holding a trial that trains before one that diverges
+    assert lowest % group and alone[lowest - 1] is None
+    runs = {}
+    for size in (group, 1):
+        monkeypatch.setattr(pipeline, "FINETUNE_GROUP", size)
+        run = tmp_path / f"group{size}"
+        run.mkdir()
+        shutil.copy(out / MODEL_FILE, run / MODEL_FILE)
+        with pytest.raises(TrainingDivergenceError) as info:
+            stage_attack(cfg, run, "ftp")
+        files = {p.name: p.read_bytes() for p in sorted(suspect_dir(run, "ftp").iterdir())}
+        runs[size] = (str(info.value), info.value.epoch, files)
+    assert runs[group] == runs[1]
+    assert runs[group][:2] == (str(alone[lowest]), alone[lowest].epoch)
+    assert {f"trial_{i:03d}.naf" for i in range(lowest)} <= runs[group][2].keys()
 
 
 def test_attack_records_read_drift_and_accuracy_of_each_suspect(tiny_run):
