@@ -485,13 +485,13 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
-def _first_changed_layer(a: Network, b: Network) -> int:
+def _first_changed_layer(a: Sequence[DenseLayer], b: Sequence[DenseLayer]) -> int:
     """The index of the first layer whose parameters differ bit for bit
-    between two networks of one shape; the layer count when none does."""
-    for i, (la, lb) in enumerate(zip(a.layers, b.layers)):
+    between two layer stacks of one shape; the layer count when none does."""
+    for i, (la, lb) in enumerate(zip(a, b)):
         if not (_bitwise_equal(la.weights, lb.weights) and _bitwise_equal(la.biases, lb.biases)):
             return i
-    return len(a.layers)
+    return len(a)
 
 
 def _kept_neurons(
@@ -505,9 +505,8 @@ def _kept_neurons(
     first's row, weights and bias, or be +0.0 throughout, so that the
     neuron's output is exactly 0.
     """
-    for a, b in zip(first[:-1], layers[:-1]):
-        if not (_bitwise_equal(a.weights, b.weights) and _bitwise_equal(a.biases, b.biases)):
-            return None
+    if _first_changed_layer(first[:-1], layers[:-1]) < len(first) - 1:
+        return None
     a, b = first[-1], layers[-1]
     wa, wb = a.weights.view(np.uint32), b.weights.view(np.uint32)
     ba, bb = a.biases.view(np.uint32), b.biases.view(np.uint32)

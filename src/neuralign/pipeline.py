@@ -9,8 +9,9 @@ deliberately excluded from that guarantee; the final report folds them into a
 single top-level "timings" object and is otherwise reproducible.
 
 `jsonschema`, `csv` and `platform` serve only the report stage and are
-imported there (`validate_report`, `stage_report`, `_write_csv`), so a
-process that writes no report does not pay for `jsonschema`.
+imported there (`validate_report` and the validator it builds once,
+`stage_report`, `_write_csv`), so a process that writes no report does not
+pay for `jsonschema`.
 """
 
 from __future__ import annotations
@@ -454,7 +455,7 @@ def _attack_trials(lo, hi, cfg, out, a, model, held) -> list:
             spec = random_permutation(n, derive_seed(trial_seed, "perm"), layer)
             suspect = _forge_suspect(a, model, layer, spec, held, trial_seed, tuned)
             save_model(suspect, suspect_file(out, a.kind, i))
-            start = _first_changed_layer(model, suspect)
+            start = _first_changed_layer(model.layers, suspect.layers)
             scores = [marked[start], *_forward_layers(suspect, marked[start], start=start)][-1]
             records.append({
                 "trial": i,

@@ -823,6 +823,7 @@ def test_a_diverging_ftp_copy_fails_the_stage_as_one_at_a_time(tiny_run, tmp_pat
     error, after saving the same suspects as training one trial at a time."""
     cfg, out, _ = tiny_run
     group = pipeline.FINETUNE_GROUP
+    # at this rate some trials' fine-tunes overflow and others do not
     cfg = dataclasses.replace(cfg, attacks=[
         dataclasses.replace(a, trials=2 * group, epochs=2, lr=50.0) if a.kind == "ftp" else a
         for a in cfg.attacks
