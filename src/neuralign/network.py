@@ -12,30 +12,27 @@ Parameters are stored as float32. Forward passes and training run all
 products and reductions in float64; the gradient kernel runs in the dtype it
 is built with, float64 unless the caller asks for float32.
 
-Training is laid out once per `train` call, as the gradient kernel is once
-per descent. The copy being trained views one flat float32 parameter buffer;
-a float64 mirror of it, refreshed once per step, holds the weights every
-product reads, and the gradients of all layers go into one flat float64
-buffer, so the update is four whole-buffer operations (scale by the rate,
-subtract from the mirror, cast into the float32 buffer, copy back to the
-mirror). Activation, ReLU-mask and delta buffers are allocated once at the
-batch size (and once at the last batch's size when it is partial), and each
-epoch gathers its shuffled inputs once. Each step keeps the arithmetic and
-order of a plain allocating step, so the trained bytes are the same; its
-forward product stays the NT product a @ W.T that `forward` runs, since at
-the training batch of 32 rows OpenBLAS rounds some NN products differently
-(see below).
-
-`train_copies` runs the same layout for G copies of one network that differ
-only in their seed: every buffer gains a leading copy axis ((G, P) flat
-parameters and gradients, (G, rows, width) step buffers), each product is
-one `np.matmul` over the stack, which makes one BLAS call per copy at the
-shapes a single copy uses, and every other operation is one ufunc call for
-the whole group, so each copy keeps the bits `train` gives it. The saving is
-Python and ufunc dispatch, which at these widths costs about what the
-arithmetic does; it lasts while the group's buffers fit in cache, so the
-attack stage trains its fine-tunes a few at a time (`pipeline.py`). `train`
-is the one-copy case without the copy axis.
+Training is laid out once per call, as the gradient kernel is once per
+descent, for G copies of one network that differ only in their seed:
+`train_copies` steps G of them together and `train` is the case G = 1. The
+copies view one flat (G, P) float32 parameter buffer; a float64 mirror of
+it, refreshed once per step, holds the weights every product reads, and the
+gradients of all layers go into one flat (G, P) float64 buffer, so the update
+is four whole-buffer operations (scale by the rate, subtract from the mirror,
+cast into the float32 buffer, copy back to the mirror). Activation, ReLU-mask
+and delta buffers, (G, rows, width) each, are allocated once at the batch
+size (and once at the last batch's size when it is partial), and each epoch
+gathers its shuffled inputs once. Each product is one `np.matmul` over the
+stack, which makes one BLAS call per copy at the shapes a single copy uses,
+and every other operation is one ufunc call for the whole group, so each
+copy keeps the bits it gets alone. Each step keeps the arithmetic and order
+of a plain allocating step, so the trained bytes are the same; its forward
+product stays the NT product a @ W.T that `forward` runs, since at the
+training batch of 32 rows OpenBLAS rounds some NN products differently (see
+below). What stacking saves is Python and ufunc dispatch, which at these
+widths costs about what the arithmetic does; it lasts while the group's
+buffers fit in cache, so the attack stage trains its fine-tunes a few at a
+time (`pipeline.py`).
 
 Input gradients come only from `InputGradientKernel`, which a descent builds
 once: it casts the weights to its dtype once per descent instead of once per
@@ -66,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -201,8 +198,6 @@ class TrainConfig:
     lr: float
     batch_size: int = 32
     seed: int = 0
-    # optional regularizer: net -> (loss, {layer_name: weight gradient})
-    extra_loss: Optional[Callable[[Network], tuple[float, dict[str, np.ndarray]]]] = None
 
 
 def init_network(input_dim: int, widths: Sequence[int], seed: int) -> Network:
@@ -276,10 +271,10 @@ def forward(net: Network, batch: np.ndarray) -> np.ndarray:
 
 
 def _softmax_cross_entropy(probs: np.ndarray, at: np.ndarray):
-    """Mean cross-entropy of the softmax outputs, given `at`, the flat index
-    of each row's label in `probs` (one row of indices per copy when `probs`
-    stacks copies, and then one loss per copy). Turns `probs` into
-    d(loss)/d(logits) in place: p - 1 at the labels, then / rows."""
+    """Mean cross-entropy of the softmax outputs of each copy in the
+    (G, rows, width) stack `probs`, one loss per copy, given `at`, the flat
+    index of each row's label in `probs`, one row of indices per copy. Turns
+    `probs` into d(loss)/d(logits) in place: p - 1 at the labels, then / rows."""
     rows = at.shape[-1]
     flat = probs.reshape(-1)
     picked = flat[at]
@@ -294,16 +289,16 @@ def accuracy(net: Network, data: Dataset) -> float:
 
 
 class _StepBuffers:
-    """A step's work buffers at one batch size, each with the leading axes
-    `lead` (the copy axis, or none for one copy): each layer's outputs, each
-    hidden layer's ReLU mask and the delta that reaches it, and a row of
-    softmax scratch. Every step writes each buffer before reading it."""
+    """A step's work buffers for G copies at one batch size, each with the
+    copy axis first: each layer's outputs, each hidden layer's ReLU mask and
+    the delta that reaches it, and a row of softmax scratch. Every step writes
+    each buffer before reading it."""
 
-    def __init__(self, lead: tuple, rows: int, widths: Sequence[int]):
-        self.posts = [np.empty((*lead, rows, w)) for w in widths]
-        self.masks = [np.empty((*lead, rows, w), dtype=bool) for w in widths[:-1]]
-        self.deltas = [np.empty((*lead, rows, w)) for w in widths[:-1]]
-        self.row = np.empty((*lead, rows, 1))
+    def __init__(self, copies: int, rows: int, widths: Sequence[int]):
+        self.posts = [np.empty((copies, rows, w)) for w in widths]
+        self.masks = [np.empty((copies, rows, w), dtype=bool) for w in widths[:-1]]
+        self.deltas = [np.empty((copies, rows, w)) for w in widths[:-1]]
+        self.row = np.empty((copies, rows, 1))
 
 
 class _Trainer:
@@ -312,8 +307,7 @@ class _Trainer:
 
     Parameters and gradients are flat (G, P) buffers; each layer's weights,
     biases and gradients view them as (G, out, in) and (G, out), and each
-    step buffer is (G, rows, width). One copy (`train`) drops the copy axis,
-    so its step runs on 2-D operands as a plain step does.
+    step buffer is (G, rows, width).
 
     Each step runs, layer by layer and in this order, the arithmetic of a
     plain allocating step: a @ W.T, + b, then ReLU or softmax; p - 1 at the
@@ -322,11 +316,11 @@ class _Trainer:
     the bool mask multiplied in so a zeroed entry keeps its sign; and
     W - lr * dW cast to float32. Every gradient is taken before any update,
     as the allocating step casts each W before updating it, so the trained
-    network is bit for bit that of the allocating step. Over G copies each
-    product is one `np.matmul` over the stack, which makes one BLAS call per
-    copy at the one-copy shapes, and each other operation one ufunc call on
-    the whole group; every copy gets the bits it gets alone. The extra loss
-    (one copy only) reads the copy, whose layers view the float32 buffer.
+    network is bit for bit that of the allocating step. Each product is one
+    `np.matmul` over the stack, which makes one BLAS call per copy at the
+    one-copy shapes, and each other operation one ufunc call on the whole
+    group; every copy gets the bits it gets alone. The extra loss, which only
+    `train` passes, reads its one copy, whose layers view the float32 buffer.
     """
 
     def __init__(self, net: Network, copies: int, batch_sizes: set):
@@ -354,18 +348,16 @@ class _Trainer:
                      for layer, (w, b) in zip(net.layers, split(p))])
             for p in self.p32
         ]
-        stacked = slice(None) if copies > 1 else 0  # one copy steps on 2-D operands
-        self.w64, b64 = zip(*split(self.p64[stacked]))
+        self.w64, b64 = zip(*split(self.p64))
         self.w64_t = [w.mT for w in self.w64]
-        self.b64 = [b[..., None, :] for b in b64]  # broadcast over each copy's rows
-        self.dw, self.db = zip(*split(self.grad[stacked]))
+        self.b64 = [b[:, None, :] for b in b64]  # broadcast over each copy's rows
+        self.dw, self.db = zip(*split(self.grad))
         self.names = [layer.name for layer in net.layers]
         widths = [o for o, _ in shapes]
-        lead = self.grad[stacked].shape[:-1]
-        self.buffers = {m: _StepBuffers(lead, m, widths) for m in batch_sizes}
+        self.buffers = {m: _StepBuffers(copies, m, widths) for m in batch_sizes}
 
-    def step(self, x: np.ndarray, at: np.ndarray, hp: TrainConfig) -> np.ndarray:
-        """One step on each copy's batch `x` (rows on the next-to-last axis);
+    def step(self, x: np.ndarray, at: np.ndarray, lr: float, extra_loss) -> np.ndarray:
+        """One step on each copy's (rows, input_dim) batch, stacked in `x`;
         `at` is each row's label's flat index in the step's outputs. Returns
         each copy's loss."""
         s = self.buffers[x.shape[-2]]
@@ -381,8 +373,8 @@ class _Trainer:
         loss, d = _softmax_cross_entropy(_softmax(z, s.row), at)
 
         extra_grads: dict[str, np.ndarray] = {}
-        if hp.extra_loss is not None:
-            extra, extra_grads = hp.extra_loss(self.nets[0])
+        if extra_loss is not None:
+            extra, extra_grads = extra_loss(self.nets[0])
             loss += extra
 
         for i in range(head, -1, -1):
@@ -393,7 +385,7 @@ class _Trainer:
             if i:
                 d = np.matmul(d, self.w64[i], out=s.deltas[i - 1])
                 np.multiply(d, s.masks[i - 1], out=d)
-        g = np.multiply(self.grad, hp.lr, out=self.grad)
+        g = np.multiply(self.grad, lr, out=self.grad)
         np.subtract(self.p64, g, out=g)
         np.copyto(self.p32, g, casting="same_kind")
         np.copyto(self.p64, self.p32)
@@ -407,9 +399,12 @@ class _Trainer:
         return self.nets
 
 
-def _fit(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Network]:
+def _fit(
+    net: Network, data: Dataset, hps: Sequence[TrainConfig], extra_loss=None
+) -> list[Network]:
     """SGD on one copy of `net` per config, stepped together; the configs
-    share epochs, lr and batch size, and each copy draws its own order."""
+    share epochs, lr and batch size, and each copy draws its own order.
+    Only `train`, with its one copy, passes an `extra_loss` (see there)."""
     hp = hps[0]
     if hp.lr <= 0:
         raise ValueError("lr must be positive")
@@ -424,20 +419,14 @@ def _fit(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Networ
     batch_size = min(hp.batch_size, n)
     trainer = _Trainer(net, copies, {batch_size, n % batch_size} - {0})
     # each step's rows of an epoch, and the flat offset of each row within
-    # its step's outputs: its place in its batch, and over G copies (whose
-    # axis leads every operand) its copy's block of the batch's rows
-    steps = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
-    row_at = np.arange(n) % batch_size * width
-    if copies > 1:
-        batch_rows = np.minimum(batch_size, n - np.arange(n) // batch_size * batch_size)
-        row_at = row_at + np.arange(copies)[:, None] * batch_rows * width
-        steps = [(slice(None), rows) for rows in steps]
+    # its step's (G, rows, width) outputs: its copy's block of the batch's
+    # rows, then its place in its batch
+    steps = [(slice(None), slice(start, start + batch_size)) for start in range(0, n, batch_size)]
+    batch_rows = np.minimum(batch_size, n - np.arange(n) // batch_size * batch_size)
+    row_at = np.arange(n) % batch_size * width + np.arange(copies)[:, None] * batch_rows * width
     rngs = [np.random.default_rng(h.seed) for h in hps]
     for epoch in range(hp.epochs):
-        if copies == 1:
-            order = rngs[0].permutation(n)
-        else:
-            order = np.stack([rng.permutation(n) for rng in rngs])
+        order = np.stack([rng.permutation(n) for rng in rngs])
         x, at = inputs[order], row_at + data.labels[order]
         losses = []
         # a step whose float64 update overflows float32, or that computes a
@@ -445,7 +434,7 @@ def _fit(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Networ
         with np.errstate(over="raise", invalid="raise"):
             try:
                 for rows in steps:
-                    losses.append(trainer.step(x[rows], at[rows], hp))
+                    losses.append(trainer.step(x[rows], at[rows], hp.lr, extra_loss))
             except FloatingPointError:
                 raise TrainingDivergenceError(epoch) from None
         if not np.isfinite(np.mean(losses, axis=0)).all():
@@ -453,21 +442,24 @@ def _fit(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Networ
     return trainer.result()
 
 
-def train(net: Network, data: Dataset, hp: TrainConfig) -> Network:
-    """SGD with cross-entropy; deterministic given hp.seed. Returns a new network."""
-    return _fit(net, data, [hp])[0]
+def train(net: Network, data: Dataset, hp: TrainConfig, extra_loss=None) -> Network:
+    """SGD with cross-entropy; deterministic given hp.seed. Returns a new network.
+
+    `extra_loss`, if given, is a regularizer added to every step's loss: it
+    maps the network being trained to (loss, {layer name: weight gradient}),
+    and each gradient is added to that layer's weight gradient."""
+    return _fit(net, data, [hp], extra_loss)[0]
 
 
 def train_copies(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> list[Network]:
     """One copy of `net` trained per config, each bit for bit what `train`
     gives for that config, in one laid-out run that steps them together.
 
-    The configs must share epochs, lr and batch size and carry no extra
-    loss; each draws its own order from its own seed. A copy that diverges
-    stops the whole run with `TrainingDivergenceError` for that epoch; train
-    the copies one at a time to learn which one it was. Groups of a few
-    copies keep the step buffers in cache; one very large group is slower
-    per copy than a few small ones.
+    The configs must share epochs, lr and batch size; each draws its own
+    order from its own seed. A copy that diverges stops the whole run with
+    `TrainingDivergenceError` for that epoch; train the copies one at a time
+    to learn which one it was. Groups of a few copies keep the step buffers
+    in cache; one very large group is slower per copy than a few small ones.
     """
     hps = list(hps)
     if not hps:
@@ -475,8 +467,6 @@ def train_copies(net: Network, data: Dataset, hps: Sequence[TrainConfig]) -> lis
     shared = {(hp.epochs, hp.lr, hp.batch_size) for hp in hps}
     if len(shared) > 1:
         raise ValueError(f"copies must share epochs, lr and batch size, got {sorted(shared)}")
-    if any(hp.extra_loss is not None for hp in hps):
-        raise ValueError("copies train without an extra loss")
     return _fit(net, data, hps)
 
 

@@ -469,10 +469,11 @@ def _attack_trials(lo, hi, cfg, out, a, model, held) -> list:
 def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = None) -> dict:
     """Run seeded attack trials against the marked model and save each suspect.
 
-    The trials never interact, so with more than one usable core they run in
-    contiguous blocks through `run_blocks`: this process runs the first
-    block and a forked child each other one. The records are concatenated
-    in trial order, so suspects and summary are the same bytes either way,
+    The trials never interact, so they run in contiguous blocks, one per
+    usable core, through `run_blocks`: this process runs the first block
+    and a forked child each other one (with one core, the one block runs
+    here and nothing is forked). The records are concatenated in trial
+    order, so suspects and summary are the same bytes for any block count,
     and the lowest failed trial's error is raised, as in one process; a
     child's error carries the child's traceback as its cause. The trial
     span's `workers` counts the processes the trials ran on, this one
@@ -494,14 +495,11 @@ def stage_attack(cfg: ExperimentConfig, out, kind: str, trials: int | None = Non
         sdir.mkdir(parents=True)
         start = time.perf_counter()
         workers = block_count(trials)
-        if workers > 1:
-            records = []
-            for ok, value in run_blocks(_attack_trials, trials, workers, cfg, out, a, model, held):
-                if not ok:
-                    raise value  # the first failed block's error: the lowest trial's
-                records += value
-        else:
-            records = _attack_trials(0, trials, cfg, out, a, model, held)
+        records = []
+        for ok, value in run_blocks(_attack_trials, trials, workers, cfg, out, a, model, held):
+            if not ok:
+                raise value  # the first failed block's error: the lowest trial's
+            records += value
         timer.spans["trials"] = {
             "workers": workers, "trials": trials, "seconds": time.perf_counter() - start,
         }

@@ -154,11 +154,9 @@ def embed(
     Runs up to max_rounds training passes with `hp`, round r seeded
     hp.seed + r, stopping at the first with zero bit-error rate; later rounds
     keep growing the projection margins only if the first pass leaves
-    residual errors. `hp` carries no regularizer of its own: the sign penalty
-    is the one `extra_loss` the rounds train with.
+    residual errors. The sign penalty is the `extra_loss` each round trains
+    with.
     """
-    if hp.extra_loss is not None:
-        raise ValueError("embedding adds its own extra_loss; hp must carry none")
     layer = net.layer(record.layer_name)
     if layer.weights.size != record.key.shape[1]:
         raise TamperError(
@@ -182,8 +180,7 @@ def embed(
 
     current = net
     for round_idx in range(max_rounds):
-        round_hp = replace(hp, seed=hp.seed + round_idx, extra_loss=sign_penalty)
-        current = train(current, data, round_hp)
+        current = train(current, data, replace(hp, seed=hp.seed + round_idx), sign_penalty)
         if verify(current, record).ber == 0.0:
             break
     else:

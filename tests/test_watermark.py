@@ -163,15 +163,6 @@ def test_embedding_is_deterministic(marked_setup):
     )
 
 
-def test_embedding_refuses_a_regularizer_of_its_own(marked_setup):
-    """The sign penalty is the rounds' one extra_loss; another in hp would be
-    dropped without a word, so embed refuses it."""
-    net, _, record, data = marked_setup
-    hp = dataclasses.replace(EMBED_HP, extra_loss=lambda model: (0.0, {}))
-    with pytest.raises(ValueError, match="extra_loss"):
-        embed(net, record, data, hp, strength=2.0, max_rounds=4)
-
-
 def test_unwatermarked_nets_read_as_coin_flips():
     """A random record on a fresh net projects to ~uniform bits."""
     bers = []
