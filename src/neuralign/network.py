@@ -55,8 +55,8 @@ their last bits from those of an NT forward product.
 
 No row of the kernel's batch reads another row, which lets trigger descent
 split its rows into blocks: the calling process runs the first and a forked
-child each other one (`parallel.py` tells how the children are forked and
-BLAS is pinned).
+child each other one (`parallel.py` tells how the children are forked, and
+why a process keeps one BLAS thread after its first split).
 """
 
 from __future__ import annotations

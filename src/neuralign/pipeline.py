@@ -39,7 +39,14 @@ from .coding import (
     nearest_centroid,
     save_codebook,
 )
-from .config import ATTACK_KINDS, ExperimentConfig, config_to_dict, save_config, validate_config
+from .config import (
+    ATTACK_KINDS,
+    DataSpec,
+    ExperimentConfig,
+    config_to_dict,
+    save_config,
+    validate_config,
+)
 from .data import make_blobs, split_dataset
 from .network import (
     Dataset,
@@ -53,7 +60,7 @@ from .network import (
     train,
     train_copies,
 )
-from .parallel import block_count, one_blas_thread, run_blocks
+from .parallel import block_count, run_blocks
 from .serialize import file_sha256, load_model, save_model
 from .triggers import (
     MODE_ENSEMBLE,
@@ -170,15 +177,27 @@ class _StageTimer:
 
 
 def make_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """Regenerate the train/heldout split; any stage can rebuild it from cfg."""
+    """The train/heldout split of cfg's blob data. Any stage can ask for it:
+    a process builds it once for the seed and `DataSpec` asked for last, and
+    every stage then shares the same arrays, so they are read-only."""
+    return _experiment_data(cfg.seed, *dataclasses.astuple(cfg.data))
+
+
+@lru_cache(maxsize=1)
+def _experiment_data(seed: int, *data) -> tuple[Dataset, Dataset]:
+    spec = DataSpec(*data)
     ds = make_blobs(
-        cfg.data.samples,
-        cfg.data.input_dim,
-        cfg.data.classes,
-        spread=cfg.data.spread,
-        seed=derive_seed(cfg.seed, "data"),
+        spec.samples,
+        spec.input_dim,
+        spec.classes,
+        spread=spec.spread,
+        seed=derive_seed(seed, "data"),
     )
-    return split_dataset(ds, cfg.data.holdout, seed=derive_seed(cfg.seed, "split"))
+    split = split_dataset(ds, spec.holdout, seed=derive_seed(seed, "split"))
+    for part in split:
+        part.inputs.flags.writeable = False
+        part.labels.flags.writeable = False
+    return split
 
 
 def attack_spec_for(cfg: ExperimentConfig, kind: str):
@@ -368,8 +387,7 @@ def stage_forge(cfg: ExperimentConfig, out, mode: str) -> dict:
         )
         timer.spans["descent"] = dataclasses.asdict(ts.descent)
         save_trigger_set(ts, out / trigger_file(mode))
-        with one_blas_thread():  # keeps OpenBLAS's server asleep before the attack forks
-            codes, separation = _probe_separation(model, layer, ts.inputs, cs)
+        codes, separation = _probe_separation(model, layer, ts.inputs, cs)
         neuron_errors = np.sum(codes != cb.codewords, axis=1)
         radius = (cb.d_min - 1) // 2
         budget = loss_budget(cb.n, cs.min_gap, len(ensemble.networks))

@@ -21,14 +21,15 @@ box) and the seed its starting points are drawn from.
 
 The rows never interact, so a large descent runs in one block of rows per
 usable core through `parallel.run_blocks`: this process descends the first
-block and forks a child for each other one (its docstring tells how, and how
-BLAS is pinned). OpenBLAS computes each GEMM row the same way at any thread
-count and at any row count above the sizes its small-matrix kernels take, so
-the triggers are byte-identical to a one-process descent; the first step of
-every block is compared with the whole batch's, and any differing bit sends
-the descent back into one process. A descent below `SPLIT_FLOOR_MACS`, or one
-that `parallel.block_count` keeps in-process (one core, no bundled
-OpenBLAS), runs in this process alone.
+block and forks a child for each other one (its docstring tells how, and why
+a process keeps one BLAS thread after its first split). OpenBLAS computes
+each GEMM row the same way at any thread count and at any row count above
+the sizes its small-matrix kernels take, so the triggers are
+byte-identical to a one-process descent; the first step of every block is
+compared with the whole batch's, and any differing bit sends the descent
+back into one process. A descent below `SPLIT_FLOOR_MACS`, or one that
+`parallel.block_count` keeps in-process (one core, no bundled OpenBLAS),
+runs in this process alone.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .network import (
     prune_variant,
     train,
 )
-from .parallel import block_count, one_blas_thread, run_blocks
+from .parallel import block_count, run_blocks
 from .serialize import (
     MAGIC_TRIGGERS,
     FormatError,
@@ -324,8 +325,7 @@ def _descend(nets, targets, layer_name, opt: TriggerSpec, seed: int):
         workers = 1
         result = _descend_rows(0, rows, nets, targets, layer_name, opt, x)
     best_x, members = result
-    with one_blas_thread():
-        best_loss = InputGradientKernel(nets, targets, layer_name)(best_x)[1].copy()
+    best_loss = InputGradientKernel(nets, targets, layer_name)(best_x)[1].copy()
     span = DescentSpan(workers, rows, opt.steps, members, time.perf_counter() - start)
     return best_x, best_loss, span
 

@@ -1,10 +1,14 @@
+import ctypes
 import importlib.util
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from neuralign import parallel
 from neuralign.config import AttackSpec, ExperimentConfig, validate_config
 from neuralign.network import Network, _bitwise_equal
 from neuralign.pipeline import run_all
@@ -48,6 +52,44 @@ def child_pids() -> list[int]:
     the kernel's list for the main thread, which forks them."""
     with open(f"/proc/self/task/{os.getpid()}/children") as f:
         return [int(pid) for pid in f.read().split()]
+
+
+def os_threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@lru_cache(maxsize=None)
+def _blas_server_stop():
+    """OpenBLAS's own fork handler in numpy's bundled library, which stops
+    its thread server until a threaded call starts it again; None where
+    numpy bundles no OpenBLAS or the library does not export it."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*blas*")):
+        stop = getattr(ctypes.CDLL(str(lib)), "blas_thread_shutdown_", None)
+        if stop is not None:
+            stop.argtypes, stop.restype = [], ctypes.c_int
+            return stop
+    return None
+
+
+def assert_no_blas_server() -> None:
+    """No OpenBLAS server thread is running: stopping the server ends none."""
+    threads = os_threads()
+    _blas_server_stop()()
+    assert os_threads() == threads
+
+
+@pytest.fixture()
+def two_blas_threads():
+    """This process at 2 threads of numpy's bundled OpenBLAS, its own count
+    put back after with the server stopped."""
+    if parallel.block_count(2) < 2 or _blas_server_stop() is None:
+        pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS with a server stop")
+    get_threads, set_threads = parallel._blas_threads()
+    before = get_threads()
+    set_threads(2)
+    yield
+    set_threads(before)
+    _blas_server_stop()()
 
 
 @pytest.fixture(autouse=True)

@@ -5,14 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import child_pids
+from conftest import assert_no_blas_server, child_pids, os_threads
 from neuralign import parallel
-
-CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _os_threads() -> int:
-    return len(os.listdir("/proc/self/task"))
 
 
 def _threads_after_gemm(lo, hi, fail=False):
@@ -22,40 +16,33 @@ def _threads_after_gemm(lo, hi, fail=False):
     a @ a[:128]
     if fail:
         raise ValueError(f"block {lo} failed")
-    return _os_threads(), parallel._blas_threads()[0](), os.getpid()
+    return os_threads(), parallel._blas_threads()[0](), os.getpid()
 
 
-@pytest.fixture()
-def blas_threads():
-    """The forking process at 2 BLAS threads, its own count put back after."""
-    if CORES < 2 or parallel._blas_threads() is None:
-        pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS")
-    get_threads, set_threads, _ = parallel._blas_threads()
-    before = get_threads()
-    set_threads(2)
-    yield parallel._blas_threads()
-    set_threads(before)
-
-
-def _assert_restored_without_a_spinning_server(blas_threads):
-    get_threads, _, stop_server = blas_threads
-    assert get_threads() == 2
-    if stop_server is not None:  # the restore's server is already stopped
-        threads = _os_threads()
-        stop_server()
-        assert _os_threads() == threads
-
-
-def test_workers_inherit_one_blas_thread_and_start_no_server(blas_threads):
-    """The forking process pins BLAS before the fork, so no child calls the
-    setter, which in a forked child would restart OpenBLAS's spinning thread
-    server: the child, and the caller's own block 0, each run one OS thread
-    and read one BLAS thread."""
+@pytest.mark.usefixtures("two_blas_threads")
+def test_workers_inherit_one_blas_thread_and_start_no_server():
+    """The forking process sets BLAS to one thread before the fork, so no
+    child calls the setter, which in a forked child would restart OpenBLAS's
+    spinning thread server: the child, and the caller's own block 0, each
+    run one OS thread and read one BLAS thread."""
     (ok0, caller), (ok1, child) = parallel.run_blocks(_threads_after_gemm, 4, 2)
     assert ok0 and ok1
     assert caller == (1, 1, os.getpid())
     assert child[:2] == (1, 1) and child[2] != os.getpid()
-    _assert_restored_without_a_spinning_server(blas_threads)
+    assert_no_blas_server()
+
+
+@pytest.mark.usefixtures("two_blas_threads")
+def test_forking_process_keeps_one_blas_thread_and_starts_no_server():
+    """After a split the process stays at one BLAS thread, so a GEMM large
+    enough to thread runs in this thread and starts no OpenBLAS server,
+    whose threads would spin on the cores that the next split's children
+    need. The setter call of a later split leaves no server either."""
+    for _ in range(2):
+        parallel.run_blocks(_threads_after_gemm, 2, 2)
+    threads = os_threads()
+    assert _threads_after_gemm(0, 1)[:2] == (threads, 1)
+    assert_no_blas_server()
 
 
 def _raising_function(error) -> str:
@@ -65,9 +52,11 @@ def _raising_function(error) -> str:
     return tb.tb_frame.f_code.co_name
 
 
-def test_forking_process_gets_its_blas_threads_back_when_a_block_raises(blas_threads):
+@pytest.mark.usefixtures("two_blas_threads")
+def test_forking_process_keeps_one_blas_thread_when_a_block_raises():
     """Both blocks fail: block 0's error is the one raised in this process,
-    the child's carries the child's traceback as its cause."""
+    the child's carries the child's traceback as its cause, and the process
+    is left at one BLAS thread with no server running."""
     (ok0, caller), (ok1, child) = parallel.run_blocks(_threads_after_gemm, 4, 2, True)
     assert not ok0 and not ok1
     assert isinstance(caller, ValueError) and str(caller) == "block 0 failed"
@@ -76,15 +65,8 @@ def test_forking_process_gets_its_blas_threads_back_when_a_block_raises(blas_thr
     assert isinstance(child.__cause__, parallel.RemoteTraceback)
     assert "_threads_after_gemm" in str(child.__cause__)
     assert "ValueError: block 2 failed" in str(child.__cause__)
-    _assert_restored_without_a_spinning_server(blas_threads)
-
-
-def test_one_blas_thread_pins_the_body_and_leaves_no_server(blas_threads):
-    """A GEMM large enough to thread runs on one BLAS thread inside the
-    block; after it the process has its count back and no server running."""
-    with parallel.one_blas_thread():
-        assert _threads_after_gemm(0, 1)[1] == 1
-    _assert_restored_without_a_spinning_server(blas_threads)
+    assert parallel._blas_threads()[0]() == 1
+    assert_no_blas_server()
 
 
 def _end_in_last_block(lo, hi, how):

@@ -70,7 +70,7 @@ from neuralign.pipeline import (
 from neuralign.serialize import file_sha256, load_model, save_model
 from neuralign.triggers import layer_outputs, load_trigger_set
 from neuralign.watermark import load_record
-from conftest import networks_equal
+from conftest import assert_no_blas_server, networks_equal
 
 PUBLISHED_GRID = {
     64: [4, 12, 21, 29, 38, 47, 56, 65],
@@ -278,6 +278,25 @@ def test_ordering_rows(tiny_run):
         assert r["accept_rate_t2"] >= r["accept_rate_t1"] - 1e-9
 
 
+def test_experiment_data_is_built_once_per_config_and_read_only(tiny_config_factory):
+    """Equal configs share one build of the split, whose arrays no stage can
+    write into; a changed data field or seed builds it again."""
+    train_ds, held = make_experiment_data(tiny_config_factory())
+    again = make_experiment_data(tiny_config_factory())
+    assert again[0] is train_ds and again[1] is held
+    for array in (train_ds.inputs, train_ds.labels, held.inputs, held.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    cfg = tiny_config_factory()
+    cfg.data.spread = 0.3
+    spread, _ = make_experiment_data(cfg)
+    assert spread is not train_ds and not np.array_equal(spread.inputs, train_ds.inputs)
+    assert np.array_equal(spread.labels, train_ds.labels)  # same seeds, same draws
+    cfg = tiny_config_factory()
+    cfg.seed = 1
+    assert not np.array_equal(make_experiment_data(cfg)[0].labels, train_ds.labels)
+
+
 def test_timing_sections_cover_stages(tiny_run):
     _, out, report = tiny_run
     expected = {"train", "encode", "forge_t1", "forge_t2"}
@@ -481,17 +500,16 @@ def test_t2_forge_folds_every_pruned_variant(tiny_run, tmp_path, monkeypatch):
         assert len({id(m.space) for m in kernel.members}) == 1  # all members share buffers
 
 
+@pytest.mark.usefixtures("two_blas_threads")
 def test_forge_reads_its_triggers_back_on_one_blas_thread(tiny_run, tmp_path, monkeypatch):
-    """After the descent, stage_forge reads the triggers back on one BLAS
-    thread: at more threads a large enough read-back restarts OpenBLAS's
-    thread server, which then spins on the cores the attack stage's blocks
-    run on next."""
-    if pipeline.block_count(2) < 2:
-        pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS")
+    """After a split descent, stage_forge reads the triggers back on the one
+    BLAS thread the split left: at more threads a large enough read-back
+    restarts OpenBLAS's thread server, which then spins on the cores the
+    attack stage's blocks run on next."""
     cfg, out, _ = tiny_run
     copy = tmp_path / "copy"
     shutil.copytree(out, copy)
-    get_threads, set_threads, _ = parallel._blas_threads()
+    get_threads = parallel._blas_threads()[0]
     read_back = pipeline.layer_outputs
     threads = []
 
@@ -500,15 +518,14 @@ def test_forge_reads_its_triggers_back_on_one_blas_thread(tiny_run, tmp_path, mo
         return read_back(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "layer_outputs", recorded)
-    before = get_threads()
-    set_threads(2)
-    try:
-        stage_forge(dataclasses.replace(cfg, triggers=dataclasses.replace(cfg.triggers, steps=1)),
-                    copy, "t1")
-        assert get_threads() == 2  # the process has its own count back
-    finally:
-        set_threads(before)
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
+    stage_forge(
+        dataclasses.replace(cfg, triggers=dataclasses.replace(cfg.triggers, steps=1)), copy, "t1"
+    )
+    assert json.loads((copy / "timings_forge_t1.json").read_text())["descent"]["workers"] > 1
     assert threads == [1]
+    assert get_threads() == 1
+    assert_no_blas_server()
 
 
 # --------------------------------------------------------- observability

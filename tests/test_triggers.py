@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import assert_no_blas_server
 from neuralign.coding import (
     CentroidSet,
     compute_centroids,
@@ -413,29 +414,19 @@ def test_split_descent_falls_back_when_blocks_round_differently(monkeypatch):
         assert np.array_equal(fallback[0], whole[0])
 
 
+@pytest.mark.usefixtures("two_blas_threads")
 def test_split_descent_leaves_no_blas_server_spinning(monkeypatch):
-    """The float64 scoring after a split runs on one BLAS thread, so the
-    descent ends with OpenBLAS's thread server down, as the split left it;
-    a server started by that GEMM would spin on the cores that the next
-    split's children need."""
-    calls = parallel._blas_threads()
-    if CORES < 2 or calls is None or calls[2] is None:
-        pytest.skip("needs 2 usable cores and numpy's bundled OpenBLAS with a server stop")
-    get_threads, set_threads, stop_server = calls
-    before = get_threads()
-    set_threads(2)
-    try:
-        # default widths: the scoring GEMMs are large enough for OpenBLAS to thread
-        nets = [init_network(48, [128, 32, 16, 4], seed=1)]
-        targets = np.random.default_rng(4).uniform(0.0, 2.0, size=(480, 32))
-        monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
-        assert triggers._descend(nets, targets, "dense1", TriggerSpec(steps=2), 3)[2].workers > 1
-        assert get_threads() == 2
-        threads = len(os.listdir("/proc/self/task"))
-        stop_server()
-        assert len(os.listdir("/proc/self/task")) == threads
-    finally:
-        set_threads(before)
+    """The float64 scoring after a split runs on the one BLAS thread the
+    split left, so the descent ends with OpenBLAS's thread server down, as
+    the split left it; a server started by that GEMM would spin on the cores
+    that the next split's children need."""
+    # default widths: the scoring GEMMs are large enough for OpenBLAS to thread
+    nets = [init_network(48, [128, 32, 16, 4], seed=1)]
+    targets = np.random.default_rng(4).uniform(0.0, 2.0, size=(480, 32))
+    monkeypatch.setattr(triggers, "SPLIT_FLOOR_MACS", 0.0)
+    assert triggers._descend(nets, targets, "dense1", TriggerSpec(steps=2), 3)[2].workers > 1
+    assert parallel._blas_threads()[0]() == 1
+    assert_no_blas_server()
 
 
 def test_descent_without_blas_setter_starts_no_child(trained, monkeypatch):
